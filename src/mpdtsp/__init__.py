@@ -7,19 +7,7 @@ full constraint system, solves small instances exactly, and benchmarks the
 heuristics over a corpus.
 """
 
-from .bench import (
-    CSV_HEADER,
-    DEFAULT_CAPACITIES,
-    ExperimentConfig,
-    InitPolicy,
-    Quartiles,
-    ResultRow,
-    Summary,
-    emit_csv,
-    emit_svg_histogram,
-    run_corpus,
-    summarize,
-)
+from .bench import ExperimentConfig, ResultRow, emit_csv, emit_svg_histogram, run_corpus, summarize
 from .cheapest_insertion import (
     CihState,
     InsertionChoice,
@@ -27,16 +15,9 @@ from .cheapest_insertion import (
     best_insertion,
     cih_best,
     cih_from,
-    feasible_slots,
-    insertion_ratio,
 )
-from .construction import DeadEndError, MultiStartError, MultiStartResult
-from .exact import (
-    BRUTE_FORCE_PAIR_LIMIT,
-    HELD_KARP_PAIR_LIMIT,
-    brute_force,
-    held_karp,
-)
+from .construction import DeadEndError, MultiStartError
+from .exact import brute_force, held_karp
 from .files import (
     instance_from_text,
     instance_to_text,
@@ -46,15 +27,12 @@ from .files import (
     write_sidecar,
     write_tour,
 )
-from .generate import Direction, GenerationSpec, centroid, generate, rank_by_centroid
+from .generate import Direction, GenerationSpec, generate
 from .model import (
     InfeasibleInstanceError,
     Instance,
-    LOAD_TOLERANCE,
     Role,
     Tour,
-    ValidationReport,
-    Violation,
     ViolationKind,
     arc_cost,
     paired_loads,
@@ -62,67 +40,47 @@ from .model import (
     tour_cost,
     validate,
 )
-from .nearest_neighbor import NnhState, feasible_candidates, nnh_best, nnh_from
-from .tsplib import MetricMode, PointCloud, TsplibParseError, tsplib_distance
+from .nearest_neighbor import nnh_best, nnh_from
+from .tsplib import MetricMode
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BRUTE_FORCE_PAIR_LIMIT",
-    "CSV_HEADER",
     "CihState",
-    "DEFAULT_CAPACITIES",
     "DeadEndError",
     "Direction",
     "ExperimentConfig",
     "GenerationSpec",
-    "HELD_KARP_PAIR_LIMIT",
     "InfeasibleInstanceError",
-    "InitPolicy",
     "InsertionChoice",
     "Instance",
-    "LOAD_TOLERANCE",
     "MetricMode",
     "MultiStartError",
-    "MultiStartResult",
-    "NnhState",
-    "PointCloud",
-    "Quartiles",
     "ResultRow",
     "Role",
-    "Summary",
     "Tour",
-    "TsplibParseError",
-    "ValidationReport",
-    "Violation",
     "ViolationKind",
     "apply_insertion",
     "arc_cost",
     "best_insertion",
     "brute_force",
-    "centroid",
     "cih_best",
     "cih_from",
     "emit_csv",
     "emit_svg_histogram",
-    "feasible_candidates",
-    "feasible_slots",
     "generate",
     "held_karp",
-    "insertion_ratio",
     "instance_from_text",
     "instance_to_text",
     "nnh_best",
     "nnh_from",
     "paired_loads",
     "payload_profile",
-    "rank_by_centroid",
     "read_instance",
     "read_tour_sequence",
     "run_corpus",
     "summarize",
     "tour_cost",
-    "tsplib_distance",
     "validate",
     "write_instance",
     "write_sidecar",

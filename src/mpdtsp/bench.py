@@ -114,9 +114,8 @@ def _solve_rows(instance: Instance, source_name: str, direction: Direction, q: i
     return rows
 
 
-def _run_task(args: tuple[str, str, int, str, str]) -> list[ResultRow]:
-    path, direction_value, q, metric_value, init_policy = args
-    cloud = tsplib.parse_file(path)
+def _run_task(args: tuple[tsplib.PointCloud, str, int, str, str]) -> list[ResultRow]:
+    cloud, direction_value, q, metric_value, init_policy = args
     direction = Direction(direction_value)
     instance = generate(cloud, GenerationSpec(direction, q), MetricMode(metric_value))
     return _solve_rows(instance, cloud.name, direction, q, init_policy)
@@ -125,7 +124,7 @@ def _run_task(args: tuple[str, str, int, str, str]) -> list[ResultRow]:
 def run_corpus(config: ExperimentConfig) -> list[ResultRow]:
     """Sweep every parsable corpus file across directions and capacities."""
     corpus = Path(config.corpus_dir)
-    clouds: list[tuple[Path, str]] = []
+    clouds: list[tsplib.PointCloud] = []
     for path in sorted(corpus.glob("*.tsp")):
         try:
             cloud = tsplib.parse_file(path)
@@ -136,13 +135,13 @@ def run_corpus(config: ExperimentConfig) -> list[ResultRow]:
             log.info("skipping %s: %d nodes exceeds max_nodes=%d",
                      path.name, len(cloud), config.max_nodes)
             continue
-        clouds.append((path, cloud.name))
+        clouds.append(cloud)
     if not clouds:
         raise ValueError(f"no instances: {corpus} contains no parsable EUC_2D files")
 
     tasks = [
-        (str(path), direction.value, q, config.metric.value, config.init_policy)
-        for path, _ in clouds
+        (cloud, direction.value, q, config.metric.value, config.init_policy)
+        for cloud in clouds
         for direction in config.directions
         for q in config.capacities
     ]

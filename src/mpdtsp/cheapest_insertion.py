@@ -14,6 +14,7 @@ falls back to the plain added cost.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from typing import Iterable
 
 import numpy as np
@@ -21,10 +22,11 @@ import numpy as np
 from .construction import (
     DeadEndError,
     MultiStartResult,
+    check_carriable,
     check_construction,
     run_multistart,
 )
-from .model import Instance, InfeasibleInstanceError, Role, Tour
+from .model import Instance, Tour, visit_events
 
 
 @dataclass(frozen=True)
@@ -39,17 +41,7 @@ class CihState:
     @classmethod
     def initial(cls, instance: Instance, init: int) -> "CihState":
         init = instance.normalize_node(init)
-        q = float(instance.loads[init])
-        role = instance.role(init)
-        if role is Role.PICKUP:
-            # the item is on board from the opening visit; the closing entry
-            # carries the pending balance until the matching delivery arrives
-            payload = (q, q)
-        elif role is Role.DELIVERY:
-            # empty until the closing visit unloads the start item
-            payload = (0.0, q)
-        else:
-            payload = (0.0, 0.0)
+        payload = tuple(accumulate(visit_events(instance, (init, init))))
         remainder = frozenset(range(instance.node_count)) - {init}
         return cls(partial=(init, init), payload=payload, remainder=remainder, cost_so_far=0.0)
 
@@ -61,52 +53,6 @@ class InsertionChoice:
     node: int
     slot: int
     ratio: float
-
-
-def feasible_slots(instance: Instance, state: CihState, node: int) -> range:
-    """Slots (insert-after positions) where ``node`` may go, possibly empty.
-
-    Capacity: the earliest slot from which every payload entry to the end of
-    the tour satisfies ``entry <= capacity - load``.  Precedence: a delivery
-    may not precede its pickup.  The result is the intersection of both
-    windows and is always a contiguous range of slot indices.
-    """
-    node = instance.normalize_node(node)
-    if node not in state.remainder:
-        raise ValueError(f"node {node} is not awaiting insertion")
-    m = len(state.partial)
-    limit = instance.capacity - float(instance.loads[node])
-
-    suffix_max = float("-inf")
-    left = m  # first capacity-feasible slot; m means none
-    for k in range(m - 1, -1, -1):
-        suffix_max = max(suffix_max, state.payload[k])
-        if suffix_max <= limit:
-            left = k
-        else:
-            break
-
-    if instance.role(node) is Role.DELIVERY:
-        pickup = instance.pickup_of(node)
-        if pickup not in state.partial:
-            return range(m - 1, m - 1)  # empty: no admissible slot yet
-        left = max(left, state.partial.index(pickup))
-
-    return range(min(left, m - 1), m - 1)
-
-
-def insertion_ratio(instance: Instance, a: int, node: int, b: int) -> float:
-    """Cost ratio of inserting ``node`` between consecutive tour nodes a, b.
-
-    When the replaced arc has zero cost (doubled start node, or co-located
-    pseudo-nodes) the plain added cost is used instead.
-    """
-    a = instance.normalize_node(a)
-    b = instance.normalize_node(b)
-    node = instance.normalize_node(node)
-    added = float(instance.cost[a, node]) + float(instance.cost[node, b])
-    replaced = float(instance.cost[a, b])
-    return added / replaced if replaced > 0.0 else added
 
 
 def apply_insertion(state: CihState, choice: InsertionChoice, instance: Instance) -> CihState:
@@ -178,10 +124,7 @@ def best_insertion(instance: Instance, state: CihState) -> InsertionChoice | Non
 
 def cih_from(instance: Instance, init: int) -> Tour:
     """Build one cheapest-insertion tour from ``init``."""
-    if instance.is_trivially_infeasible:
-        raise InfeasibleInstanceError(
-            f"items {instance.oversized_items} exceed capacity {instance.capacity:g}"
-        )
+    check_carriable(instance)
     state = CihState.initial(instance, init)
     while state.remainder:
         choice = best_insertion(instance, state)

@@ -56,10 +56,6 @@ def run_multistart(
     construct: Callable[[Instance, int], Tour],
 ) -> MultiStartResult:
     """Run ``construct`` from every start and keep the deterministic best."""
-    if instance.is_trivially_infeasible:
-        raise InfeasibleInstanceError(
-            f"items {instance.oversized_items} exceed capacity {instance.capacity:g}"
-        )
     if inits is None:
         start_ids = list(range(instance.node_count))
     else:
@@ -90,6 +86,14 @@ def run_multistart(
         costs=costs,
         dead_ends=tuple(sorted(failures)),
     )
+
+
+def check_carriable(instance: Instance) -> None:
+    """Precondition shared by both builders: every item fits on board alone."""
+    if instance.is_trivially_infeasible:
+        raise InfeasibleInstanceError(
+            f"items {instance.oversized_items} exceed capacity {instance.capacity:g}"
+        )
 
 
 def check_construction(instance: Instance, tour: Tour) -> Tour:

@@ -41,7 +41,6 @@ def held_karp(instance: Instance, pair_limit: int = HELD_KARP_PAIR_LIMIT) -> Tou
     upper = capacity + LOAD_TOLERANCE
 
     # bit v-1 of a mask marks node v as visited (nodes 1..2n)
-    best: dict[tuple[int, int], float] = {}
     parent: dict[tuple[int, int], int] = {}
     load_of_mask: dict[int, float] = {0: 0.0}
 
@@ -53,9 +52,12 @@ def held_karp(instance: Instance, pair_limit: int = HELD_KARP_PAIR_LIMIT) -> Tou
             load_of_mask.setdefault(mask, float(loads[v]))
             parent[(mask, v)] = 0
 
+    # every state of a layer has visited the same number of nodes, so full
+    # masks can only be in the last nonempty layer
     full = (1 << size) - 1
+    final = layer
     while layer:
-        best.update(layer)
+        final = layer
         nxt: dict[tuple[int, int], float] = {}
         for (mask, last), acc in layer.items():
             if mask == full:
@@ -82,7 +84,7 @@ def held_karp(instance: Instance, pair_limit: int = HELD_KARP_PAIR_LIMIT) -> Tou
 
     closing = [
         (acc + float(cost[last, 0]), last)
-        for (mask, last), acc in best.items()
+        for (mask, last), acc in final.items()
         if mask == full
     ]
     if not closing:

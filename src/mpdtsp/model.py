@@ -11,6 +11,8 @@ its visit position.  The start node of a closed tour occurs twice; its event
 fires at the opening occurrence when it is a pickup or the depot, and at the
 closing occurrence when it is a delivery.  This is the unique convention under
 which any-start tours carry a well-defined load and end the tour empty.
+:func:`visit_events` is the one place that applies it; the payload profile,
+the validator and both builders' initial loads all take it from there.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from itertools import accumulate
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -27,9 +30,6 @@ from .tsplib import MetricMode, tsplib_distance
 #: absolute slack for load comparisons on complete tours (loads are exact for
 #: unit masses; the slack only matters for real-valued masses)
 LOAD_TOLERANCE = 1e-9
-
-#: absolute slack for cost comparisons in floating metrics
-COST_TOLERANCE = 1e-9
 
 
 class Role(Enum):
@@ -71,12 +71,16 @@ class Instance:
             raise ValueError("instance needs at least one pickup/delivery pair")
         if self.cost.shape != (m, m):
             raise ValueError(f"cost matrix must be {m}x{m}, got {self.cost.shape}")
+        if not np.isfinite(self.cost).all():
+            raise ValueError("cost matrix entries must be finite")
         if np.any(self.cost < 0):
             raise ValueError("cost matrix entries must be nonnegative")
         if np.any(np.diagonal(self.cost) != 0):
             raise ValueError("cost matrix diagonal must be zero")
         if self.loads.shape != (m,):
             raise ValueError(f"load vector must have length {m}, got {self.loads.shape}")
+        if not np.isfinite(self.loads).all():
+            raise ValueError("loads must be finite")
         if self.loads[0] != 0:
             raise ValueError("depot load must be zero")
         n = self.n_pairs
@@ -84,6 +88,8 @@ class Instance:
             raise ValueError("pickup loads must be positive")
         if np.any(self.loads[n + 1 :] != -self.loads[1 : n + 1]):
             raise ValueError("delivery loads must exactly negate their pickup loads")
+        if not np.isfinite(self.capacity):
+            raise ValueError(f"capacity must be finite, got {self.capacity!r}")
         if self.capacity < 0:
             raise ValueError("capacity must be nonnegative")
         if self.coords is not None and self.coords.shape != (m, 2):
@@ -186,6 +192,10 @@ class Instance:
         m = coords.shape[0]
         if m < 3 or m % 2 == 0:
             raise ValueError(f"coordinate count must be odd and >= 3 (2n+1 nodes), got {m}")
+        if not np.isfinite(coords).all():
+            # checked here, before the distances, because ROUNDED cannot round
+            # an infinite one
+            raise ValueError("coords must be finite")
         cost = _coordinate_cost_matrix(coords, metric)
         return cls(
             n_pairs=(m - 1) // 2,
@@ -317,6 +327,23 @@ def tour_cost(instance: Instance, tour: TourLike) -> float:
     return float(sum(instance.cost[a, b] for a, b in zip(nodes, nodes[1:])))
 
 
+def visit_events(instance: Instance, seq: Sequence[int]) -> list[float]:
+    """Load change at each position of a closed sequence of physical node ids.
+
+    Every position fires its node's load, except that the doubled start node
+    fires once: at the opening visit when it is the depot or a pickup, at the
+    closing visit when it is a delivery.  The running sum of the result is the
+    cargo on board leaving each position.
+    """
+    loads = instance._load_list
+    events = [loads[v] for v in seq]
+    if seq[0] > instance.n_pairs:
+        events[0] = 0.0
+    else:
+        events[-1] = 0.0
+    return events
+
+
 def payload_profile(instance: Instance, tour: TourLike) -> list[float]:
     """Cargo on board when leaving each position of a closed sequence.
 
@@ -326,22 +353,7 @@ def payload_profile(instance: Instance, tour: TourLike) -> list[float]:
     seq = [instance.normalize_node(v) for v in _as_sequence(tour)]
     if len(seq) < 2 or seq[0] != seq[-1]:
         raise ValueError("payload profile requires a closed sequence")
-    start_is_delivery = seq[0] > instance.n_pairs
-    loads = instance._load_list
-    running = 0.0
-    profile: list[float] = []
-    last = len(seq) - 1
-    for pos, node in enumerate(seq):
-        if pos == 0:
-            if not start_is_delivery:
-                running += loads[node]
-        elif pos == last:
-            if start_is_delivery:
-                running += loads[node]
-        else:
-            running += loads[node]
-        profile.append(running)
-    return profile
+    return list(accumulate(visit_events(instance, seq)))
 
 
 # -- validation ----------------------------------------------------------------
@@ -394,11 +406,18 @@ def validate(instance: Instance, tour: TourLike) -> ValidationReport:
     terminal = instance.terminal_alias
     node_count = instance.node_count
 
+    # positions in ``first_pos`` are only read when every id is known, in which
+    # case they are also positions in ``seq``
     seq: list[int] = []
+    counts = [0] * node_count
+    first_pos = [-1] * node_count
     for pos, v in enumerate(raw):
         if v == terminal:
             v = 0
         if 0 <= v < node_count:
+            if counts[v] == 0:
+                first_pos[v] = pos
+            counts[v] += 1
             seq.append(v)
         else:
             violations.append(
@@ -418,12 +437,6 @@ def validate(instance: Instance, tour: TourLike) -> ValidationReport:
     if violations:
         return ValidationReport.from_violations(violations)
 
-    counts = [0] * node_count
-    first_pos = [-1] * node_count
-    for pos, v in enumerate(seq):
-        if counts[v] == 0:
-            first_pos[v] = pos
-        counts[v] += 1
     start = seq[0]
     for v in range(node_count):
         expected = 2 if v == start else 1
@@ -445,28 +458,17 @@ def validate(instance: Instance, tour: TourLike) -> ValidationReport:
         return ValidationReport.from_violations(violations)
 
     # structurally sound complete tour: load and precedence checks
-    loads = instance._load_list
     n = instance.n_pairs
-    start_is_delivery = start > n
     last = len(seq) - 1
     upper = instance.capacity + LOAD_TOLERANCE
-    running = 0.0
-    for pos, node in enumerate(seq):
-        if pos == 0:
-            if not start_is_delivery:
-                running += loads[node]
-        elif pos == last:
-            if start_is_delivery:
-                running += loads[node]
-        else:
-            running += loads[node]
+    for pos, running in enumerate(accumulate(visit_events(instance, seq))):
         if running > upper:
             violations.append(
                 Violation(
                     ViolationKind.CAPACITY_UPPER,
                     pos,
                     f"load {running:g} exceeds capacity {instance.capacity:g} "
-                    f"leaving node {node}",
+                    f"leaving node {seq[pos]}",
                 )
             )
         elif running < -LOAD_TOLERANCE:
@@ -474,7 +476,7 @@ def validate(instance: Instance, tour: TourLike) -> ValidationReport:
                 Violation(
                     ViolationKind.CAPACITY_LOWER,
                     pos,
-                    f"load {running:g} is negative leaving node {node}",
+                    f"load {running:g} is negative leaving node {seq[pos]}",
                 )
             )
     if running > LOAD_TOLERANCE or running < -LOAD_TOLERANCE:

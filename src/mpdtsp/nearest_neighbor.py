@@ -10,7 +10,6 @@ keeping the cheapest tour gives the multi-start solution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -18,44 +17,11 @@ import numpy as np
 from .construction import (
     DeadEndError,
     MultiStartResult,
+    check_carriable,
     check_construction,
     run_multistart,
 )
-from .model import Instance, InfeasibleInstanceError, Role, Tour
-
-
-@dataclass
-class NnhState:
-    """Open partial tour: visited prefix, current load and unvisited set."""
-
-    partial: list[int]
-    payload: float
-    remainder: set[int]
-    cost_so_far: float
-
-    @classmethod
-    def initial(cls, instance: Instance, init: int) -> "NnhState":
-        init = instance.normalize_node(init)
-        payload = float(instance.loads[init]) if instance.role(init) is Role.PICKUP else 0.0
-        remainder = set(range(instance.node_count)) - {init}
-        return cls(partial=[init], payload=payload, remainder=remainder, cost_so_far=0.0)
-
-
-def feasible_candidates(instance: Instance, state: NnhState) -> list[int]:
-    """Unvisited nodes that may be appended next, in ascending id order.
-
-    A delivery is admissible only once its pickup is in the partial tour; any
-    admissible node must also fit: current load + its load <= capacity.
-    """
-    visited = set(state.partial)
-    out = []
-    for node in sorted(state.remainder):
-        if instance.role(node) is Role.DELIVERY and instance.pickup_of(node) not in visited:
-            continue
-        if state.payload + instance.loads[node] > instance.capacity:
-            continue
-        out.append(node)
-    return out
+from .model import Instance, Tour, visit_events
 
 
 def nnh_from(instance: Instance, init: int) -> Tour:
@@ -64,10 +30,7 @@ def nnh_from(instance: Instance, init: int) -> Tour:
     Ties on arc cost go to the lowest node id.  Raises :class:`DeadEndError`
     when unvisited nodes remain but none passes both gates.
     """
-    if instance.is_trivially_infeasible:
-        raise InfeasibleInstanceError(
-            f"items {instance.oversized_items} exceed capacity {instance.capacity:g}"
-        )
+    check_carriable(instance)
     init = instance.normalize_node(init)
     n_pairs = instance.n_pairs
     cost_matrix = instance.cost
@@ -81,7 +44,7 @@ def nnh_from(instance: Instance, init: int) -> Tour:
     visited = np.zeros(instance.node_count, dtype=bool)
     visited[init] = True
     remainder = np.array([v for v in range(instance.node_count) if v != init], dtype=int)
-    payload = float(loads[init]) if init in instance.pickups else 0.0
+    payload = visit_events(instance, (init, init))[0]  # on board leaving the start
     sequence = [init]
     total = 0.0
     last = init

@@ -211,7 +211,3 @@ def _fmt(value: float) -> str:
     if float(value).is_integer():
         return str(int(value))
     return repr(float(value))
-
-
-def write_file(cloud: PointCloud, path: str | Path, comment: str = "") -> None:
-    Path(path).write_text(dumps(cloud, comment), newline="\n")

@@ -4,6 +4,7 @@ from dataclasses import replace
 import pytest
 
 from conftest import CORPUS_DIR
+from mpdtsp import tsplib
 from mpdtsp.bench import (
     CSV_HEADER,
     ExperimentConfig,
@@ -56,6 +57,21 @@ class TestRunCorpus:
         )
         strip = lambda rows: [replace(r, wall_time_s=0.0) for r in rows]  # noqa: E731
         assert strip(run_corpus(config)) == strip(run_corpus(config))
+
+    def test_each_file_parsed_once(self, eil51_only, monkeypatch):
+        calls = []
+        parse_file = tsplib.parse_file
+
+        def counting_parse_file(path):
+            calls.append(path)
+            return parse_file(path)
+
+        monkeypatch.setattr(tsplib, "parse_file", counting_parse_file)
+        config = ExperimentConfig(
+            corpus_dir=eil51_only, capacities=(2, 10), init_policy=InitPolicy.DEPOT
+        )
+        assert len(run_corpus(config)) == 8
+        assert len(calls) == 1
 
     def test_empty_corpus_is_an_error(self, tmp_path):
         with pytest.raises(ValueError, match="no instances"):

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from conftest import make_random_instance
+from reference_checkers import feasible_slots, insertion_ratio
 from mpdtsp import (
     CihState,
     InfeasibleInstanceError,
@@ -14,8 +15,6 @@ from mpdtsp import (
     best_insertion,
     cih_best,
     cih_from,
-    feasible_slots,
-    insertion_ratio,
     paired_loads,
     payload_profile,
     tour_cost,

@@ -125,6 +125,27 @@ class TestExact:
         assert "infeasible" in out
 
 
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("verb", ["solve", "exact"])
+    @pytest.mark.parametrize(
+        "line,bad",
+        [
+            ("CAPACITY 2.0", "CAPACITY nan"),
+            ("1 PICKUP 1 1.0 0.0 1.0", "1 PICKUP 1 nan 0.0 1.0"),
+            ("1 PICKUP 1 1.0 0.0 1.0", "1 PICKUP 1 1.0 0.0 inf"),
+            ("METRIC EXACT\n0 DEPOT 0 0.0 0.0", "METRIC ROUNDED\n0 DEPOT 0 inf 0.0"),
+        ],
+        ids=["nan-capacity", "nan-coordinate", "inf-load", "inf-coordinate-rounded"],
+    )
+    def test_is_a_usage_error(self, capsys, two_pair_file, verb, line, bad):
+        text = two_pair_file.read_text()
+        assert line in text
+        two_pair_file.write_text(text.replace(line, bad))
+        code, _, err = run(capsys, verb, two_pair_file)
+        assert code == 2
+        assert "finite" in err
+
+
 class TestValidate:
     def test_infeasible_tour_exits_one(self, capsys, two_pair_file, tmp_path):
         tour_path = tmp_path / "bad.tour"

@@ -16,6 +16,7 @@ from mpdtsp import (
     tour_cost,
     validate,
 )
+from mpdtsp.model import visit_events
 
 SQRT2 = math.sqrt(2.0)
 SQRT5 = math.sqrt(5.0)
@@ -23,6 +24,20 @@ SQRT5 = math.sqrt(5.0)
 
 def unit_triangle(capacity=1.0, metric=MetricMode.EXACT):
     return Instance.from_coords([(0, 0), (1, 0), (0, 1)], paired_loads([1.0]), capacity, metric)
+
+
+#: one-pair instances with a single non-finite field set to ``x``
+NON_FINITE_BUILDS = {
+    "coords": lambda x: Instance.from_coords([(0, 0), (1, x), (0, 1)], paired_loads([1.0]), 1.0),
+    "coords-rounded": lambda x: Instance.from_coords(
+        [(0, 0), (1, x), (0, 1)], paired_loads([1.0]), 1.0, MetricMode.ROUNDED
+    ),
+    "loads": lambda x: Instance.from_coords([(0, 0), (1, 0), (0, 1)], [0.0, x, -x], 1.0),
+    "capacity": lambda x: Instance.from_coords([(0, 0), (1, 0), (0, 1)], paired_loads([1.0]), x),
+    "cost": lambda x: Instance.from_matrix(
+        [[0, 1, x], [1, 0, 1], [x, 1, 0]], paired_loads([1.0]), 1.0
+    ),
+}
 
 
 class TestInstance:
@@ -50,6 +65,12 @@ class TestInstance:
         loads[3] = 0.0
         with pytest.raises(ValueError, match="positive"):
             Instance.from_coords(TWO_PAIR_COORDS, loads, 2.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", sorted(NON_FINITE_BUILDS))
+    def test_non_finite_input_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            NON_FINITE_BUILDS[field](value)
 
     def test_oversized_item_flags_infeasible(self, two_pair):
         flagged = two_pair.with_capacity(0.5)
@@ -141,6 +162,13 @@ class TestTourCost:
 
 
 class TestPayloadProfile:
+    def test_start_event_fires_once_at_the_rule_end(self, one_pair):
+        # depot and pickup starts fire at the opening visit, a delivery start
+        # at the closing visit
+        assert visit_events(one_pair, [0, 1, 2, 0]) == [0.0, 1.0, -1.0, 0.0]
+        assert visit_events(one_pair, [1, 2, 0, 1]) == [1.0, -1.0, 0.0, 0.0]
+        assert visit_events(one_pair, [2, 1, 0, 2]) == [0.0, 1.0, 0.0, -1.0]
+
     def test_depot_start_single_pair(self, one_pair):
         assert payload_profile(one_pair, [0, 1, 2, 0]) == [0.0, 1.0, 0.0, 0.0]
 

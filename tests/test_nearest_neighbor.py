@@ -3,15 +3,14 @@ import math
 import pytest
 
 from conftest import make_random_instance
+from reference_checkers import NnhState, feasible_candidates
 from mpdtsp import (
     DeadEndError,
     InfeasibleInstanceError,
     Instance,
     MetricMode,
     MultiStartError,
-    NnhState,
     arc_cost,
-    feasible_candidates,
     nnh_best,
     nnh_from,
     validate,
