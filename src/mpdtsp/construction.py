@@ -71,7 +71,8 @@ def run_multistart(
         try:
             tour = construct(instance, init)
         except DeadEndError as exc:
-            failures[init] = exc
+            # without its traceback, whose frames would keep the stalled state alive
+            failures[init] = exc.with_traceback(None)
             continue
         costs[init] = tour.cost
         key = (tour.cost, init)

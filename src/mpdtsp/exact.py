@@ -3,16 +3,16 @@
 ``held_karp`` runs a subset dynamic program over (visited set, last node)
 states, expanding only along precedence- and capacity-feasible arcs, and is
 the ground-truth optimum for up to a configurable number of pairs.
-``brute_force`` enumerates every interior permutation and filters it through
-the tour validator; it is deliberately independent of the dynamic program so
-the two can check each other.
+``brute_force`` enumerates every interior order in which each pickup precedes
+its delivery and filters it through the tour validator; it is deliberately
+independent of the dynamic program so the two can check each other.
 
 Both return ``None`` when the instance provably admits no tour.
 """
 
 from __future__ import annotations
 
-from itertools import permutations
+from typing import Iterator
 
 from .model import Instance, LOAD_TOLERANCE, Tour, tour_cost, validate
 
@@ -103,10 +103,38 @@ def held_karp(instance: Instance, pair_limit: int = HELD_KARP_PAIR_LIMIT) -> Tou
     return Tour(tuple(sequence), float(total))
 
 
+def precedence_orders(n_pairs: int) -> Iterator[tuple[int, ...]]:
+    """Orders of nodes 1..2n in which each pickup k comes before delivery n+k.
+
+    They come in lexicographic order: (2n)!/2^n of them, 2,520 instead of
+    40,320 for 4 pairs.
+    """
+    size = 2 * n_pairs
+    order: list[int] = []
+    placed = [False] * (size + 1)
+
+    def extend() -> Iterator[tuple[int, ...]]:
+        if len(order) == size:
+            yield tuple(order)
+            return
+        for v in range(1, size + 1):
+            if placed[v] or (v > n_pairs and not placed[v - n_pairs]):
+                continue
+            placed[v] = True
+            order.append(v)
+            yield from extend()
+            order.pop()
+            placed[v] = False
+
+    return extend()
+
+
 def brute_force(instance: Instance, pair_limit: int = BRUTE_FORCE_PAIR_LIMIT) -> Tour | None:
     """Optimal depot-rooted tour by full enumeration through the validator.
 
-    Ties on cost resolve to the lexicographically smallest sequence.
+    Every precedence-respecting order is enumerated and judged by
+    :func:`validate`.  Ties on cost resolve to the lexicographically smallest
+    sequence.
     """
     n = instance.n_pairs
     if n > pair_limit:
@@ -115,8 +143,8 @@ def brute_force(instance: Instance, pair_limit: int = BRUTE_FORCE_PAIR_LIMIT) ->
         )
     best_cost: float | None = None
     best_seq: tuple[int, ...] | None = None
-    for perm in permutations(range(1, 2 * n + 1)):
-        seq = (0, *perm, 0)
+    for order in precedence_orders(n):
+        seq = (0, *order, 0)
         if not validate(instance, seq).feasible:
             continue
         c = tour_cost(instance, seq)

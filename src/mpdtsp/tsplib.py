@@ -102,7 +102,8 @@ def parse(text: str) -> PointCloud:
 
     Header keys may appear in any order and use ``KEY: value`` or ``KEY value``
     form; an ``EOF`` terminator and flexible whitespace are tolerated.  The
-    file indices in NODE_COORD_SECTION are preserved verbatim.
+    file indices in NODE_COORD_SECTION are preserved verbatim; a ``nan`` or
+    ``inf`` coordinate is rejected with the line it is on.
     """
     name = ""
     dimension: int | None = None
@@ -161,11 +162,16 @@ def parse(text: str) -> PointCloud:
                         f"NODE_COORD_SECTION row needs 'id x y', got {row!r}", row_no
                     )
                 try:
-                    points.append((int(fields[0]), float(fields[1]), float(fields[2])))
+                    idx, x, y = int(fields[0]), float(fields[1]), float(fields[2])
                 except ValueError:
                     raise TsplibParseError(
                         f"NODE_COORD_SECTION row is not numeric: {row!r}", row_no
                     ) from None
+                if not (math.isfinite(x) and math.isfinite(y)):
+                    raise TsplibParseError(
+                        f"NODE_COORD_SECTION row has a non-finite coordinate: {row!r}", row_no
+                    )
+                points.append((idx, x, y))
             if len(points) < dimension:
                 raise TsplibParseError(
                     f"NODE_COORD_SECTION ended after {len(points)} of {dimension} rows",

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from conftest import make_random_instance
@@ -10,6 +11,7 @@ from mpdtsp import (
     Instance,
     InsertionChoice,
     MetricMode,
+    MultiStartError,
     Role,
     apply_insertion,
     best_insertion,
@@ -185,6 +187,112 @@ class TestBestInsertion:
         assert best_insertion(two_pair, state) is None
 
 
+def scratch_copy(state):
+    """The same state built by hand, without the cached ratio matrix."""
+    return CihState(
+        partial=state.partial,
+        payload=state.payload,
+        remainder=state.remainder,
+        cost_so_far=state.cost_so_far,
+    )
+
+
+def second_state(instance, init=0):
+    """The state after the first insertion, the first one that carries a matrix."""
+    state = CihState.initial(instance, init)
+    return apply_insertion(state, best_insertion(instance, state), instance)
+
+
+def reference_choice(instance, state):
+    """(ratio, node, slot) of the greedy rule taken one node and one slot at a time."""
+    return min(
+        (
+            (insertion_ratio(instance, state.partial[k], node, state.partial[k + 1]), node, k)
+            for node in sorted(state.remainder)
+            for k in feasible_slots(instance, state, node)
+        ),
+        default=None,
+    )
+
+
+def grid_instance(n_pairs, capacity, seed, metric):
+    """Coordinates on a 0..8 square: under ROUNDED most ratios tie with another."""
+    rng = np.random.RandomState(seed)
+    coords = rng.uniform(0.0, 8.0, size=(2 * n_pairs + 1, 2))
+    return Instance.from_coords(coords, paired_loads([1.0] * n_pairs), float(capacity), metric)
+
+
+CACHE_CASES = [
+    (seed, metric, q)
+    for seed in range(5)
+    for metric in (MetricMode.EXACT, MetricMode.ROUNDED)
+    for q in (1, 2, 3)
+]
+
+
+class TestCachedRatios:
+    @pytest.mark.parametrize("seed,metric,q", CACHE_CASES,
+                             ids=[f"seed{s}-{m.value}-Q{q}" for s, m, q in CACHE_CASES])
+    def test_every_step_matches_scratch_and_reference(self, seed, metric, q):
+        inst = grid_instance(3 + seed, q, seed, metric)
+        dead_ends = 0
+        for init in range(inst.node_count):
+            state = CihState.initial(inst, init)
+            while True:
+                cached = best_insertion(inst, state)
+                assert best_insertion(inst, scratch_copy(state)) == cached
+                reference = reference_choice(inst, state)
+                if reference is None:
+                    assert cached is None
+                    dead_ends += bool(state.remainder)
+                    break
+                assert (cached.ratio, cached.node, cached.slot) == reference
+                state = apply_insertion(state, cached, inst)
+        if q == 1:
+            assert dead_ends > 0  # the Q=1 stall path is covered too
+
+    def test_cached_matrix_equals_every_ratio(self):
+        inst = grid_instance(4, 2, 7, MetricMode.ROUNDED)
+        state = CihState.initial(inst, 5)
+        assert state.ratios is None  # the opening state builds its one column on demand
+        while state.remainder:
+            state = apply_insertion(state, best_insertion(inst, state), inst)
+            slots = range(len(state.partial) - 1)
+            expected = [
+                [insertion_ratio(inst, state.partial[k], u, state.partial[k + 1]) for k in slots]
+                for u in range(inst.node_count)
+            ]
+            assert state.ratios.tolist() == expected
+
+    def test_apply_from_a_state_without_cache(self, two_pair):
+        state = second_state(two_pair)
+        choice = best_insertion(two_pair, state)
+        via_cache = apply_insertion(state, choice, two_pair)
+        via_scratch = apply_insertion(scratch_copy(state), choice, two_pair)
+        assert via_scratch == via_cache
+        assert np.array_equal(via_scratch.ratios, via_cache.ratios)
+
+    def test_parent_matrix_is_left_alone(self, two_pair):
+        state = second_state(two_pair)
+        before = state.ratios.copy()
+        child = apply_insertion(state, best_insertion(two_pair, state), two_pair)
+        assert np.array_equal(state.ratios, before)
+        assert child.ratios.shape == (two_pair.node_count, 3)
+        assert not state.ratios.flags.writeable and not child.ratios.flags.writeable
+
+    def test_cache_is_not_part_of_equality_or_repr(self, two_pair):
+        state = second_state(two_pair)
+        assert state.ratios is not None
+        assert scratch_copy(state) == state
+        assert hash(scratch_copy(state)) == hash(state)
+        assert "ratios" not in repr(state)
+
+    def test_node_already_in_tour_rejected(self, two_pair):
+        state = CihState.initial(two_pair, 0)
+        with pytest.raises(ValueError, match="not awaiting insertion"):
+            apply_insertion(state, InsertionChoice(0, 0, 0.0), two_pair)
+
+
 class TestCihFrom:
     def test_single_pair_forced_order(self, one_pair):
         assert cih_from(one_pair, 0).sequence == (0, 1, 2, 0)
@@ -239,6 +347,14 @@ class TestCihBest:
     def test_best_bounds_every_start(self, two_pair):
         result = cih_best(two_pair)
         assert all(result.best_cost <= c for c in result.costs.values())
+
+    def test_dead_ends_keep_no_builder_frames(self, two_pair):
+        # a kept traceback would hold each stalled start's last state, ratio
+        # matrix included, until the cyclic garbage collector ran
+        with pytest.raises(MultiStartError) as err:
+            cih_best(two_pair.with_capacity(1.0), inits=[3, 4])
+        assert set(err.value.failures) == {3, 4}
+        assert all(exc.__traceback__ is None for exc in err.value.failures.values())
 
     def test_cost_table_reproducible_across_capacities(self, eil51_cloud):
         for q in (2, 10):

@@ -36,6 +36,23 @@ class TestInspect:
         assert "points: 51" in out
         assert "derivable pairs: 25" in out
 
+    @pytest.mark.parametrize("verb", ["inspect", "generate"])
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_coordinate_is_a_usage_error(self, capsys, tmp_path, verb, bad):
+        path = tmp_path / "bad.tsp"
+        path.write_text(
+            "NAME: bad\nDIMENSION: 3\nEDGE_WEIGHT_TYPE: EUC_2D\nNODE_COORD_SECTION\n"
+            f"1 0 0\n2 {bad} 1\n3 2 2\nEOF\n"
+        )
+        argv = [verb, path]
+        if verb == "generate":
+            argv += ["--direction", "pickups-central", "--capacity", "1",
+                     "--out", tmp_path / "bad.inst"]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert "line 6" in err and "non-finite" in err
+        assert out == ""
+
 
 class TestGenerate:
     def test_writes_instance_and_sidecar(self, capsys, tmp_path):

@@ -4,6 +4,8 @@ from itertools import permutations
 import pytest
 
 from conftest import make_random_instance
+from mpdtsp import exact
+from mpdtsp.exact import precedence_orders
 from mpdtsp import (
     MetricMode,
     brute_force,
@@ -101,6 +103,29 @@ class TestProperties:
             optimum = held_karp(inst).cost
             assert nnh_from(inst, 0).cost >= optimum - 1e-9
             assert cih_from(inst, 0).cost >= optimum - 1e-9
+
+
+class TestPrecedenceOrders:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_are_the_precedence_respecting_permutations_in_order(self, n):
+        expected = [
+            perm for perm in permutations(range(1, 2 * n + 1))
+            if all(perm.index(k) < perm.index(n + k) for k in range(1, n + 1))
+        ]
+        assert list(precedence_orders(n)) == expected
+        assert len(expected) == math.factorial(2 * n) // 2**n
+
+    def test_brute_force_validates_each_order_once(self, monkeypatch):
+        calls = []
+
+        def counting_validate(instance, tour):
+            calls.append(tuple(tour))
+            return validate(instance, tour)
+
+        monkeypatch.setattr(exact, "validate", counting_validate)
+        inst = make_random_instance(4, 2, 3)
+        assert brute_force(inst).cost == pytest.approx(held_karp(inst).cost, abs=1e-9)
+        assert len(calls) == len(set(calls)) == 2520
 
 
 class TestLimitsAndTies:

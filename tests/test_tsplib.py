@@ -86,6 +86,14 @@ def test_unsupported_sections_named_with_line():
         parse(text)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN", "Infinity"])
+def test_non_finite_coordinate_rejected_with_line(bad):
+    with pytest.raises(TsplibParseError, match="line 7: .*non-finite coordinate"):
+        parse(MINIMAL.replace("2 3 4", f"2 3 {bad}"))
+    with pytest.raises(TsplibParseError, match="line 8: .*non-finite coordinate"):
+        parse(MINIMAL.replace("3 10 0", f"3 {bad} 0"))
+
+
 def test_nonconsecutive_indices_preserved():
     text = MINIMAL.replace("1 0 0", "7 0 0").replace("2 3 4", "9 3 4").replace("3 10 0", "4 10 0")
     assert parse(text).indices() == [7, 9, 4]
