@@ -4,8 +4,8 @@ Sweeps every corpus file across both precedence directions and five
 capacities, prints the win fractions and ratio quartiles, and writes the raw
 rows (CSV) plus the summary charts (SVG) under demos/out/.
 
-Expect a couple of minutes of runtime; set MPDTSP_THREADS to use more cores
-and pass a different corpus directory as the first argument to sweep it.
+Expect a couple of minutes of runtime.  Pass a different corpus directory as
+the first argument to sweep it.
 """
 
 import sys

@@ -2,21 +2,15 @@
 
 For every (file, direction, capacity) combination the harness generates the
 instance, runs both multi-start heuristics, re-validates the winning tours and
-records cost and wall time.  Rows come back in a fixed sort order regardless
-of execution order, so reruns differ only in the timing fields.
-
-Worker parallelism across sweep tasks is opt-in through the ``MPDTSP_THREADS``
-environment variable (a positive integer; default 1 keeps everything on one
-core, which is also what keeps the timing columns comparable).
+records cost and wall time.  Rows come back in a fixed sort order, so reruns
+differ only in the timing fields.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -53,6 +47,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.capacities or any(q < 1 for q in self.capacities):
             raise ValueError("capacities must be a nonempty list of positive integers")
+        if len(set(self.capacities)) != len(self.capacities):
+            raise ValueError(f"capacities must not repeat, got {self.capacities}")
+        if not self.directions or len(set(self.directions)) != len(self.directions):
+            raise ValueError("directions must be a nonempty list without repeats")
+        if self.metric is MetricMode.EXPLICIT:
+            raise ValueError("the sweep needs a coordinate metric (exact or rounded)")
         if self.init_policy not in (InitPolicy.ALL, InitPolicy.DEPOT):
             raise ValueError(f"unknown init policy {self.init_policy!r}")
 
@@ -71,17 +71,6 @@ class ResultRow:
 
     def sort_key(self):
         return (self.instance, self.direction, self.capacity_items, self.heuristic)
-
-
-def worker_count() -> int:
-    raw = os.environ.get("MPDTSP_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"MPDTSP_THREADS must be a positive integer, got {raw!r}") from None
-    if value < 1:
-        raise ValueError(f"MPDTSP_THREADS must be a positive integer, got {raw!r}")
-    return value
 
 
 def _solve_rows(instance: Instance, source_name: str, direction: Direction, q: int,
@@ -114,13 +103,6 @@ def _solve_rows(instance: Instance, source_name: str, direction: Direction, q: i
     return rows
 
 
-def _run_task(args: tuple[tsplib.PointCloud, str, int, str, str]) -> list[ResultRow]:
-    cloud, direction_value, q, metric_value, init_policy = args
-    direction = Direction(direction_value)
-    instance = generate(cloud, GenerationSpec(direction, q), MetricMode(metric_value))
-    return _solve_rows(instance, cloud.name, direction, q, init_policy)
-
-
 def run_corpus(config: ExperimentConfig) -> list[ResultRow]:
     """Sweep every parsable corpus file across directions and capacities."""
     corpus = Path(config.corpus_dir)
@@ -139,21 +121,12 @@ def run_corpus(config: ExperimentConfig) -> list[ResultRow]:
     if not clouds:
         raise ValueError(f"no instances: {corpus} contains no parsable EUC_2D files")
 
-    tasks = [
-        (cloud, direction.value, q, config.metric.value, config.init_policy)
-        for cloud in clouds
-        for direction in config.directions
-        for q in config.capacities
-    ]
-    workers = worker_count()
     rows: list[ResultRow] = []
-    if workers == 1:
-        for task in tasks:
-            rows.extend(_run_task(task))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for chunk in pool.map(_run_task, tasks):
-                rows.extend(chunk)
+    for cloud in clouds:
+        for direction in config.directions:
+            for q in config.capacities:
+                instance = generate(cloud, GenerationSpec(direction, q), config.metric)
+                rows.extend(_solve_rows(instance, cloud.name, direction, q, config.init_policy))
     rows.sort(key=ResultRow.sort_key)
     return rows
 

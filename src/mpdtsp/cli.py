@@ -73,7 +73,8 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("bench", help="sweep a corpus directory with both heuristics")
-    p.add_argument("--config", help="key=value file with any of the flags below")
+    p.add_argument("--config", help="key=value file with the keys "
+                   f"{', '.join(_BENCH_SETTINGS)}; flags override it")
     p.add_argument("--corpus", help="directory of TSPLIB EUC_2D files")
     p.add_argument("--directions", help="comma list of precedence directions")
     p.add_argument("--capacities", help="comma list of capacities, e.g. 2,4,6,8,10")
@@ -209,39 +210,28 @@ def _cmd_validate(args) -> int:
     return EXIT_INFEASIBLE
 
 
-def _cmd_bench(args) -> int:
-    settings: dict[str, str] = {}
-    if args.config:
-        settings.update(files.read_key_values(args.config))
-    # CLI flags override the config file
-    if args.corpus:
-        settings["corpus"] = args.corpus
-    if args.directions:
-        settings["directions"] = args.directions
-    if args.capacities:
-        settings["capacities"] = args.capacities
-    if args.metric:
-        settings["metric"] = args.metric
-    if args.init_policy:
-        settings["init_policy"] = args.init_policy
-    if args.max_nodes is not None:
-        settings["max_nodes"] = str(args.max_nodes)
+# config-file key (and flag dest) -> (ExperimentConfig field, parser of its value)
+_BENCH_SETTINGS = {
+    "corpus": ("corpus_dir", Path),
+    "directions": ("directions", lambda s: tuple(Direction(v.strip()) for v in s.split(","))),
+    "capacities": ("capacities", lambda s: tuple(int(v) for v in s.split(","))),
+    "metric": ("metric", MetricMode),
+    "init_policy": ("init_policy", str),
+    "max_nodes": ("max_nodes", int),
+}
 
+
+def _cmd_bench(args) -> int:
+    settings = files.read_key_values(args.config, _BENCH_SETTINGS) if args.config else {}
+    # CLI flags override the config file
+    settings.update({key: getattr(args, key) for key in _BENCH_SETTINGS
+                     if getattr(args, key) is not None})
     if "corpus" not in settings:
         raise ValueError("bench needs --corpus (or corpus= in the config file)")
-    config = bench.ExperimentConfig(
-        corpus_dir=Path(settings["corpus"]),
-        directions=tuple(
-            Direction(v.strip())
-            for v in settings.get("directions", "pickups-central,deliveries-central").split(",")
-        ),
-        capacities=tuple(
-            int(v) for v in settings.get("capacities", "2,4,6,8,10").split(",")
-        ),
-        metric=_METRIC_FLAGS[settings.get("metric", "exact")],
-        init_policy=settings.get("init_policy", bench.InitPolicy.ALL),
-        max_nodes=int(settings["max_nodes"]) if settings.get("max_nodes") else None,
-    )
+    # only the given settings are passed, so ExperimentConfig holds the defaults
+    config = bench.ExperimentConfig(**{field: parse(settings[key])
+                                       for key, (field, parse) in _BENCH_SETTINGS.items()
+                                       if key in settings})
     rows = bench.run_corpus(config)
     summary = bench.summarize(rows)
     print(f"rows: {len(rows)}")

@@ -14,7 +14,7 @@ Tour files hold one node id per line, first and last identical.  Sidecars are
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -120,8 +120,11 @@ def write_sidecar(meta: Mapping[str, str], path: str | Path) -> None:
     Path(path).write_text(body, newline="\n")
 
 
-def read_key_values(path: str | Path) -> dict[str, str]:
-    """Parse ``key=value`` lines; blank lines and ``#`` comments are skipped."""
+def read_key_values(path: str | Path, keys: Iterable[str] | None = None) -> dict[str, str]:
+    """Parse ``key=value`` lines; blank lines and ``#`` comments are skipped.
+
+    With ``keys``, a key outside it is an error naming its line.
+    """
     out: dict[str, str] = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
@@ -129,6 +132,9 @@ def read_key_values(path: str | Path) -> dict[str, str]:
             continue
         if "=" not in line:
             raise ValueError(f"{path}: line {lineno} is not 'key=value': {line!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if keys is not None and key not in keys:
+            raise ValueError(f"{path}: line {lineno} has unknown key {key!r} "
+                             f"(expected one of {', '.join(keys)})")
+        out[key] = value
     return out

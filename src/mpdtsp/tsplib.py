@@ -1,4 +1,4 @@
-"""TSPLIB point-cloud files: parsing, serialization and distance conventions.
+"""TSPLIB point-cloud files: parsing and distance conventions.
 
 Only 2D coordinate instances (``EDGE_WEIGHT_TYPE: EUC_2D``) are supported.
 Matrix-based instances (``EXPLICIT``), geographic coordinates (``GEO``) and
@@ -57,9 +57,6 @@ class PointCloud:
     def coords_array(self) -> np.ndarray:
         """(m, 2) float array of coordinates in file order."""
         return np.array([(x, y) for _, x, y in self.points], dtype=float)
-
-    def indices(self) -> list[int]:
-        return [idx for idx, _, _ in self.points]
 
 
 def tsplib_distance(a: Point, b: Point, mode: MetricMode = MetricMode.EXACT) -> float:
@@ -195,25 +192,3 @@ def parse_file(path: str | Path) -> PointCloud:
         cloud = PointCloud(path.stem, cloud.points, cloud.declared_dimension)
     return cloud
 
-
-def dumps(cloud: PointCloud, comment: str = "") -> str:
-    """Serialize a point cloud back to TSPLIB text (EUC_2D, LF endings)."""
-    out = [f"NAME: {cloud.name}", "TYPE: TSP"]
-    if comment:
-        out.append(f"COMMENT: {comment}")
-    out += [
-        f"DIMENSION: {cloud.declared_dimension}",
-        "EDGE_WEIGHT_TYPE: EUC_2D",
-        "NODE_COORD_SECTION",
-    ]
-    for idx, x, y in cloud.points:
-        out.append(f"{idx} {_fmt(x)} {_fmt(y)}")
-    out.append("EOF")
-    return "\n".join(out) + "\n"
-
-
-def _fmt(value: float) -> str:
-    # integers stay integer-looking so round-tripped files remain tidy
-    if float(value).is_integer():
-        return str(int(value))
-    return repr(float(value))

@@ -15,8 +15,9 @@ from mpdtsp.bench import (
     ratio_bucket,
     run_corpus,
     summarize,
-    worker_count,
 )
+from mpdtsp.generate import Direction
+from mpdtsp.tsplib import MetricMode
 
 
 def row(instance="a", direction="pickups-central", q=2, heuristic="NNH",
@@ -95,31 +96,19 @@ class TestRunCorpus:
         with pytest.raises(ValueError, match="no instances"):
             run_corpus(config)
 
-    def test_parallel_workers_match_sequential(self, eil51_only, monkeypatch):
-        config = ExperimentConfig(
-            corpus_dir=eil51_only, capacities=(2,), init_policy=InitPolicy.DEPOT
-        )
-        sequential = run_corpus(config)
-        monkeypatch.setenv("MPDTSP_THREADS", "2")
-        parallel = run_corpus(config)
-        strip = lambda rows: [replace(r, wall_time_s=0.0) for r in rows]  # noqa: E731
-        assert strip(sequential) == strip(parallel)
-
-    def test_worker_count_validation(self, monkeypatch):
-        monkeypatch.setenv("MPDTSP_THREADS", "0")
-        with pytest.raises(ValueError, match="MPDTSP_THREADS"):
-            worker_count()
-        monkeypatch.setenv("MPDTSP_THREADS", "junk")
-        with pytest.raises(ValueError, match="MPDTSP_THREADS"):
-            worker_count()
-        monkeypatch.delenv("MPDTSP_THREADS")
-        assert worker_count() == 1
-
     def test_config_validation(self, tmp_path):
         with pytest.raises(ValueError, match="capacities"):
             ExperimentConfig(corpus_dir=tmp_path, capacities=())
         with pytest.raises(ValueError, match="init policy"):
             ExperimentConfig(corpus_dir=tmp_path, init_policy="sometimes")
+        with pytest.raises(ValueError, match="capacities"):
+            ExperimentConfig(corpus_dir=tmp_path, capacities=(2, 2))
+        with pytest.raises(ValueError, match="directions"):
+            ExperimentConfig(corpus_dir=tmp_path, directions=(Direction.PICKUPS_CENTRAL,) * 2)
+        with pytest.raises(ValueError, match="directions"):
+            ExperimentConfig(corpus_dir=tmp_path, directions=())
+        with pytest.raises(ValueError, match="coordinate metric"):
+            ExperimentConfig(corpus_dir=tmp_path, metric=MetricMode.EXPLICIT)
 
 
 class TestSummarize:

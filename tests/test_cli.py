@@ -1,9 +1,11 @@
 import math
+from pathlib import Path
 
 import pytest
 
 from conftest import CORPUS_DIR, TWO_PAIR_COORDS
-from mpdtsp import Instance, paired_loads, write_instance
+from mpdtsp import (Direction, ExperimentConfig, Instance, MetricMode, ResultRow, bench,
+                    paired_loads, write_instance)
 from mpdtsp.cli import main
 
 
@@ -210,6 +212,45 @@ class TestBench:
         code, _, err = run(capsys, "bench")
         assert code == 2
         assert "corpus" in err
+
+    def test_unknown_config_key_is_usage_error(self, capsys, tmp_path):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "uni031.tsp").write_text((CORPUS_DIR / "uni031.tsp").read_text())
+        config = tmp_path / "bench.cfg"
+        # typos of capacities and init_policy
+        config.write_text(f"corpus={corpus}\ncapacity=1\ninit-policy=depot\n")
+        code, out, err = run(capsys, "bench", "--config", config)
+        assert code == 2
+        assert "line 2 has unknown key 'capacity'" in err
+        assert "rows:" not in out
+
+    def test_bad_config_metric_is_usage_error(self, capsys, tmp_path):
+        config = tmp_path / "bench.cfg"
+        config.write_text(f"corpus={CORPUS_DIR}\nmetric=fast\n")
+        code, _, err = run(capsys, "bench", "--config", config)
+        assert code == 2
+        assert "'fast'" in err
+
+    def test_given_settings_reach_config_and_the_rest_default(self, capsys, tmp_path, monkeypatch):
+        seen = []
+
+        def fake_run_corpus(config):
+            seen.append(config)
+            return [ResultRow("a", "pickups-central", 2, h, 1.0, 0.1, 5, 0, 0) for h in ("NNH", "CIH")]
+
+        monkeypatch.setattr(bench, "run_corpus", fake_run_corpus)
+        config = tmp_path / "bench.cfg"
+        config.write_text("corpus=c\ndirections=deliveries-central\ncapacities=4\n"
+                          "metric=rounded\nmax_nodes=61\n")
+        assert run(capsys, "bench", "--config", config, "--capacities", "2, 6",
+                   "--init-policy", "depot")[0] == 0
+        assert run(capsys, "bench", "--corpus", "c")[0] == 0
+        assert seen == [
+            ExperimentConfig(Path("c"), (Direction.DELIVERIES_CENTRAL,), (2, 6),
+                             MetricMode.ROUNDED, "depot", 61),
+            ExperimentConfig(Path("c")),
+        ]
 
 
 class TestUsage:
