@@ -232,6 +232,16 @@ class TestBench:
         assert code == 2
         assert "'fast'" in err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--capacities", "2,2"),
+        ("--directions", "pickups-central,pickups-central"),
+    ])
+    def test_repeated_axis_value_is_usage_error(self, capsys, flag, value):
+        code, out, err = run(capsys, "bench", "--corpus", CORPUS_DIR, flag, value)
+        assert code == 2
+        assert flag.lstrip("-") in err
+        assert "rows:" not in out
+
     def test_given_settings_reach_config_and_the_rest_default(self, capsys, tmp_path, monkeypatch):
         seen = []
 

@@ -105,3 +105,12 @@ def test_key_values_comments_and_errors(tmp_path):
     path.write_text("not a pair\n")
     with pytest.raises(ValueError, match="key=value"):
         read_key_values(path)
+
+
+def test_key_values_outside_the_given_keys_rejected(tmp_path):
+    path = tmp_path / "config.txt"
+    path.write_text("corpus=corpus\n# comment\ncapacity=1\n")
+    assert read_key_values(path) == {"corpus": "corpus", "capacity": "1"}
+    assert read_key_values(path, ("corpus", "capacity")) == {"corpus": "corpus", "capacity": "1"}
+    with pytest.raises(ValueError, match="line 3 has unknown key 'capacity'"):
+        read_key_values(path, ("corpus", "capacities"))
