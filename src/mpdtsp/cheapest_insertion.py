@@ -148,7 +148,7 @@ def best_insertion(instance: Instance, state: CihState) -> InsertionChoice | Non
     # the cumulative max of the reversed payload is non-decreasing, so a
     # searchsorted counts how many trailing slots fit each node's load
     rev_cummax = np.maximum.accumulate(pay[::-1])
-    left = m - rev_cummax.searchsorted(instance.capacity - instance.loads, side="right")
+    left = m - rev_cummax.searchsorted(instance.load_limit - instance.loads, side="right")
 
     # position of every node in the tour (the start at its opening visit);
     # m, which leaves no slot, for the others

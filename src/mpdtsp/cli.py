@@ -46,7 +46,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--direction", required=True,
                    choices=[d.value for d in Direction])
     p.add_argument("--capacity", required=True, type=int, metavar="ITEMS")
-    p.add_argument("--unit-load", type=float, default=1.0)
     p.add_argument("--metric", choices=sorted(_METRIC_FLAGS), default="exact")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_generate)
@@ -118,7 +117,7 @@ def _cmd_inspect(args) -> int:
 
 def _cmd_generate(args) -> int:
     cloud = tsplib.parse_file(args.file)
-    spec = GenerationSpec(Direction(args.direction), args.capacity, args.unit_load)
+    spec = GenerationSpec(Direction(args.direction), args.capacity)
     instance = generate(cloud, spec, _METRIC_FLAGS[args.metric])
     files.write_instance(instance, args.out)
     files.write_sidecar(instance.meta, str(args.out) + ".meta")

@@ -37,25 +37,17 @@ def held_karp(instance: Instance, pair_limit: int = HELD_KARP_PAIR_LIMIT) -> Tou
     size = 2 * n
     cost = instance.cost
     loads = instance.loads
-    capacity = instance.capacity
-    upper = capacity + LOAD_TOLERANCE
+    upper = instance.load_limit
 
-    # bit v-1 of a mask marks node v as visited (nodes 1..2n)
+    # bit v-1 of a mask marks node v as visited (nodes 1..2n); the DP starts
+    # at the depot with nothing visited, so its first step is the first hop
     parent: dict[tuple[int, int], int] = {}
     load_of_mask: dict[int, float] = {0: 0.0}
-
-    layer: dict[tuple[int, int], float] = {}
-    for v in range(1, n + 1):  # the first hop can only reach a pickup
-        if loads[v] <= upper:
-            mask = 1 << (v - 1)
-            layer[(mask, v)] = float(cost[0, v])
-            load_of_mask.setdefault(mask, float(loads[v]))
-            parent[(mask, v)] = 0
+    layer: dict[tuple[int, int], float] = {(0, 0): 0.0}
 
     # every state of a layer has visited the same number of nodes, so full
     # masks can only be in the last nonempty layer
     full = (1 << size) - 1
-    final = layer
     while layer:
         final = layer
         nxt: dict[tuple[int, int], float] = {}

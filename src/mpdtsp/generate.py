@@ -27,17 +27,17 @@ class Direction(Enum):
 
 @dataclass(frozen=True)
 class GenerationSpec:
-    """Knobs of the instance construction: precedence direction and capacity."""
+    """Knobs of the instance construction: precedence direction and capacity.
+
+    Every item weighs 1, so the capacity is ``capacity_items``.
+    """
 
     direction: Direction
     capacity_items: int
-    unit_load: float = 1.0
 
     def __post_init__(self):
         if self.capacity_items < 1:
             raise ValueError("capacity_items must be >= 1")
-        if self.unit_load <= 0:
-            raise ValueError("unit_load must be positive")
 
 
 def centroid(cloud: PointCloud) -> tuple[float, float]:
@@ -99,19 +99,17 @@ def generate(
         coords[1 + k] = pts[pickup_pos[k]][1:]
         coords[1 + n + k] = pts[delivery_pos[k]][1:]
 
-    loads = paired_loads([spec.unit_load] * n)
     meta = {
         "source": cloud.name,
         "direction": spec.direction.value,
         "capacity_items": str(spec.capacity_items),
-        "unit_load": repr(float(spec.unit_load)),
         "dropped_file_index": dropped,
     }
     name = f"{cloud.name}-{spec.direction.value}-Q{spec.capacity_items}"
     return Instance.from_coords(
         coords,
-        loads,
-        capacity=spec.capacity_items * spec.unit_load,
+        paired_loads([1.0] * n),
+        capacity=spec.capacity_items,
         metric=metric,
         name=name,
         meta=meta,

@@ -13,6 +13,10 @@ closing occurrence when it is a delivery.  This is the unique convention under
 which any-start tours carry a well-defined load and end the tour empty.
 :func:`visit_events` is the one place that applies it; the payload profile,
 the validator and both builders' initial loads all take it from there.
+
+Every load check reads one upper bound, :attr:`Instance.load_limit` (the
+capacity plus :data:`LOAD_TOLERANCE`), so scaling all loads and the capacity
+by one factor cannot change a tour.
 """
 
 from __future__ import annotations
@@ -27,8 +31,8 @@ import numpy as np
 
 from .tsplib import MetricMode, tsplib_distance
 
-#: absolute slack for load comparisons on complete tours (loads are exact for
-#: unit masses; the slack only matters for real-valued masses)
+#: absolute slack for load comparisons (loads are exact for unit masses; the
+#: slack only matters for real-valued masses, whose partial sums round)
 LOAD_TOLERANCE = 1e-9
 
 
@@ -159,12 +163,17 @@ class Instance:
         # too slow for the enumeration oracle, which validates millions of tours
         return self.loads.tolist()
 
-    # -- feasibility flag ----------------------------------------------------
+    # -- capacity ------------------------------------------------------------
+
+    @property
+    def load_limit(self) -> float:
+        """The upper bound on the load on board, the only one any check reads."""
+        return self.capacity + LOAD_TOLERANCE
 
     @property
     def oversized_items(self) -> tuple[int, ...]:
         """Pickup ids whose item alone exceeds the capacity."""
-        return tuple(int(i) for i in self.pickups if self.loads[i] > self.capacity)
+        return tuple(int(i) for i in self.pickups if self.loads[i] > self.load_limit)
 
     @property
     def is_trivially_infeasible(self) -> bool:
@@ -460,7 +469,7 @@ def validate(instance: Instance, tour: TourLike) -> ValidationReport:
     # structurally sound complete tour: load and precedence checks
     n = instance.n_pairs
     last = len(seq) - 1
-    upper = instance.capacity + LOAD_TOLERANCE
+    upper = instance.load_limit
     for pos, running in enumerate(accumulate(visit_events(instance, seq))):
         if running > upper:
             violations.append(

@@ -35,7 +35,6 @@ def nnh_from(instance: Instance, init: int) -> Tour:
     n_pairs = instance.n_pairs
     cost_matrix = instance.cost
     loads = instance.loads
-    capacity = instance.capacity
 
     is_delivery = np.zeros(instance.node_count, dtype=bool)
     is_delivery[n_pairs + 1 :] = True
@@ -51,7 +50,7 @@ def nnh_from(instance: Instance, init: int) -> Tour:
 
     while remainder.size:
         precedence_ok = ~is_delivery[remainder] | visited[mate[remainder]]
-        fits = payload + loads[remainder] <= capacity
+        fits = payload + loads[remainder] <= instance.load_limit
         feasible = precedence_ok & fits
         if not feasible.any():
             raise DeadEndError(init, sequence, remainder.tolist())

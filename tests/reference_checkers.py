@@ -33,14 +33,14 @@ def feasible_candidates(instance: Instance, state: NnhState) -> list[int]:
     """Unvisited nodes that may be appended next, in ascending id order.
 
     A delivery is admissible only once its pickup is in the partial tour; any
-    admissible node must also fit: current load + its load <= capacity.
+    admissible node must also fit: current load + its load <= the load limit.
     """
     visited = set(state.partial)
     out = []
     for node in sorted(state.remainder):
         if instance.role(node) is Role.DELIVERY and instance.pickup_of(node) not in visited:
             continue
-        if state.payload + instance.loads[node] > instance.capacity:
+        if state.payload + instance.loads[node] > instance.load_limit:
             continue
         out.append(node)
     return out
@@ -50,7 +50,7 @@ def feasible_slots(instance: Instance, state: CihState, node: int) -> range:
     """Slots (insert-after positions) where ``node`` may go, possibly empty.
 
     Capacity: the earliest slot from which every payload entry to the end of
-    the tour satisfies ``entry <= capacity - load``.  Precedence: a delivery
+    the tour satisfies ``entry <= load_limit - load``.  Precedence: a delivery
     may not precede its pickup.  The result is the intersection of both
     windows and is always a contiguous range of slot indices.
     """
@@ -58,7 +58,7 @@ def feasible_slots(instance: Instance, state: CihState, node: int) -> range:
     if node not in state.remainder:
         raise ValueError(f"node {node} is not awaiting insertion")
     m = len(state.partial)
-    limit = instance.capacity - float(instance.loads[node])
+    limit = instance.load_limit - float(instance.loads[node])
 
     suffix_max = float("-inf")
     left = m  # first capacity-feasible slot; m means none

@@ -37,7 +37,7 @@ def brute_force_slots(instance, state, node):
             + [state.payload[k] + q]
             + [p + q for p in state.payload[k + 1 :]]
         )
-        if any(p > instance.capacity for p in new_payload):
+        if any(p > instance.load_limit for p in new_payload):
             continue
         if instance.role(node) is Role.DELIVERY:
             pickup = instance.pickup_of(node)
@@ -58,7 +58,7 @@ def run_rounds(instance, init, rounds=None):
         assert list(state.payload) == pytest.approx(
             payload_profile(instance, state.partial), abs=1e-12
         )
-        assert all(p <= instance.capacity for p in state.payload)
+        assert all(p <= instance.load_limit for p in state.payload)
         assert state.cost_so_far == pytest.approx(
             tour_cost(instance, state.partial), abs=1e-9
         )

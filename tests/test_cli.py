@@ -70,6 +70,15 @@ class TestGenerate:
         meta = (tmp_path / "eil51.inst.meta").read_text()
         assert "direction=deliveries-central" in meta
         assert "capacity_items=10" in meta
+        assert "unit_load" not in meta
+
+    def test_load_unit_is_not_an_option(self, capsys, tmp_path):
+        code, _, _ = run(
+            capsys, "generate", CORPUS_DIR / "eil51.tsp",
+            "--direction", "pickups-central", "--capacity", "10", "--unit-load", "2.5",
+            "--out", tmp_path / "x.inst",
+        )
+        assert code == 2
 
     def test_bad_direction_is_usage_error(self, capsys, tmp_path):
         code, _, _ = run(

@@ -110,10 +110,11 @@ class TestGenerate:
             assert inst.n_pairs == (m - 1) // 2
 
     def test_loads_and_capacity(self, eil51_cloud):
-        inst = generate(eil51_cloud, GenerationSpec(Direction.PICKUPS_CENTRAL, 10, unit_load=2.5))
-        assert inst.capacity == 25.0
-        assert all(inst.loads[k] == 2.5 for k in inst.pickups)
-        assert all(inst.loads[k] == -2.5 for k in inst.deliveries)
+        inst = generate(eil51_cloud, GenerationSpec(Direction.PICKUPS_CENTRAL, 10))
+        assert inst.capacity == 10.0
+        assert all(inst.loads[k] == 1.0 for k in inst.pickups)
+        assert all(inst.loads[k] == -1.0 for k in inst.deliveries)
+        assert "unit_load" not in inst.meta
 
     def test_generation_deterministic(self, eil51_cloud):
         spec = self.spec(Direction.DELIVERIES_CENTRAL, q=4)
@@ -128,5 +129,3 @@ class TestGenerate:
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="capacity_items"):
             GenerationSpec(Direction.PICKUPS_CENTRAL, 0)
-        with pytest.raises(ValueError, match="unit_load"):
-            GenerationSpec(Direction.PICKUPS_CENTRAL, 2, unit_load=0.0)

@@ -1,0 +1,91 @@
+"""The load unit cannot change a tour.
+
+Every load check reads the one bound ``Instance.load_limit`` (capacity plus
+``LOAD_TOLERANCE``), so scaling all loads and the capacity by one factor u
+leaves every builder decision and every exact optimum as it is, even where
+``Q * u`` and the partial sums of u round differently (``6 * 0.3`` is
+``1.7999999999999998``, six additions of ``0.3`` give ``1.8``).
+"""
+
+import pytest
+
+from conftest import CORPUS_DIR, make_random_instance
+from mpdtsp import (
+    CihState,
+    InsertionChoice,
+    Instance,
+    best_insertion,
+    cih_best,
+    held_karp,
+    nnh_best,
+    nnh_from,
+    paired_loads,
+    payload_profile,
+    tour_cost,
+    tsplib,
+)
+from mpdtsp.generate import Direction, GenerationSpec, generate
+
+SCALES = (0.3, 0.7)
+
+
+def scaled(instance: Instance, u: float) -> Instance:
+    """The same instance with every load and the capacity multiplied by u."""
+    return Instance.from_coords(
+        instance.coords, instance.loads * u, instance.capacity * u, instance.metric
+    )
+
+
+def summary(result) -> tuple:
+    return (result.costs, result.dead_ends, result.best_init, result.best_tour)
+
+
+@pytest.fixture(scope="module")
+def uni031():
+    return tsplib.parse_file(CORPUS_DIR / "uni031.tsp")
+
+
+@pytest.mark.parametrize("u", SCALES)
+@pytest.mark.parametrize("q", (3, 6))
+@pytest.mark.parametrize("direction", list(Direction), ids=lambda d: d.value)
+@pytest.mark.parametrize("solver", (nnh_best, cih_best), ids=("NNH", "CIH"))
+def test_multistart_ignores_the_load_unit(uni031, solver, direction, q, u):
+    unit = generate(uni031, GenerationSpec(direction, q))
+    assert summary(solver(scaled(unit, u))) == summary(solver(unit))
+
+
+@pytest.mark.parametrize("u", SCALES)
+@pytest.mark.parametrize("n_pairs, q, seed", [(4, 2, 0), (5, 3, 1), (6, 3, 2), (6, 6, 3)])
+def test_held_karp_ignores_the_load_unit(n_pairs, q, seed, u):
+    unit = make_random_instance(n_pairs, q, seed)
+    assert held_karp(scaled(unit, u)) == held_karp(unit)
+
+
+def test_load_limit_is_capacity_plus_tolerance(one_pair):
+    assert one_pair.load_limit == one_pair.capacity + 1e-9
+
+
+def test_nnh_takes_the_item_that_fills_the_capacity():
+    # six pickups of 0.3 add up to 1.8, just above the rounded 6 * 0.3
+    n = 6
+    pickups = [(float(k), 0.0) for k in range(1, n + 1)]
+    deliveries = [(100.0 + k, 0.0) for k in range(1, n + 1)]
+    inst = Instance.from_coords([(0.0, 0.0)] + pickups + deliveries, paired_loads([0.3] * n), n * 0.3)
+    tour = nnh_from(inst, 0)
+    assert tour.sequence[: n + 1] == tuple(range(n + 1))
+
+
+def test_cih_window_admits_the_item_that_fills_the_capacity():
+    # 0.6 is on board along the whole partial tour; at Q = 3 * 0.3, which
+    # rounds to 0.8999999999999999, a third item of 0.3 still fits
+    coords = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0), (1.0, 50.0), (2.0, 50.0), (3.0, 50.0)]
+    inst = Instance.from_coords(coords, paired_loads([0.3] * 3), 3 * 0.3)
+    partial = (0, 1, 2, 0)
+    state = CihState(
+        partial=partial,
+        payload=tuple(payload_profile(inst, partial)),
+        remainder=frozenset({3, 4, 5, 6}),
+        cost_so_far=tour_cost(inst, partial),
+    )
+    assert state.payload[1:] == (0.3, 0.6, 0.6)
+    assert best_insertion(inst, state) == InsertionChoice(node=3, slot=2, ratio=2.0)
