@@ -7,9 +7,10 @@ refactored.  Q=1 is there for its dead ends: at Q=2 and Q=10 every eil51 start
 succeeds, while at Q=1 most delivery starts stall.
 
 ``golden_corpus.json`` holds the same tables for uni031, uni041 and uni061
-(EXACT, both directions, Q=1, 2 and 10) and for eil51 under ROUNDED at Q=1
-and 2, where integer costs make equal insertion ratios common, so the
-tie-breaks are exercised too.
+(EXACT, both directions, Q=1, 2 and 10), for uni081 and uni121 (EXACT, both
+directions, Q=1 and 2; the sizes where multi-start speed matters most) and
+for eil51 under ROUNDED at Q=1 and 2, where integer costs make equal
+insertion ratios common, so the tie-breaks are exercised too.
 
 A change that is meant to alter results re-records both files with
 ``PYTHONPATH=src python tests/test_golden.py`` and says so; any other change
@@ -56,6 +57,8 @@ CORPUS_CASES = [
         ("uni031", MetricMode.EXACT, CAPACITIES),
         ("uni041", MetricMode.EXACT, CAPACITIES),
         ("uni061", MetricMode.EXACT, CAPACITIES),
+        ("uni081", MetricMode.EXACT, (1, 2)),
+        ("uni121", MetricMode.EXACT, (1, 2)),
         ("eil51", MetricMode.ROUNDED, (1, 2)),
     )
     for d in Direction for q in capacities for label, solver in SOLVERS
