@@ -11,15 +11,17 @@ replaced arc of zero cost, as in the opening move on the doubled start node,
 falls back to the plain added cost.
 
 The ratio of a (node, slot) pair depends only on the node and the slot's arc,
-not on the loads, so each state carries the ratio matrix of every node (row =
-node id) at every slot (column) on to the next: the cached best insertion of
-Campbell and Savelsbergh (Transportation Science 38(3), 2004).  Inserting v
-between a and b replaces the column of arc (a, b) with the columns of the two
-new arcs (a, v) and (v, b) -- 2N new cells -- and copies every other column;
-v's row stays but, like every node already in the tour, gets an empty window.
-The capacity and precedence windows do depend on the loads, so each step
-derives them afresh from the payload vector, takes the rows whose window is
-nonempty, masks the slots before each window, and takes the row-major argmin.
+not on the loads, so the state keeps the ratio of every node at every slot
+from step to step: the cached best insertion of Campbell and Savelsbergh
+(Transportation Science 38(3), 2004).  One start works in place, in buffers
+sized for the finished tour: the tour, its payload, an in-tour mask, and a
+(slots x nodes) ratio buffer.  Inserting v between a and b shifts the rows of
+the later slots down by one in a single slice move and writes the two rows of
+the new arcs (a, v) and (v, b) -- 2N new cells; v's column stays but, like
+every node already in the tour, gets an empty window.  The capacity and
+precedence windows do depend on the loads, so each step derives them afresh
+from the payload vector, takes the nodes whose window is nonempty, masks the
+slots before each window, and takes the argmin by node id, then slot.
 """
 
 from __future__ import annotations
@@ -40,29 +42,49 @@ from .construction import (
 from .model import Instance, Tour, visit_events
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class CihState:
-    """Closed partial tour, its per-position payload, and the unvisited set.
+    """Mutable workspace of one start: closed partial tour, payload and insertion ratios.
 
-    ``remainder`` is every node not in ``partial``.  ``ratios`` caches the
-    insertion ratio of every node (row = node id) at every slot (column) for
-    the instance that built the state; a state made without it gets the same
-    matrix computed on demand.  The array is read-only, and each step makes a
-    new one.
+    The partial tour is ``tour[:size]`` and ``payload[:size]`` the load on
+    board leaving each of its positions; both buffers have room for the
+    finished tour.  Row k of ``ratios`` holds the insertion ratio of every
+    node (column = node id) at slot k, the arc from position k to k + 1; rows
+    from ``size - 1`` on are unused.  ``in_tour`` marks the nodes placed.
+    :func:`apply_insertion` updates all of them in place.
     """
 
-    partial: tuple[int, ...]
-    payload: tuple[float, ...]
-    remainder: frozenset[int]
+    tour: np.ndarray = field(repr=False)
+    payload: np.ndarray = field(repr=False)
+    ratios: np.ndarray = field(repr=False)
+    in_tour: np.ndarray = field(repr=False)
+    size: int
     cost_so_far: float
-    ratios: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @classmethod
     def initial(cls, instance: Instance, init: int) -> "CihState":
         init = instance.normalize_node(init)
-        payload = tuple(accumulate(visit_events(instance, (init, init))))
-        remainder = frozenset(range(instance.node_count)) - {init}
-        return cls(partial=(init, init), payload=payload, remainder=remainder, cost_so_far=0.0)
+        n = instance.node_count
+        tour = np.empty(n + 1, dtype=int)
+        tour[:2] = init
+        payload = np.empty(n + 1)
+        payload[:2] = list(accumulate(visit_events(instance, (init, init))))
+        ratios = np.empty((n, n))
+        _ratios_on_arc(instance, init, init, out=ratios[0])
+        in_tour = np.zeros(n, dtype=bool)
+        in_tour[init] = True
+        return cls(tour=tour, payload=payload, ratios=ratios, in_tour=in_tour, size=2,
+                   cost_so_far=0.0)
+
+    @property
+    def partial(self) -> tuple[int, ...]:
+        """The closed partial tour, start node doubled."""
+        return tuple(self.tour[: self.size].tolist())
+
+    @property
+    def remainder(self) -> frozenset[int]:
+        """Every node not yet in the tour."""
+        return frozenset(np.flatnonzero(~self.in_tour).tolist())
 
 
 @dataclass(frozen=True)
@@ -74,62 +96,46 @@ class InsertionChoice:
     ratio: float
 
 
-def _ratio_columns(instance: Instance, arcs: Iterable[tuple[int, int]]) -> list[np.ndarray]:
-    """Insertion ratio of every node u (index = node id) on each arc (a, b), one column per arc.
+def _ratios_on_arc(instance: Instance, a: int, b: int, out: np.ndarray) -> None:
+    """Insertion ratio of every node u (index = node id) on arc (a, b), written into ``out``.
 
     This is the one place the ratio is computed: the cost of the arcs (a, u)
     and (u, b) over the cost of the replaced arc (a, b), or over 1 when that
     arc costs nothing.
     """
     cost = instance.cost
-    columns = []
-    for a, b in arcs:
-        replaced = cost[a, b]
-        columns.append((cost[a] + cost[:, b]) / (replaced if replaced > 0.0 else 1.0))
-    return columns
-
-
-def _ratio_matrix(instance: Instance, state: CihState) -> np.ndarray:
-    """The state's cached ratio matrix, or the same matrix computed from scratch."""
-    if state.ratios is not None:
-        return state.ratios
-    return np.stack(_ratio_columns(instance, zip(state.partial, state.partial[1:])), axis=1)
+    replaced = cost[a, b]
+    np.add(cost[a], cost[:, b], out=out)
+    out /= replaced if replaced > 0.0 else 1.0
 
 
 def apply_insertion(state: CihState, choice: InsertionChoice, instance: Instance) -> CihState:
     """Splice the chosen node in and roll its load through the tail of the tour.
 
-    In the ratio matrix the columns of the two new arcs take the place of the
-    replaced arc's column.
+    The state is updated in place and returned.  In the ratio buffer the rows
+    of the two new arcs take the place of the replaced arc's row.
     """
     node = instance.normalize_node(choice.node)
     k = choice.slot
-    if not 0 <= k < len(state.partial) - 1:
-        raise ValueError(f"slot {k} out of range for partial tour of length {len(state.partial)}")
-    if node not in state.remainder:
+    m = state.size
+    if not 0 <= k < m - 1:
+        raise ValueError(f"slot {k} out of range for partial tour of length {m}")
+    if state.in_tour[node]:
         raise ValueError(f"node {node} is not awaiting insertion")
     q = float(instance.loads[node])
-    partial = state.partial[: k + 1] + (node,) + state.partial[k + 1 :]
-    payload = (
-        state.payload[: k + 1]
-        + (state.payload[k] + q,)
-        + tuple(map(q.__add__, state.payload[k + 1 :]))
-    )
-    a, b = state.partial[k], state.partial[k + 1]
-    delta = (
-        float(instance.cost[a, node]) + float(instance.cost[node, b]) - float(instance.cost[a, b])
-    )
-    old = _ratio_matrix(instance, state)
-    into, out_of = _ratio_columns(instance, ((a, node), (node, b)))
-    ratios = np.concatenate((old[:, :k], into[:, None], out_of[:, None], old[:, k + 1 :]), axis=1)
-    ratios.flags.writeable = False
-    return CihState(
-        partial=partial,
-        payload=payload,
-        remainder=state.remainder - {node},
-        cost_so_far=state.cost_so_far + delta,
-        ratios=ratios,
-    )
+    tour, payload, ratios, cost = state.tour, state.payload, state.ratios, instance.cost
+    a, b = int(tour[k]), int(tour[k + 1])
+    tour[k + 2 : m + 1] = tour[k + 1 : m]
+    tour[k + 1] = node
+    payload[k + 2 : m + 1] = payload[k + 1 : m] + q
+    payload[k + 1] = payload[k] + q
+    ratios[k + 2 : m] = ratios[k + 1 : m - 1]
+    _ratios_on_arc(instance, a, node, out=ratios[k])
+    _ratios_on_arc(instance, node, b, out=ratios[k + 1])
+    state.in_tour[node] = True
+    state.size = m + 1
+    state.cost_so_far += float(cost[a, node]) + float(cost[node, b]) - float(cost[a, b])
+    return state
 
 
 def best_insertion(instance: Instance, state: CihState) -> InsertionChoice | None:
@@ -137,17 +143,16 @@ def best_insertion(instance: Instance, state: CihState) -> InsertionChoice | Non
 
     Ties go to the lowest node id, then the earliest slot.
     """
-    if not state.remainder:
+    m = state.size
+    if m > instance.node_count:
         return None
-    tour = np.asarray(state.partial, dtype=int)
-    pay = np.asarray(state.payload, dtype=float)
-    m = tour.size
+    tour = state.tour[:m]
     n_pairs = instance.n_pairs
 
     # capacity window: first slot whose payload suffix stays within limit;
     # the cumulative max of the reversed payload is non-decreasing, so a
     # searchsorted counts how many trailing slots fit each node's load
-    rev_cummax = np.maximum.accumulate(pay[::-1])
+    rev_cummax = np.maximum.accumulate(state.payload[m - 1 :: -1])
     left = m - rev_cummax.searchsorted(instance.load_limit - instance.loads, side="right")
 
     # position of every node in the tour (the start at its opening visit);
@@ -157,15 +162,15 @@ def best_insertion(instance: Instance, state: CihState) -> InsertionChoice | Non
     # precedence window for deliveries: strictly after the pickup position
     np.maximum(left[n_pairs + 1 :], first[1 : n_pairs + 1], out=left[n_pairs + 1 :])
     # nodes already in the tour have no window at all
-    left[tour] = m
+    left[state.in_tour] = m
 
-    rows = (left < m - 1).nonzero()[0]  # every row kept has a finite cell
+    rows = (left < m - 1).nonzero()[0]  # every node kept has a finite cell
     if rows.size == 0:
         return None
     ratios = np.where(
-        np.arange(m - 1) < left[rows, None], np.inf, _ratio_matrix(instance, state)[rows]
+        np.arange(m - 1) < left[rows, None], np.inf, state.ratios[: m - 1, rows].T
     )
-    # row-major scan: lowest node id, then earliest slot
+    # row-major scan of (node, slot): lowest node id, then earliest slot
     row, slot = divmod(int(ratios.argmin()), m - 1)
     return InsertionChoice(node=int(rows[row]), slot=slot, ratio=float(ratios[row, slot]))
 
@@ -174,11 +179,11 @@ def cih_from(instance: Instance, init: int) -> Tour:
     """Build one cheapest-insertion tour from ``init``."""
     check_carriable(instance)
     state = CihState.initial(instance, init)
-    while state.remainder:
+    for _ in range(instance.node_count - 1):
         choice = best_insertion(instance, state)
         if choice is None:
-            raise DeadEndError(state.partial[0], list(state.partial), state.remainder)
-        state = apply_insertion(state, choice, instance)
+            raise DeadEndError(int(state.tour[0]), state.partial, state.remainder)
+        apply_insertion(state, choice, instance)
     return check_construction(instance, Tour(state.partial, state.cost_so_far))
 
 

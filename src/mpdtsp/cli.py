@@ -155,7 +155,8 @@ def _print_result(label: str, result: MultiStartResult, table: bool = False) -> 
             marker = " *" if init == result.best_init else ""
             print(f"  {init:>4d}  {result.costs[init]:.6f}{marker}")
         for init in result.dead_ends:
-            print(f"  {init:>4d}  dead-end")
+            step, left = result.stalls[init]
+            print(f"  {init:>4d}  dead-end at step {step}, {left} left")
 
 
 def _write_table(results: dict[str, MultiStartResult], path: str) -> None:

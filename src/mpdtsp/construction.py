@@ -1,6 +1,8 @@
 """Shared machinery for multi-start tour construction.
 
-Both greedy builders construct one tour per start node; the best tour is the
+Both greedy builders construct one tour per start node: nearest neighbor
+grows every start's tour in one lock-step block, cheapest insertion runs its
+starts one after another through :func:`run_multistart`.  The best tour is the
 cheapest successful one, with ties broken by the lowest start id so results
 never depend on evaluation order.
 """
@@ -44,10 +46,37 @@ class MultiStartResult:
     best_init: int
     costs: dict[int, float]        # start id -> tour cost, successful starts only
     dead_ends: tuple[int, ...]     # start ids that stalled
+    # start id -> (stall step, nodes left): the lengths of a DeadEndError's
+    # partial tour and remainder
+    stalls: dict[int, tuple[int, int]]
 
     @property
     def best_cost(self) -> float:
         return self.best_tour.cost
+
+
+def start_ids(instance: Instance, inits: Iterable[int] | None) -> list[int]:
+    """The distinct physical start ids in ascending order (default: all nodes)."""
+    if inits is None:
+        return list(range(instance.node_count))
+    ids = sorted({instance.normalize_node(i) for i in inits})
+    if not ids:
+        raise ValueError("inits must be nonempty")
+    return ids
+
+
+def multistart_result(tours: dict[int, Tour], failures: dict[int, DeadEndError]) -> MultiStartResult:
+    """The deterministic best of every start's outcome: lowest cost, then lowest start id."""
+    if not tours:
+        raise MultiStartError(failures)
+    best_init = min(tours, key=lambda init: (tours[init].cost, init))
+    return MultiStartResult(
+        best_tour=tours[best_init],
+        best_init=best_init,
+        costs={init: tours[init].cost for init in sorted(tours)},
+        dead_ends=tuple(sorted(failures)),
+        stalls={init: (len(exc.partial), len(exc.remainder)) for init, exc in sorted(failures.items())},
+    )
 
 
 def run_multistart(
@@ -56,37 +85,15 @@ def run_multistart(
     construct: Callable[[Instance, int], Tour],
 ) -> MultiStartResult:
     """Run ``construct`` from every start and keep the deterministic best."""
-    if inits is None:
-        start_ids = list(range(instance.node_count))
-    else:
-        start_ids = sorted({instance.normalize_node(i) for i in inits})
-    if not start_ids:
-        raise ValueError("inits must be nonempty")
-
-    costs: dict[int, float] = {}
-    failures: dict[int, Exception] = {}
-    best_tour: Tour | None = None
-    best_key: tuple[float, int] | None = None
-    for init in start_ids:
+    tours: dict[int, Tour] = {}
+    failures: dict[int, DeadEndError] = {}
+    for init in start_ids(instance, inits):
         try:
-            tour = construct(instance, init)
+            tours[init] = construct(instance, init)
         except DeadEndError as exc:
             # without its traceback, whose frames would keep the stalled state alive
             failures[init] = exc.with_traceback(None)
-            continue
-        costs[init] = tour.cost
-        key = (tour.cost, init)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_tour = tour
-    if best_tour is None:
-        raise MultiStartError(failures)
-    return MultiStartResult(
-        best_tour=best_tour,
-        best_init=best_key[1],
-        costs=costs,
-        dead_ends=tuple(sorted(failures)),
-    )
+    return multistart_result(tours, failures)
 
 
 def check_carriable(instance: Instance) -> None:

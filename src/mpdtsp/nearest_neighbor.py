@@ -6,6 +6,14 @@ unvisited and (b) fits on board, then closing back to the start.  Starting at
 a pickup begins with that item loaded; starting at a delivery begins empty and
 unloads at the closing visit.  Running the construction from every node and
 keeping the cheapest tour gives the multi-start solution.
+
+Every start's partial tour has the same length after every step, so all
+starts advance together, in lock step.  One step gates every (start, node)
+pair for precedence and capacity at once and takes, for each start, the
+argmin of its last node's cost row with the gated nodes masked out.  A start
+with no admissible node stalls: it leaves the block, and its partial tour and
+the nodes left are kept for its :class:`DeadEndError`.  A single start
+(:func:`nnh_from`) is the same block with one row.
 """
 
 from __future__ import annotations
@@ -19,9 +27,73 @@ from .construction import (
     MultiStartResult,
     check_carriable,
     check_construction,
-    run_multistart,
+    multistart_result,
+    start_ids,
 )
 from .model import Instance, Tour, visit_events
+
+
+def _lockstep(instance: Instance, starts: list[int]) -> tuple[dict[int, Tour], dict[int, DeadEndError]]:
+    """Grow the tour of every start together; the finished tours and the stalls, by start."""
+    check_carriable(instance)
+    n_nodes = instance.node_count
+    n_pairs = instance.n_pairs
+    cost = instance.cost
+    loads = instance.loads
+
+    # picking pickup k opens delivery n+k; any other node opens the spare
+    # column n_nodes, which is never read.  A delivery start's own pickup
+    # opens nothing, since that delivery waits for the closing visit.
+    release = np.full((len(starts), n_nodes), n_nodes)
+    release[:, 1 : n_pairs + 1] = np.arange(n_pairs + 1, n_nodes)
+    inits = np.array(starts)
+    rows = np.arange(inits.size)
+    delivery_start = inits > n_pairs
+    release[delivery_start, inits[delivery_start] - n_pairs] = n_nodes
+    # is_open[r, v]: v is unvisited and, if a delivery, its pickup is visited
+    is_open = np.zeros((inits.size, n_nodes + 1), dtype=bool)
+    is_open[:, : n_pairs + 1] = True
+    is_open[rows, inits] = False
+    is_open[rows, release[rows, inits]] = True
+
+    # on board leaving the start
+    payload = np.array([visit_events(instance, (init, init))[0] for init in starts])
+    total = np.zeros(inits.size)
+    sequences = np.empty((inits.size, n_nodes + 1), dtype=int)
+    sequences[:, 0] = inits
+    failures: dict[int, DeadEndError] = {}
+
+    for step in range(1, n_nodes):
+        admissible = is_open[:, :n_nodes] & (payload[:, None] + loads <= instance.load_limit)
+        # ties on arc cost go to the lowest node id
+        arcs = np.where(admissible, cost[sequences[:, step - 1]], np.inf)
+        pick = arcs.argmin(axis=1)
+        arc = arcs[rows, pick]
+        stalled = arc == np.inf
+        if stalled.any():
+            for r in stalled.nonzero()[0]:
+                init, partial = int(inits[r]), sequences[r, :step].tolist()
+                failures[init] = DeadEndError(init, partial, set(range(n_nodes)).difference(partial))
+            going = ~stalled
+            inits, release, is_open = inits[going], release[going], is_open[going]
+            payload, total, sequences = payload[going], total[going], sequences[going]
+            pick, arc = pick[going], arc[going]
+            rows = rows[: inits.size]
+            if not inits.size:
+                break
+        total += arc
+        payload += loads[pick]
+        is_open[rows, pick] = False
+        is_open[rows, release[rows, pick]] = True
+        sequences[:, step] = pick
+
+    sequences[:, n_nodes] = inits
+    total += cost[sequences[:, n_nodes - 1], inits]
+    tours = {
+        init: check_construction(instance, Tour(tuple(sequence), cost_))
+        for init, sequence, cost_ in zip(inits.tolist(), sequences.tolist(), total.tolist())
+    }
+    return tours, failures
 
 
 def nnh_from(instance: Instance, init: int) -> Tour:
@@ -30,44 +102,13 @@ def nnh_from(instance: Instance, init: int) -> Tour:
     Ties on arc cost go to the lowest node id.  Raises :class:`DeadEndError`
     when unvisited nodes remain but none passes both gates.
     """
-    check_carriable(instance)
     init = instance.normalize_node(init)
-    n_pairs = instance.n_pairs
-    cost_matrix = instance.cost
-    loads = instance.loads
-
-    is_delivery = np.zeros(instance.node_count, dtype=bool)
-    is_delivery[n_pairs + 1 :] = True
-    mate = np.where(is_delivery, np.arange(instance.node_count) - n_pairs, 0)
-
-    visited = np.zeros(instance.node_count, dtype=bool)
-    visited[init] = True
-    remainder = np.array([v for v in range(instance.node_count) if v != init], dtype=int)
-    payload = visit_events(instance, (init, init))[0]  # on board leaving the start
-    sequence = [init]
-    total = 0.0
-    last = init
-
-    while remainder.size:
-        precedence_ok = ~is_delivery[remainder] | visited[mate[remainder]]
-        fits = payload + loads[remainder] <= instance.load_limit
-        feasible = precedence_ok & fits
-        if not feasible.any():
-            raise DeadEndError(init, sequence, remainder.tolist())
-        candidates = remainder[feasible]
-        pick = int(candidates[np.argmin(cost_matrix[last, candidates])])
-        total += float(cost_matrix[last, pick])
-        payload += float(loads[pick])
-        visited[pick] = True
-        sequence.append(pick)
-        last = pick
-        remainder = remainder[remainder != pick]
-
-    sequence.append(init)
-    total += float(cost_matrix[last, init])
-    return check_construction(instance, Tour(tuple(sequence), total))
+    tours, failures = _lockstep(instance, [init])
+    if failures:
+        raise failures[init]
+    return tours[init]
 
 
 def nnh_best(instance: Instance, inits: Iterable[int] | None = None) -> MultiStartResult:
     """Cheapest nearest-neighbor tour over the given starts (default: all nodes)."""
-    return run_multistart(instance, inits, nnh_from)
+    return multistart_result(*_lockstep(instance, start_ids(instance, inits)))

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mpdtsp import Instance, MetricMode, paired_loads
+from mpdtsp import CihState, InsertionChoice, Instance, MetricMode, apply_insertion, paired_loads
 from mpdtsp import tsplib
 
 CORPUS_DIR = Path(__file__).resolve().parents[1] / "corpus"
@@ -38,6 +38,19 @@ def make_random_instance(
     return Instance.from_coords(
         coords, paired_loads([1.0] * n_pairs), float(capacity), metric, name=f"rand{seed}"
     )
+
+
+def cih_state(instance: Instance, partial) -> CihState:
+    """The cheapest-insertion state of a closed partial tour, its nodes inserted in order."""
+    state = CihState.initial(instance, partial[0])
+    for slot, node in enumerate(partial[1:-1]):
+        apply_insertion(state, InsertionChoice(node, slot, 0.0), instance)
+    return state
+
+
+def live_payload(state: CihState) -> tuple[float, ...]:
+    """The load leaving each position of the state's partial tour."""
+    return tuple(state.payload[: state.size].tolist())
 
 
 def plain_checker(instance: Instance, sequence) -> bool:

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_random_instance
+from conftest import cih_state, live_payload, make_random_instance
 from reference_checkers import feasible_slots, insertion_ratio
 from mpdtsp import (
     CihState,
+    DeadEndError,
     InfeasibleInstanceError,
     Instance,
     InsertionChoice,
@@ -30,12 +31,13 @@ SQRT2 = math.sqrt(2.0)
 def brute_force_slots(instance, state, node):
     """Per-slot simulation: insert, then check the whole payload upper bound."""
     q = float(instance.loads[node])
+    payload = live_payload(state)
     ok = []
     for k in range(len(state.partial) - 1):
         new_payload = (
-            list(state.payload[: k + 1])
-            + [state.payload[k] + q]
-            + [p + q for p in state.payload[k + 1 :]]
+            list(payload[: k + 1])
+            + [payload[k] + q]
+            + [p + q for p in payload[k + 1 :]]
         )
         if any(p > instance.load_limit for p in new_payload):
             continue
@@ -54,11 +56,11 @@ def run_rounds(instance, init, rounds=None):
     while state.remainder and (rounds is None or steps < rounds):
         choice = best_insertion(instance, state)
         assert choice is not None
-        state = apply_insertion(state, choice, instance)
-        assert list(state.payload) == pytest.approx(
+        assert apply_insertion(state, choice, instance) is state  # updated in place
+        assert list(live_payload(state)) == pytest.approx(
             payload_profile(instance, state.partial), abs=1e-12
         )
-        assert all(p <= instance.load_limit for p in state.payload)
+        assert all(p <= instance.load_limit for p in live_payload(state))
         assert state.cost_so_far == pytest.approx(
             tour_cost(instance, state.partial), abs=1e-9
         )
@@ -71,15 +73,15 @@ class TestInitialState:
         for init in range(two_pair.node_count):
             state = CihState.initial(two_pair, init)
             assert state.partial == (init, init)
-            assert list(state.payload) == payload_profile(two_pair, state.partial)
+            assert list(live_payload(state)) == payload_profile(two_pair, state.partial)
 
     def test_pickup_start_carries_pending_balance(self, two_pair):
         state = CihState.initial(two_pair, 1)
-        assert state.payload == (1.0, 1.0)
+        assert live_payload(state) == (1.0, 1.0)
 
     def test_delivery_start_is_empty_until_close(self, two_pair):
         state = CihState.initial(two_pair, 3)
-        assert state.payload == (0.0, -1.0)
+        assert live_payload(state) == (0.0, -1.0)
 
 
 class TestFeasibleSlots:
@@ -88,22 +90,14 @@ class TestFeasibleSlots:
         assert list(feasible_slots(two_pair, state, 1)) == [0]
 
     def test_delivery_confined_after_pickup(self, two_pair):
-        state = CihState(
-            partial=(0, 1, 0),
-            payload=(0.0, 1.0, 1.0),
-            remainder=frozenset({2, 3, 4}),
-            cost_so_far=2.0,
-        )
+        state = cih_state(two_pair, (0, 1, 0))
+        assert live_payload(state) == (0.0, 1.0, 1.0)
         assert list(feasible_slots(two_pair, state, 3)) == [1]
 
     def test_capacity_suffix_window(self, two_pair):
         tight = two_pair.with_capacity(1.0)
-        state = CihState(
-            partial=(0, 1, 3, 0),
-            payload=(0.0, 1.0, 0.0, 0.0),
-            remainder=frozenset({2, 4}),
-            cost_so_far=0.0,
-        )
+        state = cih_state(tight, (0, 1, 3, 0))
+        assert live_payload(state) == (0.0, 1.0, 0.0, 0.0)
         # suffix max before D1 is 1, and 1 + 1 > 1: only the slot after D1 fits
         assert list(feasible_slots(tight, state, 2)) == [2]
 
@@ -142,12 +136,14 @@ class TestInsertionRatio:
 class TestApplyInsertion:
     def test_pickup_then_delivery_chain(self, two_pair):
         state = CihState.initial(two_pair, 0)
-        state = apply_insertion(state, InsertionChoice(1, 0, 0.0), two_pair)
+        apply_insertion(state, InsertionChoice(1, 0, 0.0), two_pair)
         assert state.partial == (0, 1, 0)
-        assert state.payload == (0.0, 1.0, 1.0)
-        state = apply_insertion(state, InsertionChoice(3, 1, 0.0), two_pair)
+        assert live_payload(state) == (0.0, 1.0, 1.0)
+        assert state.remainder == {2, 3, 4}
+        apply_insertion(state, InsertionChoice(3, 1, 0.0), two_pair)
         assert state.partial == (0, 1, 3, 0)
-        assert state.payload == (0.0, 1.0, 0.0, 0.0)
+        assert live_payload(state) == (0.0, 1.0, 0.0, 0.0)
+        assert state.remainder == {2, 4}
 
     def test_cost_bookkeeping_matches_recomputation(self):
         for seed in range(6):
@@ -158,6 +154,7 @@ class TestApplyInsertion:
         state = CihState.initial(two_pair, 0)
         with pytest.raises(ValueError, match="slot"):
             apply_insertion(state, InsertionChoice(1, 5, 0.0), two_pair)
+        assert state.partial == (0, 0)  # a refused insertion changes nothing
 
 
 class TestBestInsertion:
@@ -185,22 +182,6 @@ class TestBestInsertion:
     def test_exhausted_remainder_returns_none(self, two_pair):
         state = run_rounds(two_pair, 0)
         assert best_insertion(two_pair, state) is None
-
-
-def scratch_copy(state):
-    """The same state built by hand, without the cached ratio matrix."""
-    return CihState(
-        partial=state.partial,
-        payload=state.payload,
-        remainder=state.remainder,
-        cost_so_far=state.cost_so_far,
-    )
-
-
-def second_state(instance, init=0):
-    """The state after the first insertion, the first one that carries a matrix."""
-    state = CihState.initial(instance, init)
-    return apply_insertion(state, best_insertion(instance, state), instance)
 
 
 def reference_choice(instance, state):
@@ -233,59 +214,36 @@ CACHE_CASES = [
 class TestCachedRatios:
     @pytest.mark.parametrize("seed,metric,q", CACHE_CASES,
                              ids=[f"seed{s}-{m.value}-Q{q}" for s, m, q in CACHE_CASES])
-    def test_every_step_matches_scratch_and_reference(self, seed, metric, q):
+    def test_every_step_matches_the_reference(self, seed, metric, q):
         inst = grid_instance(3 + seed, q, seed, metric)
         dead_ends = 0
         for init in range(inst.node_count):
             state = CihState.initial(inst, init)
             while True:
                 cached = best_insertion(inst, state)
-                assert best_insertion(inst, scratch_copy(state)) == cached
                 reference = reference_choice(inst, state)
                 if reference is None:
                     assert cached is None
                     dead_ends += bool(state.remainder)
                     break
                 assert (cached.ratio, cached.node, cached.slot) == reference
-                state = apply_insertion(state, cached, inst)
+                apply_insertion(state, cached, inst)
         if q == 1:
             assert dead_ends > 0  # the Q=1 stall path is covered too
 
-    def test_cached_matrix_equals_every_ratio(self):
+    def test_ratio_buffer_equals_every_ratio(self):
         inst = grid_instance(4, 2, 7, MetricMode.ROUNDED)
         state = CihState.initial(inst, 5)
-        assert state.ratios is None  # the opening state builds its one column on demand
-        while state.remainder:
-            state = apply_insertion(state, best_insertion(inst, state), inst)
+        while True:
             slots = range(len(state.partial) - 1)
             expected = [
-                [insertion_ratio(inst, state.partial[k], u, state.partial[k + 1]) for k in slots]
-                for u in range(inst.node_count)
+                [insertion_ratio(inst, state.partial[k], u, state.partial[k + 1]) for u in range(inst.node_count)]
+                for k in slots
             ]
-            assert state.ratios.tolist() == expected
-
-    def test_apply_from_a_state_without_cache(self, two_pair):
-        state = second_state(two_pair)
-        choice = best_insertion(two_pair, state)
-        via_cache = apply_insertion(state, choice, two_pair)
-        via_scratch = apply_insertion(scratch_copy(state), choice, two_pair)
-        assert via_scratch == via_cache
-        assert np.array_equal(via_scratch.ratios, via_cache.ratios)
-
-    def test_parent_matrix_is_left_alone(self, two_pair):
-        state = second_state(two_pair)
-        before = state.ratios.copy()
-        child = apply_insertion(state, best_insertion(two_pair, state), two_pair)
-        assert np.array_equal(state.ratios, before)
-        assert child.ratios.shape == (two_pair.node_count, 3)
-        assert not state.ratios.flags.writeable and not child.ratios.flags.writeable
-
-    def test_cache_is_not_part_of_equality_or_repr(self, two_pair):
-        state = second_state(two_pair)
-        assert state.ratios is not None
-        assert scratch_copy(state) == state
-        assert hash(scratch_copy(state)) == hash(state)
-        assert "ratios" not in repr(state)
+            assert state.ratios[: len(slots)].tolist() == expected
+            if not state.remainder:
+                break
+            apply_insertion(state, best_insertion(inst, state), inst)
 
     def test_node_already_in_tour_rejected(self, two_pair):
         state = CihState.initial(two_pair, 0)
@@ -347,6 +305,15 @@ class TestCihBest:
     def test_best_bounds_every_start(self, two_pair):
         result = cih_best(two_pair)
         assert all(result.best_cost <= c for c in result.costs.values())
+
+    def test_stalls_carry_the_dead_end_lengths(self, two_pair):
+        tight = two_pair.with_capacity(1.0)
+        result = cih_best(tight)
+        assert result.dead_ends and sorted(result.stalls) == list(result.dead_ends)
+        for init, stall in result.stalls.items():
+            with pytest.raises(DeadEndError) as err:
+                cih_from(tight, init)
+            assert stall == (len(err.value.partial), len(err.value.remainder))
 
     def test_dead_ends_keep_no_builder_frames(self, two_pair):
         # a kept traceback would hold each stalled start's last state, ratio

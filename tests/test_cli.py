@@ -110,6 +110,21 @@ class TestSolve:
         assert table[0] == "heuristic,init,cost"
         assert len(table) == 1 + 2 * 5  # both heuristics, five starts each
 
+    def test_dead_ends_show_their_stall_step(self, capsys, tmp_path):
+        # from D1 the tour runs 3, 1, 0 and from D2 it runs 4, 2, 0; then the
+        # item on board and the unmet precedence block the two nodes left
+        inst = Instance.from_coords(TWO_PAIR_COORDS, paired_loads([1.0, 1.0]), 1.0)
+        path = tmp_path / "tight.inst"
+        write_instance(inst, path)
+        table_path = tmp_path / "table.csv"
+        code, out, _ = run(capsys, "solve", path, "--heuristic", "nnh", "--table", table_path)
+        assert code == 0
+        assert "2 dead ends" in out
+        assert "     3  dead-end at step 3, 2 left" in out
+        assert "     4  dead-end at step 3, 2 left" in out
+        # the table file keeps its bare dead-end marker
+        assert table_path.read_text().splitlines()[-2:] == ["NNH,3,dead-end", "NNH,4,dead-end"]
+
     def test_single_node_init(self, capsys, two_pair_file):
         code, out, _ = run(capsys, "solve", two_pair_file, "--heuristic", "nnh",
                            "--init", "2")

@@ -9,9 +9,8 @@ leaves every builder decision and every exact optimum as it is, even where
 
 import pytest
 
-from conftest import CORPUS_DIR, make_random_instance
+from conftest import CORPUS_DIR, cih_state, live_payload, make_random_instance
 from mpdtsp import (
-    CihState,
     InsertionChoice,
     Instance,
     best_insertion,
@@ -80,12 +79,7 @@ def test_cih_window_admits_the_item_that_fills_the_capacity():
     # rounds to 0.8999999999999999, a third item of 0.3 still fits
     coords = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0), (1.0, 50.0), (2.0, 50.0), (3.0, 50.0)]
     inst = Instance.from_coords(coords, paired_loads([0.3] * 3), 3 * 0.3)
-    partial = (0, 1, 2, 0)
-    state = CihState(
-        partial=partial,
-        payload=tuple(payload_profile(inst, partial)),
-        remainder=frozenset({3, 4, 5, 6}),
-        cost_so_far=tour_cost(inst, partial),
-    )
-    assert state.payload[1:] == (0.3, 0.6, 0.6)
+    state = cih_state(inst, (0, 1, 2, 0))
+    assert live_payload(state) == tuple(payload_profile(inst, state.partial)) == (0.0, 0.3, 0.6, 0.6)
+    assert state.cost_so_far == tour_cost(inst, state.partial)
     assert best_insertion(inst, state) == InsertionChoice(node=3, slot=2, ratio=2.0)

@@ -116,6 +116,8 @@ class TestNnhBest:
     def test_dead_ends_recorded_and_best_still_found(self, two_pair):
         result = nnh_best(two_pair.with_capacity(1.0))
         assert result.dead_ends == (3, 4)
+        # 3, 1, 0 and 4, 2, 0, then the two nodes left are blocked
+        assert result.stalls == {3: (3, 2), 4: (3, 2)}
         assert set(result.costs) == {0, 1, 2}
         assert validate(two_pair.with_capacity(1.0), result.best_tour).feasible
 

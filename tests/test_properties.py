@@ -2,24 +2,29 @@
 
 Loads are drawn from [0.1, 3] and the capacity is either drawn freely or set
 to a sum of some of the loads, so partial sums land on the capacity up to
-rounding, where a second upper bound would show.  The examples are
-derandomized, so every run checks the same instances.
+rounding, where a second upper bound would show.  The lock-step property
+draws loads from [0.1, 1] under a capacity of 1 to 3 instead, so many starts
+stall.  The examples are derandomized, so every run checks the same
+instances.
 """
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from conftest import plain_checker  # noqa: E402
+from reference_checkers import NnhState, feasible_candidates  # noqa: E402
 from mpdtsp import (  # noqa: E402
     DeadEndError,
     Instance,
+    MultiStartError,
     brute_force,
     cih_from,
     held_karp,
     instance_from_text,
     instance_to_text,
+    nnh_best,
     nnh_from,
     paired_loads,
     tour_cost,
@@ -128,3 +133,115 @@ def test_instance_text_round_trips(instance):
     assert again.capacity == instance.capacity
     assert (again.loads == instance.loads).all()
     assert (again.cost == instance.cost).all()
+
+
+@st.composite
+def tight_instances(draw) -> Instance:
+    """1-6 pairs, real-valued loads of at most 1 and an integer capacity of 1-3."""
+    n = draw(st.integers(1, 6))
+    coords = draw(st.lists(st.tuples(coordinate, coordinate), min_size=2 * n + 1, max_size=2 * n + 1))
+    loads = draw(st.lists(st.one_of(st.floats(0.1, 1.0), st.sampled_from([0.3, 0.5, 1.0])),
+                          min_size=n, max_size=n))
+    return Instance.from_coords(coords, paired_loads(loads), draw(st.integers(1, 3)))
+
+
+def replay_nnh(instance: Instance, sequence) -> NnhState:
+    """Walk a nearest-neighbor sequence, checking each step against the reference rule."""
+    state = NnhState.initial(instance, sequence[0])
+    for nxt in sequence[1:]:
+        candidates = feasible_candidates(instance, state)
+        assert nxt == min(candidates, key=lambda v: (instance.cost[state.partial[-1], v], v))
+        state.payload += float(instance.loads[nxt])
+        state.partial.append(nxt)
+        state.remainder.discard(nxt)
+    return state
+
+
+@st.composite
+def tight_instances_and_inits(draw):
+    """A tight instance and the starts to run: all (None) or a subset with repeats."""
+    instance = draw(tight_instances())
+    m = instance.node_count
+    # the terminal alias m stands for the depot
+    return instance, draw(st.one_of(st.none(), st.lists(st.integers(0, m), min_size=1, max_size=m + 1)))
+
+
+#: depot, pickups on the x axis, deliveries one unit above them, capacity 1:
+#: both delivery starts stall, and 5 is the terminal alias of the depot
+TIGHT_TWO_PAIR = Instance.from_coords([(0, 0), (1, 0), (2, 0), (1, 1), (2, 1)], paired_loads([1.0, 1.0]), 1.0)
+
+
+@PROPERTY
+@given(tight_instances_and_inits())
+@example((TIGHT_TWO_PAIR, [3, 4]))
+@example((TIGHT_TWO_PAIR, [5, 4, 5]))
+def test_lock_step_starts_match_single_starts(case):
+    instance, inits = case
+    m = instance.node_count
+    starts = range(m) if inits is None else sorted({0 if i == m else i for i in inits})
+    tours, stalls = {}, {}
+    for init in starts:
+        try:
+            tours[init] = nnh_from(instance, init)
+        except DeadEndError as exc:
+            stalls[init] = exc
+            assert exc.init == init
+            state = replay_nnh(instance, exc.partial)
+            assert feasible_candidates(instance, state) == []
+            assert exc.remainder == tuple(sorted(state.remainder))
+        else:
+            replay_nnh(instance, tours[init].sequence[:-1])
+            assert tours[init].sequence[-1] == init
+    if not tours:
+        with pytest.raises(MultiStartError) as err:
+            nnh_best(instance, inits)
+        failures = err.value.failures
+        assert sorted(failures) == sorted(stalls)
+        assert all((failures[i].partial, failures[i].remainder) == (e.partial, e.remainder)
+                   for i, e in stalls.items())
+        return
+    result = nnh_best(instance, inits)
+    assert result.costs == {init: tour.cost for init, tour in tours.items()}
+    assert result.dead_ends == tuple(sorted(stalls))
+    assert result.stalls == {init: (len(e.partial), len(e.remainder)) for init, e in stalls.items()}
+    best = min(tours, key=lambda init: (tours[init].cost, init))
+    assert (result.best_init, result.best_tour) == (best, tours[best])
+
+
+@st.composite
+def feasible_depot_tours(draw):
+    """An instance and a feasible tour from the depot.
+
+    The visit order is any precedence order; when it overloads the vehicle,
+    the same pairs are served one at a time instead, which always fits.
+    """
+    instance = draw(instances())
+    n = instance.n_pairs
+    pairs = draw(st.permutations([k for k in range(1, n + 1) for _ in (0, 1)]))
+    seen: set[int] = set()
+    order = []
+    for k in pairs:
+        order.append(k + n if k in seen else k)
+        seen.add(k)
+    tour = (0, *order, 0)
+    if not validate(instance, tour).feasible:
+        tour = (0, *(v for k in dict.fromkeys(pairs) for v in (k, k + n)), 0)
+    assert validate(instance, tour).feasible
+    return instance, tour
+
+
+@PROPERTY
+@given(feasible_depot_tours(), st.data())
+def test_rotating_a_depot_tour_keeps_its_cost_and_follows_the_start_rule(case, data):
+    instance, tour = case
+    body = list(tour[:-1])
+    i = data.draw(st.integers(0, len(body) - 1))
+    start = body[i]
+    rotated = (*body[i:], *body[:i], start)
+    original_cost = tour_cost(instance, tour)
+    assert tour_cost(instance, rotated) == pytest.approx(original_cost, rel=1e-9, abs=0.0)
+    # on board at the rotation point: on arrival for a depot or pickup start,
+    # after it unloads for a delivery start
+    before = set(body[: i + 1] if start > instance.n_pairs else body[:i])
+    on_board = [k for k in instance.pickups if k in before and k + instance.n_pairs not in before]
+    assert validate(instance, rotated).feasible == (not on_board)
