@@ -236,8 +236,10 @@ class TestCachedRatios:
         state = CihState.initial(inst, 5)
         while True:
             slots = range(len(state.partial) - 1)
+            # row k holds every node's ratio at slot k
             expected = [
-                [insertion_ratio(inst, state.partial[k], u, state.partial[k + 1]) for u in range(inst.node_count)]
+                [insertion_ratio(inst, state.partial[k], u, state.partial[k + 1])
+                 for u in range(inst.node_count)]
                 for k in slots
             ]
             assert state.ratios[: len(slots)].tolist() == expected
