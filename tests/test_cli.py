@@ -215,6 +215,25 @@ class TestCompare:
                 assert not line.split("gap to optimum: ")[1].startswith("-")
 
 
+    def test_reports_depot_start_gaps_on_a_25_node_subsample(self, capsys, tmp_path):
+        # the first 25 points of eil51 give a 12-pair instance, within the default limit
+        lines = (CORPUS_DIR / "eil51.tsp").read_text().splitlines()
+        start = lines.index("NODE_COORD_SECTION") + 1
+        header = [("DIMENSION: 25" if line.startswith("DIMENSION") else line)
+                  for line in lines[:start]]
+        cloud = tmp_path / "eil25.tsp"
+        cloud.write_text("\n".join(header + lines[start:start + 25] + ["EOF"]) + "\n")
+        inst = tmp_path / "eil25.inst"
+        assert run(capsys, "generate", cloud, "--direction", Direction.PICKUPS_CENTRAL.value,
+                   "--capacity", 2, "--out", inst)[0] == 0
+        code, out, _ = run(capsys, "compare", inst)
+        assert code == 0
+        assert "skipped" not in out
+        gaps = [line.split("gap to optimum: ")[1] for line in out.splitlines()
+                if "gap to optimum" in line]
+        assert len(gaps) == 2 and not any(gap.startswith("-") for gap in gaps)
+
+
 class TestBench:
     def test_config_file_plus_flag_overrides(self, capsys, tmp_path):
         corpus = tmp_path / "corpus"

@@ -3,15 +3,19 @@ from itertools import permutations
 
 import pytest
 
+import numpy as np
+
 from conftest import make_random_instance
 from mpdtsp import exact
-from mpdtsp.exact import precedence_orders
+from mpdtsp.exact import HELD_KARP_PAIR_LIMIT, precedence_orders
 from mpdtsp import (
+    Instance,
     MetricMode,
     brute_force,
     cih_from,
     held_karp,
     nnh_from,
+    paired_loads,
     tour_cost,
     validate,
 )
@@ -138,8 +142,6 @@ class TestLimitsAndTies:
 
     def test_brute_force_tie_is_lexicographic(self, one_pair):
         # symmetric square geometry forces cost ties across directions
-        from mpdtsp import Instance, paired_loads
-
         inst = Instance.from_coords(
             [(0, 0), (1, 0), (0, 1), (1, 1), (-1, 0)], paired_loads([1.0, 1.0]), 2.0
         )
@@ -152,3 +154,46 @@ class TestLimitsAndTies:
         best_cost = min(c for c, _ in feasible)
         best_seqs = sorted(s for c, s in feasible if c == best_cost)
         assert bf.sequence == best_seqs[0]
+
+
+def grid_instance(seed: int) -> Instance:
+    """2-4 pairs on a 5 x 5 integer grid under ROUNDED, Q = 1, 2 or n: ties everywhere."""
+    rng = np.random.RandomState(seed)
+    n = 2 + seed % 3
+    q = (1, 2, n)[seed // 3 % 3]
+    coords = rng.randint(0, 5, size=(2 * n + 1, 2)).astype(float)
+    return Instance.from_coords(coords, paired_loads([1.0] * n), float(q), MetricMode.ROUNDED)
+
+
+class TestHeldKarpTieRule:
+    def test_last_visit_back_is_lexicographically_smallest(self):
+        tied = 0
+        for seed in range(200):
+            inst = grid_instance(seed)
+            optimal = []
+            best = None
+            for order in precedence_orders(inst.n_pairs):
+                seq = (0, *order, 0)
+                if not validate(inst, seq).feasible:
+                    continue
+                cost = tour_cost(inst, seq)
+                if best is None or cost < best:
+                    best, optimal = cost, []
+                if cost == best:
+                    optimal.append(order)
+            tour = held_karp(inst)
+            assert tour.cost == best, seed
+            assert tour.sequence[1:-1] == min(optimal, key=lambda o: o[::-1]), seed
+            tied += len(optimal) > 1
+        # the rule is only exercised where optima tie
+        assert tied >= 100
+
+
+class TestPairLimit:
+    def test_twelve_pairs_solve_within_the_default_limit(self):
+        assert HELD_KARP_PAIR_LIMIT == 12
+        inst = make_random_instance(12, 2, 12)
+        tour = held_karp(inst)
+        assert validate(inst, tour).feasible
+        assert tour.cost == pytest.approx(tour_cost(inst, tour), abs=1e-12)
+        assert tour.cost <= nnh_from(inst, 0).cost

@@ -125,6 +125,49 @@ def test_held_karp_is_never_above_a_depot_start_tour(instance, data):
         assert validate(instance, optimum).feasible
 
 
+@st.composite
+def oracle_instances(draw) -> Instance:
+    """1-4 pairs, loads in [0.1, 3], Q in [1, 3], often a sum of some of the loads."""
+    n = draw(st.integers(1, 4))
+    coords = draw(st.lists(st.tuples(coordinate, coordinate), min_size=2 * n + 1, max_size=2 * n + 1))
+    loads = draw(st.lists(st.floats(0.1, 3.0), min_size=n, max_size=n))
+    chosen = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    subset_sum = sum(load for load, keep in zip(loads, chosen) if keep)
+    capacities = [st.floats(1.0, 3.0), st.sampled_from([1.0, 2.0, 3.0])]
+    if 1.0 <= subset_sum <= 3.0:
+        capacities.append(st.just(subset_sum))
+    return Instance.from_coords(coords, paired_loads(loads), draw(st.one_of(capacities)))
+
+
+def clustered(loads, capacity: float) -> Instance:
+    """Pickups next to the depot, deliveries far off: the optimum carries every item at once."""
+    n = len(loads)
+    coords = [(0.0, 0.0), *((0.0, 1.0 + k) for k in range(n)), *((90.0, 1.0 + k) for k in range(n))]
+    return Instance.from_coords(coords, paired_loads(loads), capacity)
+
+
+@settings(PROPERTY, max_examples=100)
+@given(oracle_instances())
+@example(clustered([0.1, 1.1], 1.2))  # in either order the load sums to 1.2000000000000002
+@example(clustered([0.3] * 4, 1.2))
+def test_held_karp_matches_brute_force_on_real_loads(instance):
+    optimum, oracle = held_karp(instance), brute_force(instance)
+    assert (optimum is None) == (oracle is None)
+    if oracle is not None:
+        assert optimum.cost == oracle.cost
+        assert validate(instance, optimum).feasible
+
+
+def test_held_karp_carries_six_items_of_0_3_at_q_1_8():
+    # six pairs are past brute force, but every order fits, so the optimum is
+    # the uncapacitated one and it carries all six items at once
+    instance = clustered([0.3] * 6, 1.8)
+    optimum = held_karp(instance)
+    assert optimum.cost == held_karp(instance.with_capacity(6.0)).cost
+    assert optimum.sequence == (0, 1, 2, 3, 4, 5, 6, 12, 11, 10, 9, 8, 7, 0)
+    assert validate(instance, optimum).feasible
+
+
 @PROPERTY
 @given(instances())
 def test_instance_text_round_trips(instance):
