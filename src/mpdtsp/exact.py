@@ -87,7 +87,7 @@ def held_karp(instance: Instance, pair_limit: int = HELD_KARP_PAIR_LIMIT) -> Tou
             block = acc[src]
             block += into[v]
             best = block.argmin(axis=1)
-            nxt[rows, v] = np.take_along_axis(block, best[:, None], axis=1)[:, 0]
+            nxt[rows, v] = block[np.arange(len(src)), best]
             parent[rows, v] = best
         acc = nxt
         layers.append((codes, parent))
