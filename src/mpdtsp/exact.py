@@ -25,7 +25,8 @@ import numpy as np
 
 from .model import Instance, Tour, tour_cost, validate
 
-#: 12 pairs (531,441 codes unconstrained) take about 1.5 s and 60 MiB at Q=12
+#: 12 pairs took 0.16-0.20 s and 9 MiB of peak RSS at Q=2, and 2.1-2.2 s and
+#: 55 MiB at Q=12, where all 531,441 codes fit (2-core Xeon VM, BENCH_7.json)
 HELD_KARP_PAIR_LIMIT = 12
 
 #: factorial growth caps the enumeration oracle much earlier
@@ -97,10 +98,10 @@ def held_karp(instance: Instance, pair_limit: int = HELD_KARP_PAIR_LIMIT) -> Tou
     last = int(closing.argmin())
     sequence = []
     code, v = int(codes[0]), last
-    for codes, parent in reversed(layers):
+    for layer_codes, layer_parent in reversed(layers):
         sequence.append(v)
-        u = int(parent[np.searchsorted(codes, code), v])
-        code -= int(power[(v - 1) % n])
+        u = int(layer_parent[np.searchsorted(layer_codes, code), v])
+        code -= int(power[(v - 1) % n])  # v's pair digit drops back by one
         v = u
     return Tour((0, *reversed(sequence), 0), float(closing[last]))
 

@@ -214,7 +214,6 @@ class TestCompare:
             if "gap to optimum" in line:
                 assert not line.split("gap to optimum: ")[1].startswith("-")
 
-
     def test_reports_depot_start_gaps_on_a_25_node_subsample(self, capsys, tmp_path):
         # the first 25 points of eil51 give a 12-pair instance, within the default limit
         lines = (CORPUS_DIR / "eil51.tsp").read_text().splitlines()
