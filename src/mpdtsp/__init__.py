@@ -34,7 +34,6 @@ from .model import (
     Role,
     Tour,
     ViolationKind,
-    arc_cost,
     paired_loads,
     payload_profile,
     tour_cost,
@@ -61,7 +60,6 @@ __all__ = [
     "Tour",
     "ViolationKind",
     "apply_insertion",
-    "arc_cost",
     "best_insertion",
     "brute_force",
     "cih_best",

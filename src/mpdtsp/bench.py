@@ -18,7 +18,7 @@ import numpy as np
 
 from . import tsplib
 from .cheapest_insertion import cih_best
-from .generate import Direction, GenerationSpec, generate
+from .generate import MIN_CLOUD_POINTS, Direction, GenerationSpec, generate
 from .model import Instance, validate
 from .nearest_neighbor import nnh_best
 from .tsplib import MetricMode, TsplibParseError
@@ -51,8 +51,6 @@ class ExperimentConfig:
             raise ValueError(f"capacities must not repeat, got {self.capacities}")
         if not self.directions or len(set(self.directions)) != len(self.directions):
             raise ValueError("directions must be a nonempty list without repeats")
-        if self.metric is MetricMode.EXPLICIT:
-            raise ValueError("the sweep needs a coordinate metric (exact or rounded)")
         if self.init_policy not in (InitPolicy.ALL, InitPolicy.DEPOT):
             raise ValueError(f"unknown init policy {self.init_policy!r}")
 
@@ -112,6 +110,9 @@ def run_corpus(config: ExperimentConfig) -> list[ResultRow]:
             cloud = tsplib.parse_file(path)
         except (TsplibParseError, OSError) as exc:
             log.warning("skipping %s: %s", path.name, exc)
+            continue
+        if len(cloud) < MIN_CLOUD_POINTS:
+            log.warning("skipping %s: %d points are too few for an instance", path.name, len(cloud))
             continue
         if config.max_nodes is not None and len(cloud) > config.max_nodes:
             log.info("skipping %s: %d nodes exceeds max_nodes=%d",

@@ -63,7 +63,6 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("exact", help="solve a small instance to optimality")
     p.add_argument("instance")
-    p.add_argument("--pair-limit", type=int, default=HELD_KARP_PAIR_LIMIT)
     p.set_defaults(func=_cmd_exact)
 
     p = sub.add_parser("validate", help="check a tour file against an instance")
@@ -86,7 +85,6 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="heuristics vs the exact optimum on one instance")
     p.add_argument("instance")
-    p.add_argument("--pair-limit", type=int, default=HELD_KARP_PAIR_LIMIT)
     p.set_defaults(func=_cmd_compare)
 
     return parser
@@ -190,7 +188,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_exact(args) -> int:
     instance = _load_instance(args)
-    tour = held_karp(instance, pair_limit=args.pair_limit)
+    tour = held_karp(instance)
     if tour is None:
         print("infeasible: no tour satisfies the constraint system")
         return EXIT_INFEASIBLE
@@ -256,10 +254,10 @@ def _cmd_compare(args) -> int:
     cih = cih_best(instance)
     _print_result("NNH", nnh)
     _print_result("CIH", cih)
-    if instance.n_pairs > args.pair_limit:
-        print(f"exact: skipped ({instance.n_pairs} pairs exceeds limit {args.pair_limit})")
+    if instance.n_pairs > HELD_KARP_PAIR_LIMIT:
+        print(f"exact: skipped ({instance.n_pairs} pairs exceeds limit {HELD_KARP_PAIR_LIMIT})")
         return EXIT_OK
-    optimum = held_karp(instance, pair_limit=args.pair_limit)
+    optimum = held_karp(instance)
     if optimum is None:
         print("exact: infeasible")
         return EXIT_INFEASIBLE

@@ -8,11 +8,12 @@ what is on board.  Layer t holds the codes of t visited nodes whose load fits,
 and each layer is expanded into the next in numpy, with one gather, add and
 argmin per target node.  Only two layers of costs are kept, plus a small
 parent table per layer for reading the tour back.  It is the ground truth up
-to a configurable number of pairs.
+to :data:`HELD_KARP_PAIR_LIMIT` pairs.
 
 ``brute_force`` enumerates every interior order in which each pickup precedes
 its delivery and filters it through the tour validator; it is deliberately
-independent of the dynamic program so the two can check each other.
+independent of the dynamic program so the two can check each other.  It
+stops at :data:`BRUTE_FORCE_PAIR_LIMIT` pairs.
 
 Both return ``None`` when the instance provably admits no tour.
 """
@@ -33,7 +34,7 @@ HELD_KARP_PAIR_LIMIT = 12
 BRUTE_FORCE_PAIR_LIMIT = 4
 
 
-def held_karp(instance: Instance, pair_limit: int = HELD_KARP_PAIR_LIMIT) -> Tour | None:
+def held_karp(instance: Instance) -> Tour | None:
     """Minimum-cost depot-rooted tour, or None if the instance is infeasible.
 
     Ties: of the optimal tours, the one whose interior read from the last
@@ -43,10 +44,9 @@ def held_karp(instance: Instance, pair_limit: int = HELD_KARP_PAIR_LIMIT) -> Tou
     minimum).
     """
     n = instance.n_pairs
-    if n > pair_limit:
+    if n > HELD_KARP_PAIR_LIMIT:
         raise ValueError(
-            f"instance has {n} pairs; the exact solver is limited to {pair_limit} "
-            "(raise pair_limit explicitly to override)"
+            f"instance has {n} pairs; the exact solver is limited to {HELD_KARP_PAIR_LIMIT}"
         )
     if instance.is_trivially_infeasible:
         return None
@@ -132,7 +132,7 @@ def precedence_orders(n_pairs: int) -> Iterator[tuple[int, ...]]:
     return extend()
 
 
-def brute_force(instance: Instance, pair_limit: int = BRUTE_FORCE_PAIR_LIMIT) -> Tour | None:
+def brute_force(instance: Instance) -> Tour | None:
     """Optimal depot-rooted tour by full enumeration through the validator.
 
     Every precedence-respecting order is enumerated and judged by
@@ -140,9 +140,9 @@ def brute_force(instance: Instance, pair_limit: int = BRUTE_FORCE_PAIR_LIMIT) ->
     sequence.
     """
     n = instance.n_pairs
-    if n > pair_limit:
+    if n > BRUTE_FORCE_PAIR_LIMIT:
         raise ValueError(
-            f"instance has {n} pairs; enumeration is limited to {pair_limit} pairs"
+            f"instance has {n} pairs; enumeration is limited to {BRUTE_FORCE_PAIR_LIMIT} pairs"
         )
     best_cost: float | None = None
     best_seq: tuple[int, ...] | None = None

@@ -21,20 +21,14 @@ import numpy as np
 from .model import Instance, Role, Tour
 from .tsplib import MetricMode
 
-_METRIC_TOKENS = {MetricMode.ROUNDED: "ROUNDED", MetricMode.EXACT: "EXACT"}
-_TOKEN_METRICS = {v: k for k, v in _METRIC_TOKENS.items()}
 _ROLE_TOKENS = {Role.DEPOT: "DEPOT", Role.PICKUP: "PICKUP", Role.DELIVERY: "DELIVERY"}
 
 
 def instance_to_text(instance: Instance) -> str:
-    if instance.metric not in _METRIC_TOKENS:
-        raise ValueError("only coordinate-metric instances have a canonical text form")
-    if instance.coords is None:
-        raise ValueError("instance has no coordinates to serialize")
     lines = [
         f"PAIRS {instance.n_pairs}",
         f"CAPACITY {instance.capacity!r}",
-        f"METRIC {_METRIC_TOKENS[instance.metric]}",
+        f"METRIC {instance.metric.name}",
     ]
     for node in range(instance.node_count):
         role = instance.role(node)
@@ -61,7 +55,7 @@ def instance_from_text(text: str, name: str = "") -> Instance:
     n = int(header(0, "PAIRS"))
     capacity = float(header(1, "CAPACITY"))
     token = header(2, "METRIC")
-    if token not in _TOKEN_METRICS:
+    if token not in MetricMode.__members__:
         raise ValueError(f"unknown METRIC {token!r} (expected ROUNDED or EXACT)")
 
     node_lines = lines[3:]
@@ -85,7 +79,7 @@ def instance_from_text(text: str, name: str = "") -> Instance:
             raise ValueError(f"node {i}: pair index {pair_token} does not match id convention")
         coords[i] = (float(fields[3]), float(fields[4]))
         loads[i] = float(fields[5])
-    return Instance.from_coords(coords, loads, capacity, _TOKEN_METRICS[token], name=name)
+    return Instance.from_coords(coords, loads, capacity, MetricMode[token], name=name)
 
 
 def write_instance(instance: Instance, path: str | Path) -> None:

@@ -20,6 +20,9 @@ from .model import Instance, paired_loads
 from .tsplib import MetricMode, PointCloud
 
 
+MIN_CLOUD_POINTS = 3  # a depot and one pickup/delivery pair
+
+
 class Direction(Enum):
     PICKUPS_CENTRAL = "pickups-central"
     DELIVERIES_CENTRAL = "deliveries-central"
@@ -71,8 +74,8 @@ def generate(
     metric: MetricMode = MetricMode.EXACT,
 ) -> Instance:
     """Build the instance for one (direction, capacity) configuration."""
-    if len(cloud) < 3:
-        raise ValueError(f"need at least 3 points to form an instance, got {len(cloud)}")
+    if len(cloud) < MIN_CLOUD_POINTS:
+        raise ValueError(f"need at least {MIN_CLOUD_POINTS} points for an instance, got {len(cloud)}")
 
     order = _ranked_positions(cloud)
     pts = cloud.points

@@ -6,6 +6,12 @@ is node 0, pickups are ``1..n`` and deliveries are ``n+1..2n``, with pickup
 an alias of the depot (a tour conventionally terminates at it) and is
 collapsed onto node 0 so the cost matrix has no degenerate zero-cost arc.
 
+Every instance has planar node coordinates, and its cost matrix is derived
+from them: the TSPLIB distance of each node pair under the instance's metric,
+exact or rounded Euclidean.  Costs are therefore symmetric with a zero
+diagonal, and :meth:`Instance.with_metric` re-derives them under the other
+metric.
+
 Payload semantics are event based: every node contributes its load ``q`` at
 its visit position.  The start node of a closed tour occurs twice; its event
 fires at the opening occurrence when it is a pickup or the depot, and at the
@@ -21,7 +27,7 @@ by one factor cannot change a tour.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 from itertools import accumulate
@@ -56,8 +62,8 @@ def paired_loads(item_loads: Sequence[float]) -> np.ndarray:
 class Instance:
     """Immutable problem data for a single capacitated agent.
 
-    Fields are validated on construction; prefer :meth:`from_coords` or
-    :meth:`from_matrix` over calling the constructor directly.
+    Fields are validated on construction; prefer :meth:`from_coords`, which
+    derives the costs from the coordinates, over calling the constructor.
     """
 
     n_pairs: int
@@ -65,7 +71,7 @@ class Instance:
     loads: np.ndarray         # (2n+1,), loads[0] == 0, loads[n+k] == -loads[k]
     capacity: float
     metric: MetricMode
-    coords: np.ndarray | None = None
+    coords: np.ndarray        # (2n+1, 2), the nodes' planar positions
     name: str = ""
     meta: Mapping[str, str] = field(default_factory=dict)
 
@@ -96,7 +102,7 @@ class Instance:
             raise ValueError(f"capacity must be finite, got {self.capacity!r}")
         if self.capacity < 0:
             raise ValueError("capacity must be nonnegative")
-        if self.coords is not None and self.coords.shape != (m, 2):
+        if self.coords.shape != (m, 2):
             raise ValueError(f"coords must be ({m}, 2), got {self.coords.shape}")
 
     # -- structure ---------------------------------------------------------
@@ -105,10 +111,6 @@ class Instance:
     def node_count(self) -> int:
         """Number of physical nodes, ``2n + 1``."""
         return 2 * self.n_pairs + 1
-
-    @property
-    def depot(self) -> int:
-        return 0
 
     @property
     def terminal_alias(self) -> int:
@@ -144,18 +146,6 @@ class Instance:
         if node == 0:
             raise ValueError("the depot carries no commodity")
         return node if node <= self.n_pairs else node - self.n_pairs
-
-    def pickup_of(self, delivery: int) -> int:
-        delivery = self.normalize_node(delivery)
-        if self.role(delivery) is not Role.DELIVERY:
-            raise ValueError(f"node {delivery} is not a delivery")
-        return delivery - self.n_pairs
-
-    def delivery_of(self, pickup: int) -> int:
-        pickup = self.normalize_node(pickup)
-        if self.role(pickup) is not Role.PICKUP:
-            raise ValueError(f"node {pickup} is not a pickup")
-        return pickup + self.n_pairs
 
     @cached_property
     def _load_list(self) -> list[float]:
@@ -193,8 +183,6 @@ class Instance:
         meta: Mapping[str, str] | None = None,
     ) -> "Instance":
         """Build an instance from node coordinates (depot first, then pickups, then deliveries)."""
-        if metric is MetricMode.EXPLICIT:
-            raise ValueError("from_coords needs a coordinate metric; use from_matrix")
         coords = np.asarray(coords, dtype=float)
         if coords.ndim != 2 or coords.shape[1] != 2:
             raise ValueError("coords must be an (m, 2) array")
@@ -217,51 +205,14 @@ class Instance:
             meta=dict(meta or {}),
         )
 
-    @classmethod
-    def from_matrix(
-        cls,
-        cost: Sequence[Sequence[float]] | np.ndarray,
-        loads: Sequence[float] | np.ndarray,
-        capacity: float,
-        name: str = "",
-        meta: Mapping[str, str] | None = None,
-    ) -> "Instance":
-        """Build an instance from an explicit (2n+1)-square cost matrix."""
-        cost = np.asarray(cost, dtype=float)
-        if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
-            raise ValueError("cost must be a square matrix")
-        m = cost.shape[0]
-        if m < 3 or m % 2 == 0:
-            raise ValueError(f"matrix side must be odd and >= 3 (2n+1 nodes), got {m}")
-        return cls(
-            n_pairs=(m - 1) // 2,
-            cost=cost,
-            loads=np.asarray(loads, dtype=float),
-            capacity=float(capacity),
-            metric=MetricMode.EXPLICIT,
-            name=name,
-            meta=dict(meta or {}),
-        )
-
     def with_capacity(self, capacity: float) -> "Instance":
         """Same geometry and loads under a different capacity."""
-        return Instance(
-            n_pairs=self.n_pairs,
-            cost=self.cost,
-            loads=self.loads,
-            capacity=float(capacity),
-            metric=self.metric,
-            coords=self.coords,
-            name=self.name,
-            meta=dict(self.meta),
-        )
+        return replace(self, capacity=float(capacity), meta=dict(self.meta))
 
     def with_metric(self, metric: MetricMode) -> "Instance":
         """Rebuild the cost matrix from coordinates under another metric."""
         if metric is self.metric:
             return self
-        if self.coords is None:
-            raise ValueError("instance has no coordinates to re-derive costs from")
         return Instance.from_coords(
             self.coords, self.loads, self.capacity, metric, self.name, dict(self.meta)
         )
@@ -295,18 +246,8 @@ class Tour:
     sequence: tuple[int, ...]
     cost: float
 
-    @property
-    def start(self) -> int:
-        return self.sequence[0]
-
     def __len__(self) -> int:
         return len(self.sequence)
-
-    @classmethod
-    def from_sequence(cls, instance: Instance, sequence: Sequence[int]) -> "Tour":
-        """Normalize the terminal alias, require closure, and compute the cost."""
-        seq = tuple(instance.normalize_node(v) for v in sequence)
-        return cls(seq, tour_cost(instance, seq))
 
 
 TourLike = Union[Tour, Sequence[int]]
@@ -318,11 +259,6 @@ def _as_sequence(tour: TourLike) -> tuple[int, ...]:
     if isinstance(tour, tuple):
         return tour
     return tuple(int(v) for v in tour)
-
-
-def arc_cost(instance: Instance, i: int, j: int) -> float:
-    """Cost of traversing arc (i, j); the terminal alias maps onto the depot."""
-    return float(instance.cost[instance.normalize_node(i), instance.normalize_node(j)])
 
 
 def tour_cost(instance: Instance, tour: TourLike) -> float:

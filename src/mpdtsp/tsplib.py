@@ -3,7 +3,9 @@
 Only 2D coordinate instances (``EDGE_WEIGHT_TYPE: EUC_2D``) are supported.
 Matrix-based instances (``EXPLICIT``), geographic coordinates (``GEO``) and
 tour files are rejected with a :class:`TsplibParseError` naming the offending
-keyword and line.
+keyword and line, as are a ``DIMENSION`` below 1 or given twice.  A parsed
+cloud holds exactly ``DIMENSION`` points; :func:`tsplib_distance` is the one
+source of arc costs, under either :class:`MetricMode` convention.
 """
 
 from __future__ import annotations
@@ -19,11 +21,10 @@ Point = tuple[float, float]
 
 
 class MetricMode(Enum):
-    """How arc costs are derived for an instance."""
+    """How arc costs are derived from coordinates."""
 
     ROUNDED = "rounded"    # Euclidean distance rounded half-up to the nearest integer
     EXACT = "exact"        # true Euclidean distance
-    EXPLICIT = "explicit"  # caller-supplied cost matrix, no coordinate semantics
 
 
 class TsplibParseError(ValueError):
@@ -65,11 +66,9 @@ def tsplib_distance(a: Point, b: Point, mode: MetricMode = MetricMode.EXACT) -> 
     ROUNDED follows the TSPLIB nearest-integer rule with halves rounded up.
     """
     d = math.hypot(a[0] - b[0], a[1] - b[1])
-    if mode is MetricMode.EXACT:
-        return d
     if mode is MetricMode.ROUNDED:
         return float(math.floor(d + 0.5))
-    raise ValueError(f"no coordinate distance for metric mode {mode}")
+    return d
 
 
 _SUPPORTED_EDGE_WEIGHT_TYPES = {"EUC_2D"}
@@ -128,10 +127,14 @@ def parse(text: str) -> PointCloud:
         if key == "NAME":
             name = value
         elif key == "DIMENSION":
+            if dimension is not None:
+                raise TsplibParseError("repeated DIMENSION", lineno)
             try:
                 dimension = int(value)
             except ValueError:
                 raise TsplibParseError(f"DIMENSION is not an integer: {value!r}", lineno) from None
+            if dimension < 1:
+                raise TsplibParseError(f"DIMENSION must be at least 1, got {dimension}", lineno)
         elif key == "EDGE_WEIGHT_TYPE":
             edge_weight_type = value.upper()
             if edge_weight_type not in _SUPPORTED_EDGE_WEIGHT_TYPES:

@@ -38,7 +38,7 @@ def feasible_candidates(instance: Instance, state: NnhState) -> list[int]:
     visited = set(state.partial)
     out = []
     for node in sorted(state.remainder):
-        if instance.role(node) is Role.DELIVERY and instance.pickup_of(node) not in visited:
+        if instance.role(node) is Role.DELIVERY and node - instance.n_pairs not in visited:
             continue
         if state.payload + instance.loads[node] > instance.load_limit:
             continue
@@ -70,7 +70,7 @@ def feasible_slots(instance: Instance, state: CihState, node: int) -> range:
             break
 
     if instance.role(node) is Role.DELIVERY:
-        pickup = instance.pickup_of(node)
+        pickup = node - instance.n_pairs
         if pickup not in state.partial:
             return range(m - 1, m - 1)  # empty: no admissible slot yet
         left = max(left, state.partial.index(pickup))

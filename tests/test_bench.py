@@ -17,7 +17,6 @@ from mpdtsp.bench import (
     summarize,
 )
 from mpdtsp.generate import Direction
-from mpdtsp.tsplib import MetricMode
 
 
 def row(instance="a", direction="pickups-central", q=2, heuristic="NNH",
@@ -83,13 +82,20 @@ class TestRunCorpus:
         corpus.mkdir()
         (corpus / "eil51.tsp").write_text((CORPUS_DIR / "eil51.tsp").read_text())
         (corpus / "bad.tsp").write_text("DIMENSION: 3\nEDGE_WEIGHT_TYPE: GEO\n")
+        (corpus / "negative.tsp").write_text(
+            "DIMENSION: -3\nEDGE_WEIGHT_TYPE: EUC_2D\nNODE_COORD_SECTION\nEOF\n"
+        )
+        (corpus / "two.tsp").write_text(
+            "DIMENSION: 2\nEDGE_WEIGHT_TYPE: EUC_2D\nNODE_COORD_SECTION\n1 0 0\n2 1 1\nEOF\n"
+        )
         config = ExperimentConfig(
             corpus_dir=corpus, capacities=(2,), init_policy=InitPolicy.DEPOT
         )
         with caplog.at_level("WARNING"):
             rows = run_corpus(config)
         assert len(rows) == 4
-        assert any("bad.tsp" in message for message in caplog.messages)
+        for name in ("bad.tsp", "negative.tsp", "two.tsp"):
+            assert any(name in message for message in caplog.messages)
 
     def test_max_nodes_filter(self, eil51_only):
         config = ExperimentConfig(corpus_dir=eil51_only, max_nodes=50)
@@ -107,8 +113,6 @@ class TestRunCorpus:
             ExperimentConfig(corpus_dir=tmp_path, directions=(Direction.PICKUPS_CENTRAL,) * 2)
         with pytest.raises(ValueError, match="directions"):
             ExperimentConfig(corpus_dir=tmp_path, directions=())
-        with pytest.raises(ValueError, match="coordinate metric"):
-            ExperimentConfig(corpus_dir=tmp_path, metric=MetricMode.EXPLICIT)
 
 
 class TestSummarize:

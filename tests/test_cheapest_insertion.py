@@ -42,7 +42,7 @@ def brute_force_slots(instance, state, node):
         if any(p > instance.load_limit for p in new_payload):
             continue
         if instance.role(node) is Role.DELIVERY:
-            pickup = instance.pickup_of(node)
+            pickup = node - instance.n_pairs
             if pickup not in state.partial or k < state.partial.index(pickup):
                 continue
         ok.append(k)

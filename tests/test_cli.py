@@ -233,6 +233,31 @@ class TestCompare:
         assert len(gaps) == 2 and not any(gap.startswith("-") for gap in gaps)
 
 
+class TestPairLimit:
+    """The exact solver's 12-pair limit is fixed; no flag moves it."""
+
+    DEMO_25_PAIRS = CORPUS_DIR.parent / "demos" / "out" / "eil51-pickups-central-Q10.inst"
+
+    def test_compare_skips_the_exact_solver(self, capsys):
+        code, out, _ = run(capsys, "compare", self.DEMO_25_PAIRS)
+        assert code == 0
+        assert "exact: skipped (25 pairs exceeds limit 12)" in out
+        assert "NNH best cost" in out and "CIH best cost" in out
+
+    def test_exact_refuses_with_the_limit(self, capsys):
+        code, out, err = run(capsys, "exact", self.DEMO_25_PAIRS)
+        assert code == 2
+        assert "limited to 12" in err
+        assert "override" not in err  # the limit is fixed; nothing can raise it
+        assert "optimal" not in out
+
+    @pytest.mark.parametrize("verb", ["exact", "compare"])
+    def test_pair_limit_flag_is_a_usage_error(self, capsys, two_pair_file, verb):
+        code, out, _ = run(capsys, verb, two_pair_file, "--pair-limit", "20")
+        assert code == 2
+        assert out == ""
+
+
 class TestBench:
     def test_config_file_plus_flag_overrides(self, capsys, tmp_path):
         corpus = tmp_path / "corpus"
@@ -268,11 +293,14 @@ class TestBench:
         assert "rows:" not in out
 
     def test_bad_config_metric_is_usage_error(self, capsys, tmp_path):
-        config = tmp_path / "bench.cfg"
-        config.write_text(f"corpus={CORPUS_DIR}\nmetric=fast\n")
-        code, _, err = run(capsys, "bench", "--config", config)
-        assert code == 2
-        assert "'fast'" in err
+        # "explicit" is no MetricMode: every instance derives its costs from coordinates
+        for metric in ("fast", "explicit"):
+            config = tmp_path / "bench.cfg"
+            config.write_text(f"corpus={CORPUS_DIR}\nmetric={metric}\n")
+            code, out, err = run(capsys, "bench", "--config", config)
+            assert code == 2
+            assert f"'{metric}'" in err
+            assert "rows:" not in out
 
     @pytest.mark.parametrize("flag, value", [
         ("--capacities", "2,2"),

@@ -133,11 +133,10 @@ class TestPrecedenceOrders:
 
 class TestLimitsAndTies:
     def test_pair_limits_refused_with_message(self):
-        inst = make_random_instance(5, 5, 1)
+        with pytest.raises(ValueError, match="limited to 12"):
+            held_karp(make_random_instance(13, 13, 1))
         with pytest.raises(ValueError, match="limited to 4"):
-            held_karp(inst, pair_limit=4)
-        with pytest.raises(ValueError, match="limited to 4"):
-            brute_force(inst)
+            brute_force(make_random_instance(5, 5, 1))
 
     def test_brute_force_tie_is_lexicographic(self, one_pair):
         # symmetric square geometry forces cost ties across directions

@@ -9,6 +9,7 @@ from mpdtsp import (
     instance_to_text,
     read_instance,
     read_tour_sequence,
+    tour_cost,
     write_instance,
     write_sidecar,
     write_tour,
@@ -49,16 +50,6 @@ def test_rounded_metric_round_trips(tmp_path):
     assert np.array_equal(again.cost, inst.cost)
 
 
-def test_explicit_matrix_not_serializable():
-    from mpdtsp import Instance, paired_loads
-
-    inst = Instance.from_matrix(
-        [[0, 1, 1], [1, 0, 1], [1, 1, 0]], paired_loads([1.0]), 1.0
-    )
-    with pytest.raises(ValueError, match="canonical"):
-        instance_to_text(inst)
-
-
 @pytest.mark.parametrize(
     "mutation, message",
     [
@@ -74,7 +65,7 @@ def test_malformed_instance_text_rejected(two_pair, mutation, message):
 
 
 def test_tour_file_round_trip(two_pair, tmp_path):
-    tour = Tour.from_sequence(two_pair, [0, 1, 2, 4, 3, 0])
+    tour = Tour((0, 1, 2, 4, 3, 0), tour_cost(two_pair, [0, 1, 2, 4, 3, 0]))
     path = tmp_path / "tour.txt"
     write_tour(tour, path)
     assert path.read_text() == "0\n1\n2\n4\n3\n0\n"

@@ -8,9 +8,7 @@ from mpdtsp import (
     Instance,
     MetricMode,
     Role,
-    Tour,
     ViolationKind,
-    arc_cost,
     paired_loads,
     payload_profile,
     tour_cost,
@@ -26,6 +24,12 @@ def unit_triangle(capacity=1.0, metric=MetricMode.EXACT):
     return Instance.from_coords([(0, 0), (1, 0), (0, 1)], paired_loads([1.0]), capacity, metric)
 
 
+def with_cost(cost):
+    """The unit triangle through the plain constructor, with a given cost matrix."""
+    return Instance(1, np.array(cost, dtype=float), paired_loads([1.0]), 1.0, MetricMode.EXACT,
+                    np.array([(0, 0), (1, 0), (0, 1)], dtype=float))
+
+
 #: one-pair instances with a single non-finite field set to ``x``
 NON_FINITE_BUILDS = {
     "coords": lambda x: Instance.from_coords([(0, 0), (1, x), (0, 1)], paired_loads([1.0]), 1.0),
@@ -34,9 +38,7 @@ NON_FINITE_BUILDS = {
     ),
     "loads": lambda x: Instance.from_coords([(0, 0), (1, 0), (0, 1)], [0.0, x, -x], 1.0),
     "capacity": lambda x: Instance.from_coords([(0, 0), (1, 0), (0, 1)], paired_loads([1.0]), x),
-    "cost": lambda x: Instance.from_matrix(
-        [[0, 1, x], [1, 0, 1], [x, 1, 0]], paired_loads([1.0]), 1.0
-    ),
+    "cost": lambda x: with_cost([[0, 1, x], [1, 0, 1], [x, 1, 0]]),
 }
 
 
@@ -45,9 +47,8 @@ class TestInstance:
         assert two_pair.role(0) is Role.DEPOT
         assert two_pair.role(1) is Role.PICKUP
         assert two_pair.role(4) is Role.DELIVERY
-        assert two_pair.delivery_of(1) == 3
-        assert two_pair.pickup_of(4) == 2
         assert two_pair.pair_index(3) == 1
+        assert two_pair.pair_index(4) == 2
 
     def test_terminal_alias_maps_to_depot(self, two_pair):
         assert two_pair.normalize_node(5) == 0
@@ -78,46 +79,41 @@ class TestInstance:
         assert flagged.oversized_items == (1, 2)
         assert not two_pair.is_trivially_infeasible
 
-    def test_explicit_matrix_constructor(self):
-        cost = np.array(
-            [[0, 1, 2], [1, 0, 1], [2, 1, 0]], dtype=float
-        )
-        inst = Instance.from_matrix(cost, paired_loads([1.0]), 1.0)
-        assert inst.metric is MetricMode.EXPLICIT
-        assert arc_cost(inst, 0, 2) == 2.0
-
-    def test_explicit_matrix_rejects_negative(self):
-        cost = np.array([[0, -1, 2], [1, 0, 1], [2, 1, 0]], dtype=float)
+    def test_negative_cost_rejected(self):
+        assert with_cost([[0, 1, 2], [1, 0, 1], [2, 1, 0]]).cost[0, 2] == 2.0
         with pytest.raises(ValueError, match="nonnegative"):
-            Instance.from_matrix(cost, paired_loads([1.0]), 1.0)
+            with_cost([[0, -1, 2], [1, 0, 1], [2, 1, 0]])
 
 
 class TestArcCost:
     def test_diagonal_zero(self, two_pair):
         for v in range(two_pair.node_count):
-            assert arc_cost(two_pair, v, v) == 0.0
+            assert two_pair.cost[v, v] == 0.0
 
     def test_pythagorean_triple_both_modes(self):
         coords = [(0, 0), (3, 4), (10, 10)]
         for mode in (MetricMode.EXACT, MetricMode.ROUNDED):
             inst = Instance.from_coords(coords, paired_loads([1.0]), 1.0, mode)
-            assert arc_cost(inst, 0, 1) == 5.0
+            assert inst.cost[0, 1] == 5.0
 
     def test_unit_diagonal_rounds_to_one(self):
         coords = [(0, 0), (1, 1), (5, 5)]
         exact = Instance.from_coords(coords, paired_loads([1.0]), 1.0, MetricMode.EXACT)
         rounded = Instance.from_coords(coords, paired_loads([1.0]), 1.0, MetricMode.ROUNDED)
-        assert arc_cost(exact, 0, 1) == SQRT2
-        assert arc_cost(rounded, 0, 1) == 1.0
+        assert exact.cost[0, 1] == SQRT2
+        assert rounded.cost[0, 1] == 1.0
 
     def test_alias_uses_depot_row(self, two_pair):
+        # tour_cost maps the alias onto the depot at either end of an arc
         for j in range(two_pair.node_count):
-            assert arc_cost(two_pair, 5, j) == arc_cost(two_pair, 0, j)
-            assert arc_cost(two_pair, j, 5) == arc_cost(two_pair, j, 0)
+            assert tour_cost(two_pair, [5, j, 0]) == tour_cost(two_pair, [0, j, 0])
+            assert tour_cost(two_pair, [0, j, 5]) == tour_cost(two_pair, [0, j, 0])
 
     def test_out_of_range_rejected(self, two_pair):
         with pytest.raises(ValueError, match="out of range"):
-            arc_cost(two_pair, 0, 6)
+            two_pair.normalize_node(6)
+        with pytest.raises(ValueError, match="out of range"):
+            tour_cost(two_pair, [0, 6, 0])
 
     def test_symmetry_in_coordinate_modes(self):
         for seed in range(3):
@@ -154,11 +150,6 @@ class TestTourCost:
             dy = inst.coords[a][1] - inst.coords[b][1]
             resum += math.hypot(dx, dy)
         assert tour.cost == pytest.approx(resum, abs=1e-9)
-
-    def test_tour_from_sequence_stores_cost(self, two_pair):
-        tour = Tour.from_sequence(two_pair, [0, 1, 3, 2, 4, 5])
-        assert tour.sequence == (0, 1, 3, 2, 4, 0)
-        assert tour.cost == pytest.approx(tour_cost(two_pair, tour.sequence), abs=1e-12)
 
 
 class TestPayloadProfile:

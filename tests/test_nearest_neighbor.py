@@ -10,7 +10,6 @@ from mpdtsp import (
     Instance,
     MetricMode,
     MultiStartError,
-    arc_cost,
     nnh_best,
     nnh_from,
     validate,
@@ -65,7 +64,7 @@ class TestNnhFrom:
                     candidates = feasible_candidates(inst, state)
                     assert nxt in candidates
                     best = min(
-                        candidates, key=lambda v: (arc_cost(inst, state.partial[-1], v), v)
+                        candidates, key=lambda v: (inst.cost[state.partial[-1], v], v)
                     )
                     assert nxt == best
                     state.payload += float(inst.loads[nxt])

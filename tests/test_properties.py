@@ -81,7 +81,7 @@ def test_every_start_dead_ends_or_validates(instance):
                 tour = build(instance, init)
             except DeadEndError:
                 continue
-            assert tour.start == tour.sequence[-1] == init
+            assert tour.sequence[0] == tour.sequence[-1] == init
             assert plain_checker(instance, tour.sequence)
             assert tour.cost == pytest.approx(tour_cost(instance, tour), abs=1e-9)
 

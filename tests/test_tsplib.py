@@ -67,6 +67,20 @@ def test_dimension_mismatch_extra_rows():
         parse(broken)
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_dimension_below_one_rejected_with_line(value):
+    with pytest.raises(TsplibParseError, match=f"line 3: DIMENSION must be at least 1, got {value}"):
+        parse(MINIMAL.replace("DIMENSION: 3", f"DIMENSION: {value}"))
+
+
+def test_repeated_dimension_rejected_with_line():
+    with pytest.raises(TsplibParseError, match="line 4: repeated DIMENSION"):
+        parse(MINIMAL.replace("DIMENSION: 3\n", "DIMENSION: 3\nDIMENSION: 3\n"))
+    # also after the coordinates, which the new value would contradict
+    with pytest.raises(TsplibParseError, match="line 9: repeated DIMENSION"):
+        parse(MINIMAL.replace("EOF\n", "DIMENSION: 4\nEOF\n"))
+
+
 def test_missing_coord_section():
     with pytest.raises(TsplibParseError, match="NODE_COORD_SECTION"):
         parse("NAME: x\nDIMENSION: 2\nEDGE_WEIGHT_TYPE: EUC_2D\nEOF\n")
@@ -113,10 +127,6 @@ class TestDistance:
     def test_halves_round_up(self):
         assert tsplib_distance((0, 0), (0.5, 0), MetricMode.ROUNDED) == 1.0
         assert tsplib_distance((0, 0), (1.5, 0), MetricMode.ROUNDED) == 2.0
-
-    def test_explicit_mode_has_no_coordinate_distance(self):
-        with pytest.raises(ValueError):
-            tsplib_distance((0, 0), (1, 1), MetricMode.EXPLICIT)
 
     def test_symmetry_and_triangle_inequality(self):
         rng = np.random.RandomState(42)
