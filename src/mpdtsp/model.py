@@ -35,7 +35,7 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .tsplib import MetricMode, tsplib_distance
+from .tsplib import MetricMode, tsplib_distances
 
 #: absolute slack for load comparisons (loads are exact for unit masses; the
 #: slack only matters for real-valued masses, whose partial sums round)
@@ -63,7 +63,10 @@ class Instance:
     """Immutable problem data for a single capacitated agent.
 
     Fields are validated on construction; prefer :meth:`from_coords`, which
-    derives the costs from the coordinates, over calling the constructor.
+    derives the costs from the coordinates, over calling the constructor.  The
+    constructor does not check ``cost`` against ``coords``, and a hand-written
+    ``cost`` does not survive the text round trip, which writes only the
+    coordinates.
     """
 
     n_pairs: int
@@ -104,6 +107,8 @@ class Instance:
             raise ValueError("capacity must be nonnegative")
         if self.coords.shape != (m, 2):
             raise ValueError(f"coords must be ({m}, 2), got {self.coords.shape}")
+        if not np.isfinite(self.coords).all():
+            raise ValueError("coords must be finite")
 
     # -- structure ---------------------------------------------------------
 
@@ -190,8 +195,7 @@ class Instance:
         if m < 3 or m % 2 == 0:
             raise ValueError(f"coordinate count must be odd and >= 3 (2n+1 nodes), got {m}")
         if not np.isfinite(coords).all():
-            # checked here, before the distances, because ROUNDED cannot round
-            # an infinite one
+            # checked before the distances too, so a bad point builds no matrix
             raise ValueError("coords must be finite")
         cost = _coordinate_cost_matrix(coords, metric)
         return cls(
@@ -219,16 +223,15 @@ class Instance:
 
 
 def _coordinate_cost_matrix(coords: np.ndarray, metric: MetricMode) -> np.ndarray:
-    # scalar tsplib_distance per pair keeps the matrix bit-identical to the
-    # published convention and exactly symmetric
+    # one row of the upper triangle per node, mirrored below the diagonal.  Each
+    # cell still goes through math.hypot: np.hypot and sqrt(dx*dx + dy*dy) round
+    # differently in some cells, which would move the EXACT golden tables
     m = coords.shape[0]
     cost = np.zeros((m, m), dtype=float)
-    pts = [(float(x), float(y)) for x, y in coords]
-    for i in range(m):
-        for j in range(i + 1, m):
-            d = tsplib_distance(pts[i], pts[j], metric)
-            cost[i, j] = d
-            cost[j, i] = d
+    for i in range(m - 1):
+        row = tsplib_distances(coords[i], coords[i + 1 :], metric)
+        cost[i, i + 1 :] = row
+        cost[i + 1 :, i] = row
     return cost
 
 

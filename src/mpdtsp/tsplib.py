@@ -4,7 +4,8 @@ Only 2D coordinate instances (``EDGE_WEIGHT_TYPE: EUC_2D``) are supported.
 Matrix-based instances (``EXPLICIT``), geographic coordinates (``GEO``) and
 tour files are rejected with a :class:`TsplibParseError` naming the offending
 keyword and line, as are a ``DIMENSION`` below 1 or given twice.  A parsed
-cloud holds exactly ``DIMENSION`` points; :func:`tsplib_distance` is the one
+cloud holds exactly ``DIMENSION`` points.  :func:`tsplib_distance` and its row
+form :func:`tsplib_distances`, which cost matrices are built from, are the one
 source of arc costs, under either :class:`MetricMode` convention.
 """
 
@@ -60,15 +61,24 @@ class PointCloud:
         return np.array([(x, y) for _, x, y in self.points], dtype=float)
 
 
-def tsplib_distance(a: Point, b: Point, mode: MetricMode = MetricMode.EXACT) -> float:
-    """Distance between two points under the given metric convention.
+def tsplib_distances(a: Point, points: np.ndarray, mode: MetricMode = MetricMode.EXACT) -> np.ndarray:
+    """Distances from point ``a`` to each row of the (k, 2) array ``points``.
 
-    ROUNDED follows the TSPLIB nearest-integer rule with halves rounded up.
+    Each is ``math.hypot`` of the two float coordinate differences.  ROUNDED
+    follows the TSPLIB nearest-integer rule with halves rounded up.
     """
-    d = math.hypot(a[0] - b[0], a[1] - b[1])
+    dx = (a[0] - points[:, 0]).tolist()
+    dy = (a[1] - points[:, 1]).tolist()
+    d = np.fromiter(map(math.hypot, dx, dy), float, len(dx))
     if mode is MetricMode.ROUNDED:
-        return float(math.floor(d + 0.5))
+        d += 0.5
+        np.floor(d, out=d)
     return d
+
+
+def tsplib_distance(a: Point, b: Point, mode: MetricMode = MetricMode.EXACT) -> float:
+    """Distance between two points: :func:`tsplib_distances` on one pair."""
+    return float(tsplib_distances(a, np.array([b], dtype=float), mode)[0])
 
 
 _SUPPORTED_EDGE_WEIGHT_TYPES = {"EUC_2D"}

@@ -1,15 +1,19 @@
-"""Plain-Python reference versions of the builders' per-step rules.
+"""Plain-Python reference versions of the builders' per-step rules and of the cost matrix.
 
 The library's builders decide each step with vectorised numpy code; these
 routines decide the same things one node and one slot at a time, so the tests
-can check every greedy choice against them.
+can check every greedy choice against them.  :func:`reference_cost_matrix`
+derives arc costs one node pair at a time.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from mpdtsp import CihState, Instance, Role
+import numpy as np
+
+from mpdtsp import CihState, Instance, MetricMode, Role
 
 
 @dataclass
@@ -90,3 +94,22 @@ def insertion_ratio(instance: Instance, a: int, node: int, b: int) -> float:
     added = float(instance.cost[a, node]) + float(instance.cost[node, b])
     replaced = float(instance.cost[a, b])
     return added / replaced if replaced > 0.0 else added
+
+
+def reference_cost_matrix(coords, metric: MetricMode) -> np.ndarray:
+    """The TSPLIB cost matrix, one node pair at a time.
+
+    Each cell is ``math.hypot`` of the pair's float coordinate differences;
+    ROUNDED takes the nearest integer with halves rounded up.
+    """
+    pts = [(float(x), float(y)) for x, y in coords]
+    m = len(pts)
+    cost = np.zeros((m, m), dtype=float)
+    for i in range(m):
+        for j in range(i + 1, m):
+            d = math.hypot(pts[i][0] - pts[j][0], pts[i][1] - pts[j][1])
+            if metric is MetricMode.ROUNDED:
+                d = float(math.floor(d + 0.5))
+            cost[i, j] = d
+            cost[j, i] = d
+    return cost

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import TWO_PAIR_COORDS, make_random_instance, plain_checker
+from reference_checkers import reference_cost_matrix
 from mpdtsp import (
     Instance,
     MetricMode,
@@ -38,7 +39,19 @@ NON_FINITE_BUILDS = {
     ),
     "loads": lambda x: Instance.from_coords([(0, 0), (1, 0), (0, 1)], [0.0, x, -x], 1.0),
     "capacity": lambda x: Instance.from_coords([(0, 0), (1, 0), (0, 1)], paired_loads([1.0]), x),
+    "coords-constructor": lambda x: Instance(
+        1, unit_triangle().cost, paired_loads([1.0]), 1.0, MetricMode.EXACT,
+        np.array([(x, 0), (1, 0), (0, 1)], dtype=float),
+    ),
     "cost": lambda x: with_cost([[0, 1, x], [1, 0, 1], [x, 1, 0]]),
+}
+
+#: clouds of ``m`` points drawn with ``rng``, for comparing cost matrices bit for bit
+COST_CLOUDS = {
+    "integer-grid": lambda rng, m: rng.integers(0, 100, (m, 2)).astype(float),
+    "unit-square": lambda rng, m: rng.random((m, 2)),
+    "wide-range": lambda rng, m: rng.uniform(-1e6, 1e6, (m, 2)) * 10.0 ** rng.integers(-6, 7, (m, 1)),
+    "repeated": lambda rng, m: rng.random((3, 2))[rng.integers(0, 3, m)],
 }
 
 
@@ -73,6 +86,12 @@ class TestInstance:
         with pytest.raises(ValueError, match="finite"):
             NON_FINITE_BUILDS[field](value)
 
+    @pytest.mark.parametrize("metric", list(MetricMode))
+    def test_overflowing_distance_rejected(self, metric):
+        # finite coordinates whose distance overflows to inf
+        with pytest.raises(ValueError, match="finite"):
+            Instance.from_coords([(0, 0), (1.5e308, 1.5e308), (0, 1)], paired_loads([1.0]), 1.0, metric)
+
     def test_oversized_item_flags_infeasible(self, two_pair):
         flagged = two_pair.with_capacity(0.5)
         assert flagged.is_trivially_infeasible
@@ -102,6 +121,21 @@ class TestArcCost:
         rounded = Instance.from_coords(coords, paired_loads([1.0]), 1.0, MetricMode.ROUNDED)
         assert exact.cost[0, 1] == SQRT2
         assert rounded.cost[0, 1] == 1.0
+
+    @pytest.mark.parametrize("metric", list(MetricMode))
+    @pytest.mark.parametrize("kind", sorted(COST_CLOUDS))
+    def test_matrix_equals_pairwise_reference(self, kind, metric):
+        rng = np.random.default_rng(7)
+        for m in (3, 5, 11, 31, 61):
+            coords = COST_CLOUDS[kind](rng, m)
+            inst = Instance.from_coords(coords, paired_loads([1.0] * (m // 2)), 1.0, metric)
+            assert inst.cost.tobytes() == reference_cost_matrix(coords, metric).tobytes()
+
+    def test_exact_halves_round_up(self):
+        coords = [(0, 0), (0.5, 0), (2.5, 0)]
+        inst = Instance.from_coords(coords, paired_loads([1.0]), 1.0, MetricMode.ROUNDED)
+        assert (inst.cost[0, 1], inst.cost[0, 2], inst.cost[1, 2]) == (1.0, 3.0, 2.0)
+        assert inst.cost.tobytes() == reference_cost_matrix(coords, MetricMode.ROUNDED).tobytes()
 
     def test_alias_uses_depot_row(self, two_pair):
         # tour_cost maps the alias onto the depot at either end of an arc

@@ -11,13 +11,14 @@ instances.
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings, strategies as st  # noqa: E402
+from hypothesis import Phase, example, given, settings, strategies as st  # noqa: E402
 
 from conftest import plain_checker  # noqa: E402
-from reference_checkers import NnhState, feasible_candidates  # noqa: E402
+from reference_checkers import NnhState, feasible_candidates, reference_cost_matrix  # noqa: E402
 from mpdtsp import (  # noqa: E402
     DeadEndError,
     Instance,
+    MetricMode,
     MultiStartError,
     brute_force,
     cih_from,
@@ -288,3 +289,32 @@ def test_rotating_a_depot_tour_keeps_its_cost_and_follows_the_start_rule(case, d
     before = set(body[: i + 1] if start > instance.n_pairs else body[:i])
     on_board = [k for k in instance.pickups if k in before and k + instance.n_pairs not in before]
     assert validate(instance, rotated).feasible == (not on_board)
+
+
+#: where a cloud's coordinates come from: an integer grid, the unit square,
+#: or reals of both signs over twelve orders of magnitude
+coordinate_sources = st.sampled_from([
+    st.integers(0, 100).map(float),
+    st.floats(0.0, 1.0),
+    st.floats(-1e6, 1e6),
+    st.floats(1e-6, 1e6).flatmap(lambda x: st.sampled_from([x, -x])),
+])
+
+
+@st.composite
+def point_clouds(draw) -> list[tuple[float, float]]:
+    """3-61 points, some of them repeated so that zero arcs occur."""
+    m = 2 * draw(st.integers(1, 30)) + 1
+    value = draw(coordinate_sources)
+    distinct = draw(st.lists(st.tuples(value, value), min_size=m // 2 + 1, max_size=m))
+    return draw(st.lists(st.sampled_from(distinct), min_size=m, max_size=m))
+
+
+# no shrinking: a matrix that is one ulp off in a few cells sends the
+# shrinker through thousands of float candidates for many minutes
+@settings(PROPERTY, phases=(Phase.explicit, Phase.generate))
+@given(point_clouds(), st.sampled_from(list(MetricMode)))
+@example([(0.0, 0.0), (0.5, 0.0), (2.5, 0.0)], MetricMode.ROUNDED)
+def test_cost_matrix_equals_pairwise_reference(coords, metric):
+    instance = Instance.from_coords(coords, paired_loads([1.0] * (len(coords) // 2)), 1.0, metric)
+    assert instance.cost.tobytes() == reference_cost_matrix(coords, metric).tobytes()
