@@ -35,7 +35,7 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .tsplib import MetricMode, tsplib_distances
+from .tsplib import MetricMode, tsplib_distance
 
 #: absolute slack for load comparisons (loads are exact for unit masses; the
 #: slack only matters for real-valued masses, whose partial sums round)
@@ -63,10 +63,9 @@ class Instance:
     """Immutable problem data for a single capacitated agent.
 
     Fields are validated on construction; prefer :meth:`from_coords`, which
-    derives the costs from the coordinates, over calling the constructor.  The
-    constructor does not check ``cost`` against ``coords``, and a hand-written
-    ``cost`` does not survive the text round trip, which writes only the
-    coordinates.
+    derives the costs from the coordinates, over calling the constructor.  A
+    hand-written ``cost`` is not checked against ``coords`` and does not
+    survive the text round trip, which writes only the coordinates.
     """
 
     n_pairs: int
@@ -223,13 +222,12 @@ class Instance:
 
 
 def _coordinate_cost_matrix(coords: np.ndarray, metric: MetricMode) -> np.ndarray:
-    # one row of the upper triangle per node, mirrored below the diagonal.  Each
-    # cell still goes through math.hypot: np.hypot and sqrt(dx*dx + dy*dy) round
-    # differently in some cells, which would move the EXACT golden tables
+    # each cell still goes through math.hypot: np.hypot and sqrt(dx*dx + dy*dy)
+    # round differently in some cells, which would move the EXACT golden tables
     m = coords.shape[0]
     cost = np.zeros((m, m), dtype=float)
     for i in range(m - 1):
-        row = tsplib_distances(coords[i], coords[i + 1 :], metric)
+        row = tsplib_distance(coords[i], coords[i + 1 :], metric)
         cost[i, i + 1 :] = row
         cost[i + 1 :, i] = row
     return cost

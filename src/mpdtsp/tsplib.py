@@ -4,8 +4,7 @@ Only 2D coordinate instances (``EDGE_WEIGHT_TYPE: EUC_2D``) are supported.
 Matrix-based instances (``EXPLICIT``), geographic coordinates (``GEO``) and
 tour files are rejected with a :class:`TsplibParseError` naming the offending
 keyword and line, as are a ``DIMENSION`` below 1 or given twice.  A parsed
-cloud holds exactly ``DIMENSION`` points.  :func:`tsplib_distance` and its row
-form :func:`tsplib_distances`, which cost matrices are built from, are the one
+cloud holds exactly ``DIMENSION`` points; :func:`tsplib_distance` is the one
 source of arc costs, under either :class:`MetricMode` convention.
 """
 
@@ -61,7 +60,7 @@ class PointCloud:
         return np.array([(x, y) for _, x, y in self.points], dtype=float)
 
 
-def tsplib_distances(a: Point, points: np.ndarray, mode: MetricMode = MetricMode.EXACT) -> np.ndarray:
+def tsplib_distance(a: Point, points: np.ndarray, mode: MetricMode = MetricMode.EXACT) -> np.ndarray:
     """Distances from point ``a`` to each row of the (k, 2) array ``points``.
 
     Each is ``math.hypot`` of the two float coordinate differences.  ROUNDED
@@ -74,11 +73,6 @@ def tsplib_distances(a: Point, points: np.ndarray, mode: MetricMode = MetricMode
         d += 0.5
         np.floor(d, out=d)
     return d
-
-
-def tsplib_distance(a: Point, b: Point, mode: MetricMode = MetricMode.EXACT) -> float:
-    """Distance between two points: :func:`tsplib_distances` on one pair."""
-    return float(tsplib_distances(a, np.array([b], dtype=float), mode)[0])
 
 
 _SUPPORTED_EDGE_WEIGHT_TYPES = {"EUC_2D"}

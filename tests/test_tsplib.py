@@ -111,28 +111,31 @@ def test_nonconsecutive_indices_preserved():
     assert [idx for idx, _, _ in parse(text).points] == [7, 9, 4]
 
 
+def distance(a, b, mode=MetricMode.EXACT):
+    """The row form of ``tsplib_distance`` on one pair."""
+    return tsplib_distance(a, np.array([b], dtype=float), mode)[0]
+
+
 class TestDistance:
     def test_identity(self):
         for mode in (MetricMode.EXACT, MetricMode.ROUNDED):
-            assert tsplib_distance((0, 0), (0, 0), mode) == 0.0
+            assert distance((0, 0), (0, 0), mode) == 0.0
 
     def test_pythagorean_triple(self):
         for mode in (MetricMode.EXACT, MetricMode.ROUNDED):
-            assert tsplib_distance((0, 0), (3, 4), mode) == 5.0
+            assert distance((0, 0), (3, 4), mode) == 5.0
 
     def test_unit_diagonal(self):
-        assert tsplib_distance((0, 0), (1, 1)) == math.sqrt(2)
-        assert tsplib_distance((0, 0), (1, 1), MetricMode.ROUNDED) == 1.0
+        assert distance((0, 0), (1, 1)) == math.sqrt(2)
+        assert distance((0, 0), (1, 1), MetricMode.ROUNDED) == 1.0
 
     def test_halves_round_up(self):
-        assert tsplib_distance((0, 0), (0.5, 0), MetricMode.ROUNDED) == 1.0
-        assert tsplib_distance((0, 0), (1.5, 0), MetricMode.ROUNDED) == 2.0
+        assert distance((0, 0), (0.5, 0), MetricMode.ROUNDED) == 1.0
+        assert distance((0, 0), (1.5, 0), MetricMode.ROUNDED) == 2.0
 
     def test_symmetry_and_triangle_inequality(self):
         rng = np.random.RandomState(42)
         for _ in range(200):
             a, b, c = [tuple(rng.uniform(-50, 50, 2)) for _ in range(3)]
-            assert tsplib_distance(a, b) == tsplib_distance(b, a)
-            assert tsplib_distance(a, c) <= (
-                tsplib_distance(a, b) + tsplib_distance(b, c) + 1e-12
-            )
+            assert distance(a, b) == distance(b, a)
+            assert distance(a, c) <= distance(a, b) + distance(b, c) + 1e-12
