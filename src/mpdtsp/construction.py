@@ -45,14 +45,18 @@ class MultiStartResult:
     best_tour: Tour
     best_init: int
     costs: dict[int, float]        # start id -> tour cost, successful starts only
-    dead_ends: tuple[int, ...]     # start ids that stalled
     # start id -> (stall step, nodes left): the lengths of a DeadEndError's
-    # partial tour and remainder
+    # partial tour and remainder, in ascending start order
     stalls: dict[int, tuple[int, int]]
 
     @property
     def best_cost(self) -> float:
         return self.best_tour.cost
+
+    @property
+    def dead_ends(self) -> tuple[int, ...]:
+        """Start ids that stalled, ascending."""
+        return tuple(self.stalls)
 
 
 def start_ids(instance: Instance, inits: Iterable[int] | None) -> list[int]:
@@ -74,7 +78,6 @@ def multistart_result(tours: dict[int, Tour], failures: dict[int, DeadEndError])
         best_tour=tours[best_init],
         best_init=best_init,
         costs={init: tours[init].cost for init in sorted(tours)},
-        dead_ends=tuple(sorted(failures)),
         stalls={init: (len(exc.partial), len(exc.remainder)) for init, exc in sorted(failures.items())},
     )
 

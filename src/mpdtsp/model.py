@@ -6,11 +6,12 @@ is node 0, pickups are ``1..n`` and deliveries are ``n+1..2n``, with pickup
 an alias of the depot (a tour conventionally terminates at it) and is
 collapsed onto node 0 so the cost matrix has no degenerate zero-cost arc.
 
-Every instance has planar node coordinates, and its cost matrix is derived
-from them: the TSPLIB distance of each node pair under the instance's metric,
-exact or rounded Euclidean.  Costs are therefore symmetric with a zero
-diagonal, and :meth:`Instance.with_metric` re-derives them under the other
-metric.
+An instance is its node coordinates, loads, capacity and metric.  The
+constructor derives the pair count and the cost matrix from the coordinates:
+the TSPLIB distance of each node pair under the instance's metric, exact or
+rounded Euclidean.  No instance can carry a hand-written matrix, costs are
+symmetric with a zero diagonal, and :meth:`Instance.with_metric` re-derives
+them under the other metric.
 
 Payload semantics are event based: every node contributes its load ``q`` at
 its visit position.  The start node of a closed tour occurs twice; its event
@@ -62,40 +63,41 @@ def paired_loads(item_loads: Sequence[float]) -> np.ndarray:
 class Instance:
     """Immutable problem data for a single capacitated agent.
 
-    Fields are validated on construction; prefer :meth:`from_coords`, which
-    derives the costs from the coordinates, over calling the constructor.  A
-    hand-written ``cost`` is not checked against ``coords`` and does not
-    survive the text round trip, which writes only the coordinates.
+    The constructor takes the node coordinates and derives ``n_pairs`` and
+    the cost matrix from them, so no instance carries a hand-written matrix.
+    Fields are validated on construction.
     """
 
-    n_pairs: int
-    cost: np.ndarray          # (2n+1, 2n+1), nonnegative, zero diagonal
+    coords: np.ndarray        # (2n+1, 2), the nodes' planar positions
     loads: np.ndarray         # (2n+1,), loads[0] == 0, loads[n+k] == -loads[k]
     capacity: float
     metric: MetricMode
-    coords: np.ndarray        # (2n+1, 2), the nodes' planar positions
     name: str = ""
     meta: Mapping[str, str] = field(default_factory=dict)
+    n_pairs: int = field(init=False)
+    cost: np.ndarray = field(init=False)   # (2n+1, 2n+1), symmetric, zero diagonal
 
     def __post_init__(self):
-        m = self.node_count
-        if self.n_pairs < 1:
-            raise ValueError("instance needs at least one pickup/delivery pair")
-        if self.cost.shape != (m, m):
-            raise ValueError(f"cost matrix must be {m}x{m}, got {self.cost.shape}")
+        if self.coords.ndim != 2 or self.coords.shape[1] != 2:
+            raise ValueError("coords must be an (m, 2) array")
+        m = self.coords.shape[0]
+        if m < 3 or m % 2 == 0:
+            raise ValueError(f"coordinate count must be odd and >= 3 (2n+1 nodes), got {m}")
+        if not np.isfinite(self.coords).all():
+            # checked before the distances, so a bad point builds no matrix
+            raise ValueError("coords must be finite")
+        n = (m - 1) // 2
+        object.__setattr__(self, "n_pairs", n)
+        object.__setattr__(self, "cost", _coordinate_cost_matrix(self.coords, self.metric))
         if not np.isfinite(self.cost).all():
+            # finite points can still be too far apart for a float distance
             raise ValueError("cost matrix entries must be finite")
-        if np.any(self.cost < 0):
-            raise ValueError("cost matrix entries must be nonnegative")
-        if np.any(np.diagonal(self.cost) != 0):
-            raise ValueError("cost matrix diagonal must be zero")
         if self.loads.shape != (m,):
             raise ValueError(f"load vector must have length {m}, got {self.loads.shape}")
         if not np.isfinite(self.loads).all():
             raise ValueError("loads must be finite")
         if self.loads[0] != 0:
             raise ValueError("depot load must be zero")
-        n = self.n_pairs
         if np.any(self.loads[1 : n + 1] <= 0):
             raise ValueError("pickup loads must be positive")
         if np.any(self.loads[n + 1 :] != -self.loads[1 : n + 1]):
@@ -104,10 +106,6 @@ class Instance:
             raise ValueError(f"capacity must be finite, got {self.capacity!r}")
         if self.capacity < 0:
             raise ValueError("capacity must be nonnegative")
-        if self.coords.shape != (m, 2):
-            raise ValueError(f"coords must be ({m}, 2), got {self.coords.shape}")
-        if not np.isfinite(self.coords).all():
-            raise ValueError("coords must be finite")
 
     # -- structure ---------------------------------------------------------
 
@@ -187,25 +185,9 @@ class Instance:
         meta: Mapping[str, str] | None = None,
     ) -> "Instance":
         """Build an instance from node coordinates (depot first, then pickups, then deliveries)."""
-        coords = np.asarray(coords, dtype=float)
-        if coords.ndim != 2 or coords.shape[1] != 2:
-            raise ValueError("coords must be an (m, 2) array")
-        m = coords.shape[0]
-        if m < 3 or m % 2 == 0:
-            raise ValueError(f"coordinate count must be odd and >= 3 (2n+1 nodes), got {m}")
-        if not np.isfinite(coords).all():
-            # checked before the distances too, so a bad point builds no matrix
-            raise ValueError("coords must be finite")
-        cost = _coordinate_cost_matrix(coords, metric)
         return cls(
-            n_pairs=(m - 1) // 2,
-            cost=cost,
-            loads=np.asarray(loads, dtype=float),
-            capacity=float(capacity),
-            metric=metric,
-            coords=coords,
-            name=name,
-            meta=dict(meta or {}),
+            np.asarray(coords, dtype=float), np.asarray(loads, dtype=float), float(capacity),
+            metric, name, dict(meta or {}),
         )
 
     def with_capacity(self, capacity: float) -> "Instance":
@@ -213,12 +195,10 @@ class Instance:
         return replace(self, capacity=float(capacity), meta=dict(self.meta))
 
     def with_metric(self, metric: MetricMode) -> "Instance":
-        """Rebuild the cost matrix from coordinates under another metric."""
+        """The same instance with its costs derived under another metric."""
         if metric is self.metric:
             return self
-        return Instance.from_coords(
-            self.coords, self.loads, self.capacity, metric, self.name, dict(self.meta)
-        )
+        return replace(self, metric=metric, meta=dict(self.meta))
 
 
 def _coordinate_cost_matrix(coords: np.ndarray, metric: MetricMode) -> np.ndarray:
@@ -226,10 +206,13 @@ def _coordinate_cost_matrix(coords: np.ndarray, metric: MetricMode) -> np.ndarra
     # round differently in some cells, which would move the EXACT golden tables
     m = coords.shape[0]
     cost = np.zeros((m, m), dtype=float)
-    for i in range(m - 1):
-        row = tsplib_distance(coords[i], coords[i + 1 :], metric)
-        cost[i, i + 1 :] = row
-        cost[i + 1 :, i] = row
+    # a difference of finite points can overflow to inf, which the caller
+    # rejects; one errstate per matrix, since one per row costs about 2 us
+    with np.errstate(over="ignore"):
+        for i in range(m - 1):
+            row = tsplib_distance(coords[i], coords[i + 1 :], metric)
+            cost[i, i + 1 :] = row
+            cost[i + 1 :, i] = row
     return cost
 
 

@@ -11,7 +11,7 @@ source of arc costs, under either :class:`MetricMode` convention.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 
@@ -43,14 +43,6 @@ class PointCloud:
 
     name: str
     points: tuple[tuple[int, float, float], ...]
-    declared_dimension: int
-
-    def __post_init__(self):
-        if len(self.points) != self.declared_dimension:
-            raise ValueError(
-                f"point count {len(self.points)} does not match declared "
-                f"dimension {self.declared_dimension}"
-            )
 
     def __len__(self) -> int:
         return len(self.points)
@@ -189,13 +181,13 @@ def parse(text: str) -> PointCloud:
         raise TsplibParseError("missing EDGE_WEIGHT_TYPE keyword")
     if not seen_coord_section:
         raise TsplibParseError("missing NODE_COORD_SECTION")
-    return PointCloud(name=name, points=tuple(points), declared_dimension=dimension)
+    return PointCloud(name=name, points=tuple(points))
 
 
 def parse_file(path: str | Path) -> PointCloud:
     path = Path(path)
     cloud = parse(path.read_text())
     if not cloud.name:
-        cloud = PointCloud(path.stem, cloud.points, cloud.declared_dimension)
+        cloud = replace(cloud, name=path.stem)
     return cloud
 

@@ -192,7 +192,6 @@ def test_criterion_8_determinism_and_scale_invariance(eil51_cloud):
     scaled_cloud = PointCloud(
         eil51_cloud.name,
         tuple((i, 10.0 * x, 10.0 * y) for i, x, y in eil51_cloud.points),
-        eil51_cloud.declared_dimension,
     )
     scaled = generate(scaled_cloud, spec)
     for solver in (nnh_best, cih_best):

@@ -10,7 +10,7 @@ from mpdtsp.tsplib import PointCloud
 
 def cloud_of(coords, name="test"):
     pts = tuple((i + 1, float(x), float(y)) for i, (x, y) in enumerate(coords))
-    return PointCloud(name, pts, len(pts))
+    return PointCloud(name, pts)
 
 
 class TestCentroid:
@@ -25,7 +25,7 @@ class TestCentroid:
 
     def test_empty_cloud_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            centroid(PointCloud("empty", (), 0))
+            centroid(PointCloud("empty", ()))
 
 
 class TestRanking:

@@ -25,12 +25,6 @@ def unit_triangle(capacity=1.0, metric=MetricMode.EXACT):
     return Instance.from_coords([(0, 0), (1, 0), (0, 1)], paired_loads([1.0]), capacity, metric)
 
 
-def with_cost(cost):
-    """The unit triangle through the plain constructor, with a given cost matrix."""
-    return Instance(1, np.array(cost, dtype=float), paired_loads([1.0]), 1.0, MetricMode.EXACT,
-                    np.array([(0, 0), (1, 0), (0, 1)], dtype=float))
-
-
 #: one-pair instances with a single non-finite field set to ``x``
 NON_FINITE_BUILDS = {
     "coords": lambda x: Instance.from_coords([(0, 0), (1, x), (0, 1)], paired_loads([1.0]), 1.0),
@@ -40,11 +34,16 @@ NON_FINITE_BUILDS = {
     "loads": lambda x: Instance.from_coords([(0, 0), (1, 0), (0, 1)], [0.0, x, -x], 1.0),
     "capacity": lambda x: Instance.from_coords([(0, 0), (1, 0), (0, 1)], paired_loads([1.0]), x),
     "coords-constructor": lambda x: Instance(
-        1, unit_triangle().cost, paired_loads([1.0]), 1.0, MetricMode.EXACT,
-        np.array([(x, 0), (1, 0), (0, 1)], dtype=float),
+        np.array([(x, 0), (1, 0), (0, 1)], dtype=float), paired_loads([1.0]), 1.0, MetricMode.EXACT
     ),
-    "cost": lambda x: with_cost([[0, 1, x], [1, 0, 1], [x, 1, 0]]),
 }
+
+#: finite clouds whose distances overflow to inf
+OVERFLOWING_CLOUDS = (
+    [(0, 0), (1.5e308, 1.5e308), (0, 1)],
+    # here the coordinate difference itself overflows
+    [(0, 0), (1e308, 0), (-1e308, 0)],
+)
 
 #: clouds of ``m`` points drawn with ``rng``, for comparing cost matrices bit for bit
 COST_CLOUDS = {
@@ -88,20 +87,50 @@ class TestInstance:
 
     @pytest.mark.parametrize("metric", list(MetricMode))
     def test_overflowing_distance_rejected(self, metric):
-        # finite coordinates whose distance overflows to inf
-        with pytest.raises(ValueError, match="finite"):
-            Instance.from_coords([(0, 0), (1.5e308, 1.5e308), (0, 1)], paired_loads([1.0]), 1.0, metric)
+        for coords in OVERFLOWING_CLOUDS:
+            with pytest.raises(ValueError, match="cost matrix entries must be finite"):
+                Instance.from_coords(coords, paired_loads([1.0]), 1.0, metric)
+
+    @pytest.mark.parametrize("coords", [
+        [(0, 0), (1, 0)],
+        [(0, 0), (1, 0), (0, 1), (1, 1)],
+        [(0, 0, 0), (1, 0, 0), (0, 1, 0)],
+        [0.0, 1.0, 2.0],
+    ], ids=["two-points", "even-count", "three-wide", "flat"])
+    def test_bad_coordinate_shape_rejected(self, coords):
+        with pytest.raises(ValueError, match="coord"):
+            Instance.from_coords(coords, paired_loads([1.0]), 1.0)
+
+    def test_constructor_derives_the_matrix(self):
+        coords = np.array([(0, 0), (1, 0), (0, 1)], dtype=float)
+        inst = Instance(coords, paired_loads([1.0]), 1.0, MetricMode.EXACT)
+        assert inst.n_pairs == 1
+        assert inst.cost.tobytes() == unit_triangle().cost.tobytes()
+        with pytest.raises(TypeError):
+            Instance(coords, paired_loads([1.0]), 1.0, MetricMode.EXACT, cost=np.zeros((3, 3)))
+
+    def test_with_metric_rederives_costs(self):
+        inst = make_random_instance(5, 2.0, 3)
+        rounded = inst.with_metric(MetricMode.ROUNDED)
+        direct = Instance.from_coords(inst.coords, inst.loads, inst.capacity, MetricMode.ROUNDED)
+        assert rounded.metric is MetricMode.ROUNDED
+        assert rounded.cost.tobytes() == direct.cost.tobytes()
+        assert rounded.with_metric(MetricMode.EXACT).cost.tobytes() == inst.cost.tobytes()
+        assert inst.with_metric(MetricMode.EXACT) is inst
+
+    def test_with_capacity_keeps_costs_name_and_meta(self):
+        base = make_random_instance(5, 2.0, 3)
+        inst = Instance.from_coords(base.coords, base.loads, 2.0, name=base.name, meta={"k": "v"})
+        capped = inst.with_capacity(1)
+        assert capped.capacity == 1.0
+        assert capped.cost.tobytes() == inst.cost.tobytes()
+        assert (capped.name, dict(capped.meta)) == (inst.name, {"k": "v"})
 
     def test_oversized_item_flags_infeasible(self, two_pair):
         flagged = two_pair.with_capacity(0.5)
         assert flagged.is_trivially_infeasible
         assert flagged.oversized_items == (1, 2)
         assert not two_pair.is_trivially_infeasible
-
-    def test_negative_cost_rejected(self):
-        assert with_cost([[0, 1, 2], [1, 0, 1], [2, 1, 0]]).cost[0, 2] == 2.0
-        with pytest.raises(ValueError, match="nonnegative"):
-            with_cost([[0, -1, 2], [1, 0, 1], [2, 1, 0]])
 
 
 class TestArcCost:

@@ -26,12 +26,11 @@ EOF
 def test_parse_minimal_file():
     cloud = parse(MINIMAL)
     assert cloud.name == "tiny"
-    assert cloud.declared_dimension == 3
+    assert len(cloud) == 3
     assert cloud.points == ((1, 0.0, 0.0), (2, 3.0, 4.0), (3, 10.0, 0.0))
 
 
 def test_parse_eil51(eil51_cloud):
-    assert eil51_cloud.declared_dimension == 51
     assert len(eil51_cloud) == 51
     assert eil51_cloud.points[0] == (1, 37.0, 52.0)
     assert eil51_cloud.points[-1] == (51, 30.0, 40.0)
