@@ -37,9 +37,8 @@ def main() -> None:
 
     print("\ncapacity sweep on one 4-pair instance (optimum can only improve);")
     print("gaps use depot starts, the setting the depot-rooted optimum bounds:")
-    inst = random_instance(4, 1.0, 42)
     for q in (1, 2, 3, 4):
-        capped = inst.with_capacity(float(q))
+        capped = random_instance(4, float(q), 42)
         optimum = held_karp(capped)
         nnh = nnh_from(capped, 0)
         cih = cih_from(capped, 0)
@@ -49,13 +48,13 @@ def main() -> None:
 
     print("\nstarting elsewhere changes the load profile, so the any-start best")
     print("may even undercut the depot-rooted optimum:")
-    capped = inst.with_capacity(1.0)
+    capped = random_instance(4, 1.0, 42)
     best = nnh_best(capped)
     print(f"  Q=1: any-start NNH best {best.best_cost:.4f} from start {best.best_init} "
           f"vs depot-rooted optimum {held_karp(capped).cost:.4f}")
 
     print("\nan item heavier than the agent makes the whole instance infeasible:")
-    flagged = inst.with_capacity(0.5)
+    flagged = random_instance(4, 0.5, 42)
     print(f"  flagged: {flagged.is_trivially_infeasible}, "
           f"exact solver returns {held_karp(flagged)}")
 

@@ -8,14 +8,7 @@ heuristics over a corpus.
 """
 
 from .bench import ExperimentConfig, ResultRow, emit_csv, emit_svg_histogram, run_corpus, summarize
-from .cheapest_insertion import (
-    CihState,
-    InsertionChoice,
-    apply_insertion,
-    best_insertion,
-    cih_best,
-    cih_from,
-)
+from .cheapest_insertion import cih_best, cih_from
 from .construction import DeadEndError, MultiStartError
 from .exact import brute_force, held_karp
 from .files import (
@@ -45,13 +38,11 @@ from .tsplib import MetricMode
 __version__ = "0.1.0"
 
 __all__ = [
-    "CihState",
     "DeadEndError",
     "Direction",
     "ExperimentConfig",
     "GenerationSpec",
     "InfeasibleInstanceError",
-    "InsertionChoice",
     "Instance",
     "MetricMode",
     "MultiStartError",
@@ -59,8 +50,6 @@ __all__ = [
     "Role",
     "Tour",
     "ViolationKind",
-    "apply_insertion",
-    "best_insertion",
     "brute_force",
     "cih_best",
     "cih_from",

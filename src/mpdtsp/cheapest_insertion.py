@@ -1,192 +1,192 @@
 """Multi-start cheapest-insertion construction with payload-vector tracking.
 
-The builder keeps a closed partial tour (start node doubled) together with the
-load on board at every position.  A candidate node may only be spliced into
-slots where the whole remaining stretch of the tour still fits its load --
-because the suffix maximum of the payload vector is non-increasing, those
-slots form a contiguous suffix -- and a delivery is further confined to slots
-after its pickup.  Among all feasible (node, slot) pairs the one with the
-lowest insertion cost ratio (new arcs divided by the replaced arc) wins; a
-replaced arc of zero cost, as in the opening move on the doubled start node,
-falls back to the plain added cost.
+Each start keeps a closed partial tour (start node doubled) and the load on
+board leaving every position.  A node may only be spliced into slots where
+the rest of the tour still fits its load -- since the suffix maximum of the
+payload is non-increasing, those slots form a contiguous suffix, the node's
+window -- and a delivery only into slots after its pickup.  Among all
+in-window (node, slot) cells the lowest insertion ratio (new arcs over the
+replaced arc, or over 1 when that arc costs nothing, as in the opening move)
+wins; ties go to the lowest node id, then the earliest slot.
 
-The ratio of a (node, slot) pair depends only on the node and the slot's arc,
-not on the loads, so the state keeps the ratio of every node at every slot
-from step to step: the cached best insertion of Campbell and Savelsbergh
-(Transportation Science 38(3), 2004).  One start works in place, in buffers
-sized for the finished tour: the tour, its payload, an in-tour mask, and a
-(slots x nodes) ratio buffer.  Inserting v between a and b shifts the rows of
-the later slots down by one in a single slice move and writes the two rows of
-the new arcs (a, v) and (v, b) -- 2N new cells; v's column stays but, like
-every node already in the tour, gets an empty window.  The capacity and
-precedence windows do depend on the loads, so each step derives them afresh
-from the payload vector, takes the nodes whose window is nonempty, masks the
-slots before each window, and takes the argmin by node id, then slot.
+Every start's partial tour has the same length after every step, so all
+starts advance together, in lock step.  One choice step
+(:func:`best_insertion`) derives every (start, node) window at once, lays the
+in-window cells of all starts out in one flat array, computes each cell's
+ratio afresh and reduces it per start; :func:`apply_insertion` splices every
+start's choice in at once.  No ratio is kept between steps and no cell
+outside a window is computed.  A start with no cell stalls and leaves the
+block, its partial tour and the nodes left kept for its :class:`DeadEndError`.
+A single start (:func:`cih_from`) is the same block with one row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .construction import (
     DeadEndError,
     MultiStartResult,
+    Outcome,
     check_carriable,
     check_construction,
     run_multistart,
+    run_single,
 )
 from .model import Instance, Tour, visit_events
 
 
 @dataclass(eq=False)
-class CihState:
-    """Mutable workspace of one start: closed partial tour, payload and insertion ratios.
+class CihBlock:
+    """The closed partial tours of every live start, one row each, all of one length.
 
-    The partial tour is ``tour[:size]`` and ``payload[:size]`` the load on
-    board leaving each of its positions; both buffers have room for the
-    finished tour.  Row k of ``ratios`` holds the insertion ratio of every
-    node (column = node id) at slot k, the arc from position k to k + 1; rows
-    from ``size - 1`` on are unused.  ``in_tour`` marks the nodes placed.
-    :func:`apply_insertion` updates all of them in place.
+    Row r is start ``inits[r]``: tour ``tour[r, :size]``, load on board leaving
+    each position ``payload[r, :size]``, cost so far ``total[r]``.  ``thresholds``
+    holds the distinct ``load_limit - loads`` ascending, ``level[u]`` node u's index.
     """
 
+    inits: np.ndarray
     tour: np.ndarray = field(repr=False)
     payload: np.ndarray = field(repr=False)
-    ratios: np.ndarray = field(repr=False)
-    in_tour: np.ndarray = field(repr=False)
+    total: np.ndarray
     size: int
-    cost_so_far: float
+    thresholds: np.ndarray = field(repr=False)
+    level: np.ndarray = field(repr=False)
 
     @classmethod
-    def initial(cls, instance: Instance, init: int) -> "CihState":
-        init = instance.normalize_node(init)
-        n = instance.node_count
-        tour = np.empty(n + 1, dtype=int)
-        tour[:2] = init
-        payload = np.empty(n + 1)
-        payload[:2] = list(accumulate(visit_events(instance, (init, init))))
-        ratios = np.empty((n, n))
-        _ratios_on_arc(instance, init, init, out=ratios[0])
-        in_tour = np.zeros(n, dtype=bool)
-        in_tour[init] = True
-        return cls(tour=tour, payload=payload, ratios=ratios, in_tour=in_tour, size=2,
-                   cost_so_far=0.0)
-
-    @property
-    def partial(self) -> tuple[int, ...]:
-        """The closed partial tour, start node doubled."""
-        return tuple(self.tour[: self.size].tolist())
-
-    @property
-    def remainder(self) -> frozenset[int]:
-        """Every node not yet in the tour."""
-        return frozenset(np.flatnonzero(~self.in_tour).tolist())
+    def initial(cls, instance: Instance, starts: list[int]) -> "CihBlock":
+        inits = np.array(starts)
+        tour = np.zeros((inits.size, instance.node_count + 1), dtype=int)
+        tour[:, :2] = inits[:, None]
+        payload = np.zeros(tour.shape)
+        payload[:, :2] = [list(accumulate(visit_events(instance, (i, i)))) for i in starts]
+        thresholds, level = np.unique(instance.load_limit - instance.loads, return_inverse=True)
+        return cls(inits, tour, payload, np.zeros(inits.size), 2, thresholds, level)
 
 
-@dataclass(frozen=True)
-class InsertionChoice:
-    """Insert ``node`` after position ``slot``; ``ratio`` is its selection score."""
+class InsertionChoice(NamedTuple):
+    """Each row not ``stalled`` inserts ``node`` after ``slot`` at ``ratio``; ``cells`` were scanned."""
 
-    node: int
-    slot: int
-    ratio: float
-
-
-def _ratios_on_arc(instance: Instance, a: int, b: int, out: np.ndarray) -> None:
-    """Insertion ratio of every node u (index = node id) on arc (a, b), written into ``out``.
-
-    This is the one place the ratio is computed: the cost of the arcs (a, u)
-    and (u, b) over the cost of the replaced arc (a, b), or over 1 when that
-    arc costs nothing.
-    """
-    cost = instance.cost
-    replaced = cost[a, b]
-    np.add(cost[a], cost[:, b], out=out)
-    out /= replaced if replaced > 0.0 else 1.0
+    node: np.ndarray
+    slot: np.ndarray
+    ratio: np.ndarray
+    stalled: np.ndarray
+    cells: int
 
 
-def apply_insertion(state: CihState, choice: InsertionChoice, instance: Instance) -> CihState:
-    """Splice the chosen node in and roll its load through the tail of the tour.
-
-    The state is updated in place and returned.  In the ratio buffer the rows
-    of the two new arcs take the place of the replaced arc's row.
-    """
-    node = instance.normalize_node(choice.node)
-    k = choice.slot
-    m = state.size
-    if not 0 <= k < m - 1:
-        raise ValueError(f"slot {k} out of range for partial tour of length {m}")
-    if state.in_tour[node]:
-        raise ValueError(f"node {node} is not awaiting insertion")
-    q = float(instance.loads[node])
-    tour, payload, ratios, cost = state.tour, state.payload, state.ratios, instance.cost
-    a, b = int(tour[k]), int(tour[k + 1])
-    tour[k + 2 : m + 1] = tour[k + 1 : m]
-    tour[k + 1] = node
-    payload[k + 2 : m + 1] = payload[k + 1 : m] + q
-    payload[k + 1] = payload[k] + q
-    ratios[k + 2 : m] = ratios[k + 1 : m - 1]
-    _ratios_on_arc(instance, a, node, out=ratios[k])
-    _ratios_on_arc(instance, node, b, out=ratios[k + 1])
-    state.in_tour[node] = True
-    state.size = m + 1
-    state.cost_so_far += float(cost[a, node]) + float(cost[node, b]) - float(cost[a, b])
-    return state
-
-
-def best_insertion(instance: Instance, state: CihState) -> InsertionChoice | None:
-    """Lowest-ratio feasible insertion this round, or None when all are blocked.
+def best_insertion(instance: Instance, state: CihBlock) -> InsertionChoice:
+    """The lowest-ratio in-window insertion of every row of the block, or its stall.
 
     Ties go to the lowest node id, then the earliest slot.
     """
-    m = state.size
-    if m > instance.node_count:
-        return None
-    tour = state.tour[:m]
-    n_pairs = instance.n_pairs
+    m, n_rows = state.size, state.inits.size
+    n_nodes, n_pairs = instance.node_count, instance.n_pairs
+    tour = state.tour[:, :m]
+    row = np.arange(n_rows)[:, None]
 
-    # capacity window: first slot whose payload suffix stays within limit;
-    # the cumulative max of the reversed payload is non-decreasing, so a
-    # searchsorted counts how many trailing slots fit each node's load
-    rev_cummax = np.maximum.accumulate(state.payload[m - 1 :: -1])
-    left = m - rev_cummax.searchsorted(instance.load_limit - instance.loads, side="right")
+    # capacity window: node u fits from the first slot after which the payload
+    # stays within its threshold.  The reversed running maximum of a row is
+    # non-decreasing: its ranks among the thresholds, counted and summed up
+    # per row, give the trailing positions that fit each threshold.
+    rev_cummax = np.maximum.accumulate(state.payload[:, m - 1 :: -1], axis=1)
+    n_levels = state.thresholds.size + 1
+    rank = state.thresholds.searchsorted(rev_cummax) + row * n_levels
+    fits = np.bincount(rank.ravel(), minlength=n_rows * n_levels).reshape(n_rows, -1)
+    left = m - fits.cumsum(axis=1).take(state.level, axis=1)
 
-    # position of every node in the tour (the start at its opening visit);
-    # m, which leaves no slot, for the others
-    first = np.full(instance.node_count, m)
-    first[tour[:-1]] = np.arange(m - 1)
-    # precedence window for deliveries: strictly after the pickup position
-    np.maximum(left[n_pairs + 1 :], first[1 : n_pairs + 1], out=left[n_pairs + 1 :])
+    # position of every node (the start at its opening visit), m if absent
+    first = np.full((n_rows, n_nodes), m)
+    first[row, tour[:, :-1]] = np.arange(m - 1)
+    # precedence: a delivery goes strictly after its pickup's position
+    np.maximum(left[:, n_pairs + 1 :], first[:, 1 : n_pairs + 1], out=left[:, n_pairs + 1 :])
     # nodes already in the tour have no window at all
-    left[state.in_tour] = m
+    left[row, tour[:, :-1]] = m
+    width = np.maximum(m - 1 - left, 0)
 
-    rows = (left < m - 1).nonzero()[0]  # every node kept has a finite cell
-    if rows.size == 0:
-        return None
-    ratios = np.where(
-        np.arange(m - 1) < left[rows, None], np.inf, state.ratios[: m - 1, rows].T
-    )
-    # row-major scan of (node, slot): lowest node id, then earliest slot
-    row, slot = divmod(int(ratios.argmin()), m - 1)
-    return InsertionChoice(node=int(rows[row]), slot=slot, ratio=float(ratios[row, slot]))
+    # the in-window cells in (row, node, slot) order, by arc id r * (m - 1) + slot
+    per_row = width.sum(axis=1)
+    stalled = per_row == 0
+    windows = width.ravel().nonzero()[0]
+    counts = width.ravel()[windows]
+    cells = int(per_row.sum())
+    cell = np.arange(cells)
+    window_row, window_node = np.divmod(windows, n_nodes)
+    offset = window_row * (m - 1) + left.ravel()[windows] - (counts.cumsum() - counts)
+    arc = cell + np.repeat(offset, counts)
+    node_row = np.repeat(window_node * n_nodes, counts)  # the node's row of the flat matrix
+    a, b = tour[:, :-1].ravel(), tour[:, 1:].ravel()
+    cost = instance.cost.ravel()
+    # (c[a,u] + c[u,b]) / c[a,b], or over 1 if c[a,b] is 0; c is symmetric, c[a,u] = c[u,a]
+    replaced = cost[a * n_nodes + b]
+    divisor = np.where(replaced > 0.0, replaced, 1.0)
+    ratio = (cost[node_row + a[arc]] + cost[node_row + b[arc]]) / divisor[arc]
+
+    # per row: the lowest ratio, then the first cell that reaches it
+    per_row = per_row[~stalled]
+    row_start = per_row.cumsum() - per_row
+    best = np.minimum.reduceat(ratio, row_start)
+    pick = np.minimum.reduceat(np.where(ratio == np.repeat(best, per_row), cell, cells), row_start)
+    return InsertionChoice(node_row[pick] // n_nodes, arc[pick] % (m - 1), best, stalled, cells)
+
+
+def apply_insertion(state: CihBlock, choice: InsertionChoice, instance: Instance) -> CihBlock:
+    """Splice every row's chosen node in and roll its load through the tail of the tour.
+
+    The block, updated in place and returned, must hold only rows not stalled.
+    """
+    m = state.size
+    row = np.arange(state.inits.size)
+    node, slot = choice.node, choice.slot
+    tour, payload, cost = state.tour, state.payload, instance.cost
+    a, b = tour[row, slot], tour[row, slot + 1]
+    state.total += cost[a, node] + cost[node, b] - cost[a, b]
+
+    # new position j (from 1 on) keeps old position j, or takes j - 1 past the slot
+    later = np.arange(1, m + 1) > slot[:, None]
+    tour[:, 1 : m + 1] = np.where(later, tour[:, :m], tour[:, 1 : m + 1])
+    tour[row, slot + 1] = node
+    shifted = payload[:, :m] + instance.loads[node][:, None]
+    payload[:, 1 : m + 1] = np.where(later, shifted, payload[:, 1 : m + 1])
+    state.size = m + 1
+    return state
+
+
+def _lockstep(instance: Instance, starts: list[int]) -> Outcome:
+    """Grow the tour of every start together: tours and stalls by start, steps and cells."""
+    check_carriable(instance)
+    n_nodes = instance.node_count
+    state = CihBlock.initial(instance, starts)
+    failures: dict[int, DeadEndError] = {}
+    steps = cells = 0
+    for _ in range(n_nodes - 1):
+        choice = best_insertion(instance, state)
+        cells += choice.cells
+        if choice.stalled.any():
+            for r in choice.stalled.nonzero()[0]:
+                init, partial = int(state.inits[r]), state.tour[r, : state.size].tolist()
+                failures[init] = DeadEndError(init, partial, set(range(n_nodes)).difference(partial))
+            going = ~choice.stalled
+            state.inits, state.tour = state.inits[going], state.tour[going]
+            state.payload, state.total = state.payload[going], state.total[going]
+            if not state.inits.size:
+                break
+        apply_insertion(state, choice, instance)
+        steps += state.inits.size
+
+    rows = zip(state.inits.tolist(), state.tour.tolist(), state.total.tolist())
+    tours = {init: check_construction(instance, Tour(tuple(seq), cost)) for init, seq, cost in rows}
+    return tours, failures, steps, cells
 
 
 def cih_from(instance: Instance, init: int) -> Tour:
-    """Build one cheapest-insertion tour from ``init``."""
-    check_carriable(instance)
-    state = CihState.initial(instance, init)
-    for _ in range(instance.node_count - 1):
-        choice = best_insertion(instance, state)
-        if choice is None:
-            raise DeadEndError(int(state.tour[0]), state.partial, state.remainder)
-        apply_insertion(state, choice, instance)
-    return check_construction(instance, Tour(state.partial, state.cost_so_far))
+    """Build one cheapest-insertion tour from ``init``; :class:`DeadEndError` if it stalls."""
+    return run_single(instance, init, _lockstep)
 
 
 def cih_best(instance: Instance, inits: Iterable[int] | None = None) -> MultiStartResult:
     """Cheapest insertion tour over the given starts (default: all nodes)."""
-    return run_multistart(instance, inits, cih_from)
+    return run_multistart(instance, inits, _lockstep)

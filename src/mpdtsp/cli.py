@@ -158,12 +158,13 @@ def _print_result(label: str, result: MultiStartResult, table: bool = False) -> 
 
 
 def _write_table(results: dict[str, MultiStartResult], path: str) -> None:
-    lines = ["heuristic,init,cost"]
+    # a dead end has no cost; its row gives the partial tour's length and the nodes left
+    lines = ["heuristic,init,cost,stall_step,nodes_left"]
     for label, result in sorted(results.items()):
         for init in sorted(result.costs):
-            lines.append(f"{label},{init},{result.costs[init]!r}")
-        for init in result.dead_ends:
-            lines.append(f"{label},{init},dead-end")
+            lines.append(f"{label},{init},{result.costs[init]!r},,")
+        for init, (step, left) in result.stalls.items():
+            lines.append(f"{label},{init},dead-end,{step},{left}")
     Path(path).write_text("\n".join(lines) + "\n", newline="\n")
 
 

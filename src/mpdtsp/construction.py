@@ -1,10 +1,12 @@
 """Shared machinery for multi-start tour construction.
 
-Both greedy builders construct one tour per start node: nearest neighbor
-grows every start's tour in one lock-step block, cheapest insertion runs its
-starts one after another through :func:`run_multistart`.  The best tour is the
-cheapest successful one, with ties broken by the lowest start id so results
-never depend on evaluation order.
+Both greedy builders grow one tour per start node, and both grow every
+start's tour together, in one lock-step block: a builder is a function from
+an instance and the start ids to the finished tours, the stalls, and its step
+and cell counts.  :func:`run_multistart` is the one skeleton around a
+builder: the start ids, the block, then :func:`multistart_result`.  The best
+tour is the cheapest successful one, with ties broken by the lowest start id
+so results never depend on evaluation order.
 """
 
 from __future__ import annotations
@@ -48,6 +50,8 @@ class MultiStartResult:
     # start id -> (stall step, nodes left): the lengths of a DeadEndError's
     # partial tour and remainder, in ascending start order
     stalls: dict[int, tuple[int, int]]
+    steps: int                     # nodes added over all starts
+    cells: int                     # candidate cells the choice steps scanned
 
     @property
     def best_cost(self) -> float:
@@ -69,7 +73,9 @@ def start_ids(instance: Instance, inits: Iterable[int] | None) -> list[int]:
     return ids
 
 
-def multistart_result(tours: dict[int, Tour], failures: dict[int, DeadEndError]) -> MultiStartResult:
+def multistart_result(
+    tours: dict[int, Tour], failures: dict[int, DeadEndError], steps: int, cells: int
+) -> MultiStartResult:
     """The deterministic best of every start's outcome: lowest cost, then lowest start id."""
     if not tours:
         raise MultiStartError(failures)
@@ -79,24 +85,29 @@ def multistart_result(tours: dict[int, Tour], failures: dict[int, DeadEndError])
         best_init=best_init,
         costs={init: tours[init].cost for init in sorted(tours)},
         stalls={init: (len(exc.partial), len(exc.remainder)) for init, exc in sorted(failures.items())},
+        steps=steps,
+        cells=cells,
     )
 
 
-def run_multistart(
-    instance: Instance,
-    inits: Iterable[int] | None,
-    construct: Callable[[Instance, int], Tour],
-) -> MultiStartResult:
-    """Run ``construct`` from every start and keep the deterministic best."""
-    tours: dict[int, Tour] = {}
-    failures: dict[int, DeadEndError] = {}
-    for init in start_ids(instance, inits):
-        try:
-            tours[init] = construct(instance, init)
-        except DeadEndError as exc:
-            # without its traceback, whose frames would keep the stalled state alive
-            failures[init] = exc.with_traceback(None)
-    return multistart_result(tours, failures)
+#: what a lock-step builder returns: tours and stalls by start id, then its
+#: step and cell counts
+Outcome = tuple[dict[int, Tour], dict[int, DeadEndError], int, int]
+Block = Callable[[Instance, list[int]], Outcome]
+
+
+def run_multistart(instance: Instance, inits: Iterable[int] | None, block: Block) -> MultiStartResult:
+    """Grow every start's tour with ``block`` and keep the deterministic best."""
+    return multistart_result(*block(instance, start_ids(instance, inits)))
+
+
+def run_single(instance: Instance, init: int, block: Block) -> Tour:
+    """One start as a one-row ``block``: its tour, or its :class:`DeadEndError` raised."""
+    init = instance.normalize_node(init)
+    tours, failures, _, _ = block(instance, [init])
+    if failures:
+        raise failures[init]
+    return tours[init]
 
 
 def check_carriable(instance: Instance) -> None:

@@ -190,10 +190,6 @@ class Instance:
             metric, name, dict(meta or {}),
         )
 
-    def with_capacity(self, capacity: float) -> "Instance":
-        """Same geometry and loads under a different capacity."""
-        return replace(self, capacity=float(capacity), meta=dict(self.meta))
-
     def with_metric(self, metric: MetricMode) -> "Instance":
         """The same instance with its costs derived under another metric."""
         if metric is self.metric:

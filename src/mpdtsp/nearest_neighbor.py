@@ -25,16 +25,17 @@ import numpy as np
 from .construction import (
     DeadEndError,
     MultiStartResult,
+    Outcome,
     check_carriable,
     check_construction,
-    multistart_result,
-    start_ids,
+    run_multistart,
+    run_single,
 )
 from .model import Instance, Tour, visit_events
 
 
-def _lockstep(instance: Instance, starts: list[int]) -> tuple[dict[int, Tour], dict[int, DeadEndError]]:
-    """Grow the tour of every start together; the finished tours and the stalls, by start."""
+def _lockstep(instance: Instance, starts: list[int]) -> Outcome:
+    """Grow the tour of every start together: tours and stalls by start, steps and cells."""
     check_carriable(instance)
     n_nodes = instance.node_count
     n_pairs = instance.n_pairs
@@ -62,8 +63,10 @@ def _lockstep(instance: Instance, starts: list[int]) -> tuple[dict[int, Tour], d
     sequences = np.empty((inits.size, n_nodes + 1), dtype=int)
     sequences[:, 0] = inits
     failures: dict[int, DeadEndError] = {}
+    steps = cells = 0
 
     for step in range(1, n_nodes):
+        cells += inits.size * n_nodes
         admissible = is_open[:, :n_nodes] & (payload[:, None] + loads <= instance.load_limit)
         # ties on arc cost go to the lowest node id
         arcs = np.where(admissible, cost[sequences[:, step - 1]], np.inf)
@@ -86,6 +89,7 @@ def _lockstep(instance: Instance, starts: list[int]) -> tuple[dict[int, Tour], d
         is_open[rows, pick] = False
         is_open[rows, release[rows, pick]] = True
         sequences[:, step] = pick
+        steps += inits.size
 
     sequences[:, n_nodes] = inits
     total += cost[sequences[:, n_nodes - 1], inits]
@@ -93,7 +97,7 @@ def _lockstep(instance: Instance, starts: list[int]) -> tuple[dict[int, Tour], d
         init: check_construction(instance, Tour(tuple(sequence), cost_))
         for init, sequence, cost_ in zip(inits.tolist(), sequences.tolist(), total.tolist())
     }
-    return tours, failures
+    return tours, failures, steps, cells
 
 
 def nnh_from(instance: Instance, init: int) -> Tour:
@@ -102,13 +106,9 @@ def nnh_from(instance: Instance, init: int) -> Tour:
     Ties on arc cost go to the lowest node id.  Raises :class:`DeadEndError`
     when unvisited nodes remain but none passes both gates.
     """
-    init = instance.normalize_node(init)
-    tours, failures = _lockstep(instance, [init])
-    if failures:
-        raise failures[init]
-    return tours[init]
+    return run_single(instance, init, _lockstep)
 
 
 def nnh_best(instance: Instance, inits: Iterable[int] | None = None) -> MultiStartResult:
     """Cheapest nearest-neighbor tour over the given starts (default: all nodes)."""
-    return multistart_result(*_lockstep(instance, start_ids(instance, inits)))
+    return run_multistart(instance, inits, _lockstep)

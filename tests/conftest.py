@@ -5,8 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mpdtsp import CihState, InsertionChoice, Instance, MetricMode, apply_insertion, paired_loads
+from reference_checkers import CihState, Insertion, reference_apply_insertion
+from mpdtsp import Instance, MetricMode, paired_loads
 from mpdtsp import tsplib
+from mpdtsp.cheapest_insertion import CihBlock, InsertionChoice, apply_insertion
 
 CORPUS_DIR = Path(__file__).resolve().parents[1] / "corpus"
 
@@ -40,17 +42,43 @@ def make_random_instance(
     )
 
 
+def with_capacity(instance: Instance, capacity: float) -> Instance:
+    """The same points, loads and metric under another capacity."""
+    return Instance.from_coords(instance.coords, instance.loads, capacity, instance.metric,
+                                instance.name, instance.meta)
+
+
 def cih_state(instance: Instance, partial) -> CihState:
-    """The cheapest-insertion state of a closed partial tour, its nodes inserted in order."""
+    """The reference cheapest-insertion state of a closed partial tour, its nodes inserted in order."""
     state = CihState.initial(instance, partial[0])
     for slot, node in enumerate(partial[1:-1]):
-        apply_insertion(state, InsertionChoice(node, slot, 0.0), instance)
+        reference_apply_insertion(state, Insertion(node, slot, 0.0), instance)
     return state
 
 
-def live_payload(state: CihState) -> tuple[float, ...]:
-    """The load leaving each position of the state's partial tour."""
-    return tuple(state.payload[: state.size].tolist())
+def splice(block: CihBlock, node: int, slot: int, instance: Instance) -> CihBlock:
+    """Insert ``node`` after position ``slot`` in the one row of a lock-step block."""
+    choice = InsertionChoice(np.array([node]), np.array([slot]), np.zeros(1), np.zeros(1, bool), 0)
+    return apply_insertion(block, choice, instance)
+
+
+def cih_block(instance: Instance, partial) -> CihBlock:
+    """The one-row lock-step block of a closed partial tour, its nodes inserted in order."""
+    block = CihBlock.initial(instance, [partial[0]])
+    for slot, node in enumerate(partial[1:-1]):
+        splice(block, node, slot, instance)
+    return block
+
+
+def block_partial(block: CihBlock, row: int = 0) -> tuple[int, ...]:
+    """The closed partial tour of one row of a lock-step block."""
+    return tuple(block.tour[row, : block.size].tolist())
+
+
+def live_payload(state) -> tuple[float, ...]:
+    """The load leaving each position of a reference state's tour, or of a one-row block's."""
+    payload = state.payload[0] if state.payload.ndim == 2 else state.payload
+    return tuple(payload[: state.size].tolist())
 
 
 def plain_checker(instance: Instance, sequence) -> bool:

@@ -1,19 +1,25 @@
-"""Plain-Python reference versions of the builders' per-step rules and of the cost matrix.
+"""Reference versions of the builders' per-step rules, of one CIH start and of the cost matrix.
 
-The library's builders decide each step with vectorised numpy code; these
-routines decide the same things one node and one slot at a time, so the tests
-can check every greedy choice against them.  :func:`reference_cost_matrix`
-derives arc costs one node pair at a time.
+The library's builders decide each step for a whole block of starts with
+vectorised numpy code; these routines decide the same things one start at a
+time, and most of them one node and one slot at a time, so the tests can
+check every greedy choice against them.  :func:`reference_cih_from` is the
+per-start cheapest-insertion builder that the lock-step block replaced, with
+its cached ratio matrix.  :func:`reference_cost_matrix` derives arc costs one
+node pair at a time.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
-from mpdtsp import CihState, Instance, MetricMode, Role
+from mpdtsp import DeadEndError, Instance, MetricMode, Role, Tour
+from mpdtsp.construction import check_carriable, check_construction
+from mpdtsp.model import visit_events
 
 
 @dataclass
@@ -48,6 +54,135 @@ def feasible_candidates(instance: Instance, state: NnhState) -> list[int]:
             continue
         out.append(node)
     return out
+
+
+@dataclass(eq=False)
+class CihState:
+    """Mutable workspace of one start: closed partial tour, payload and insertion ratios.
+
+    The partial tour is ``tour[:size]`` and ``payload[:size]`` the load on
+    board leaving each of its positions; both buffers have room for the
+    finished tour.  Row k of ``ratios`` holds the insertion ratio of every
+    node (column = node id) at slot k, the arc from position k to k + 1; rows
+    from ``size - 1`` on are unused.  ``in_tour`` marks the nodes placed.
+    :func:`reference_apply_insertion` updates all of them in place.
+    """
+
+    tour: np.ndarray = field(repr=False)
+    payload: np.ndarray = field(repr=False)
+    ratios: np.ndarray = field(repr=False)
+    in_tour: np.ndarray = field(repr=False)
+    size: int
+    cost_so_far: float
+
+    @classmethod
+    def initial(cls, instance: Instance, init: int) -> "CihState":
+        init = instance.normalize_node(init)
+        n = instance.node_count
+        tour = np.empty(n + 1, dtype=int)
+        tour[:2] = init
+        payload = np.empty(n + 1)
+        payload[:2] = list(accumulate(visit_events(instance, (init, init))))
+        ratios = np.empty((n, n))
+        _ratios_on_arc(instance, init, init, out=ratios[0])
+        in_tour = np.zeros(n, dtype=bool)
+        in_tour[init] = True
+        return cls(tour=tour, payload=payload, ratios=ratios, in_tour=in_tour, size=2,
+                   cost_so_far=0.0)
+
+    @property
+    def partial(self) -> tuple[int, ...]:
+        """The closed partial tour, start node doubled."""
+        return tuple(self.tour[: self.size].tolist())
+
+    @property
+    def remainder(self) -> frozenset[int]:
+        """Every node not yet in the tour."""
+        return frozenset(np.flatnonzero(~self.in_tour).tolist())
+
+
+@dataclass(frozen=True)
+class Insertion:
+    """Insert ``node`` after position ``slot``; ``ratio`` is its selection score."""
+
+    node: int
+    slot: int
+    ratio: float
+
+
+def _ratios_on_arc(instance: Instance, a: int, b: int, out: np.ndarray) -> None:
+    """Insertion ratio of every node u (index = node id) on arc (a, b), written into ``out``."""
+    cost = instance.cost
+    replaced = cost[a, b]
+    np.add(cost[a], cost[:, b], out=out)
+    out /= replaced if replaced > 0.0 else 1.0
+
+
+def reference_apply_insertion(state: CihState, choice: Insertion, instance: Instance) -> CihState:
+    """Splice the chosen node in and roll its load through the tail of the tour.
+
+    The state is updated in place and returned.  In the ratio buffer the rows
+    of the two new arcs take the place of the replaced arc's row.
+    """
+    node = instance.normalize_node(choice.node)
+    k = choice.slot
+    m = state.size
+    if not 0 <= k < m - 1:
+        raise ValueError(f"slot {k} out of range for partial tour of length {m}")
+    if state.in_tour[node]:
+        raise ValueError(f"node {node} is not awaiting insertion")
+    q = float(instance.loads[node])
+    tour, payload, ratios, cost = state.tour, state.payload, state.ratios, instance.cost
+    a, b = int(tour[k]), int(tour[k + 1])
+    tour[k + 2 : m + 1] = tour[k + 1 : m]
+    tour[k + 1] = node
+    payload[k + 2 : m + 1] = payload[k + 1 : m] + q
+    payload[k + 1] = payload[k] + q
+    ratios[k + 2 : m] = ratios[k + 1 : m - 1]
+    _ratios_on_arc(instance, a, node, out=ratios[k])
+    _ratios_on_arc(instance, node, b, out=ratios[k + 1])
+    state.in_tour[node] = True
+    state.size = m + 1
+    state.cost_so_far += float(cost[a, node]) + float(cost[node, b]) - float(cost[a, b])
+    return state
+
+
+def reference_best_insertion(instance: Instance, state: CihState) -> Insertion | None:
+    """Lowest-ratio feasible insertion from the cached ratios, or None when all are blocked.
+
+    Ties go to the lowest node id, then the earliest slot.
+    """
+    m = state.size
+    if m > instance.node_count:
+        return None
+    tour = state.tour[:m]
+    n_pairs = instance.n_pairs
+    rev_cummax = np.maximum.accumulate(state.payload[m - 1 :: -1])
+    left = m - rev_cummax.searchsorted(instance.load_limit - instance.loads, side="right")
+    first = np.full(instance.node_count, m)
+    first[tour[:-1]] = np.arange(m - 1)
+    np.maximum(left[n_pairs + 1 :], first[1 : n_pairs + 1], out=left[n_pairs + 1 :])
+    left[state.in_tour] = m
+    rows = (left < m - 1).nonzero()[0]
+    if rows.size == 0:
+        return None
+    ratios = np.where(
+        np.arange(m - 1) < left[rows, None], np.inf, state.ratios[: m - 1, rows].T
+    )
+    row, slot = divmod(int(ratios.argmin()), m - 1)
+    return Insertion(node=int(rows[row]), slot=slot, ratio=float(ratios[row, slot]))
+
+
+def reference_cih_from(instance: Instance, init: int) -> Tour:
+    """One cheapest-insertion tour from ``init``, built one start at a time."""
+    check_carriable(instance)
+    state = CihState.initial(instance, init)
+    for _ in range(instance.node_count - 1):
+        choice = reference_best_insertion(instance, state)
+        if choice is None:
+            raise DeadEndError(int(state.tour[0]), state.partial, state.remainder)
+        reference_apply_insertion(state, choice, instance)
+    return check_construction(instance, Tour(state.partial, state.cost_so_far))
 
 
 def feasible_slots(instance: Instance, state: CihState, node: int) -> range:

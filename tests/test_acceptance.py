@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from conftest import CORPUS_DIR, make_random_instance
+from conftest import CORPUS_DIR, make_random_instance, with_capacity
 from mpdtsp import (
     MetricMode,
     ResultRow,
@@ -158,7 +158,7 @@ def test_criterion_5_timing_order(sweep):
 def test_criterion_6_capacity_monotonicity():
     for seed in range(50):
         instance = make_random_instance(3, 1, 10_000 + seed)
-        costs = [held_karp(instance.with_capacity(q)).cost for q in (1, 2, 3)]
+        costs = [held_karp(with_capacity(instance, q)).cost for q in (1, 2, 3)]
         assert costs[0] >= costs[1] >= costs[2], (seed, costs)
     ok(6, "optimal cost non-increasing in capacity on 50 seeded 3-pair instances")
 

@@ -3,19 +3,31 @@ import math
 import numpy as np
 import pytest
 
-from conftest import cih_state, live_payload, make_random_instance
-from reference_checkers import feasible_slots, insertion_ratio
-from mpdtsp import (
+from conftest import (
+    block_partial,
+    cih_block,
+    cih_state,
+    live_payload,
+    make_random_instance,
+    splice,
+    with_capacity,
+)
+from reference_checkers import (
     CihState,
+    Insertion,
+    feasible_slots,
+    insertion_ratio,
+    reference_apply_insertion,
+    reference_best_insertion,
+    reference_cih_from,
+)
+from mpdtsp import (
     DeadEndError,
     InfeasibleInstanceError,
     Instance,
-    InsertionChoice,
     MetricMode,
     MultiStartError,
     Role,
-    apply_insertion,
-    best_insertion,
     cih_best,
     cih_from,
     paired_loads,
@@ -23,6 +35,7 @@ from mpdtsp import (
     tour_cost,
     validate,
 )
+from mpdtsp.cheapest_insertion import CihBlock, apply_insertion, best_insertion
 from mpdtsp.generate import Direction, GenerationSpec, generate
 
 SQRT2 = math.sqrt(2.0)
@@ -50,38 +63,32 @@ def brute_force_slots(instance, state, node):
 
 
 def run_rounds(instance, init, rounds=None):
-    """Drive the insertion loop manually, checking payload consistency throughout."""
-    state = CihState.initial(instance, init)
-    steps = 0
-    while state.remainder and (rounds is None or steps < rounds):
-        choice = best_insertion(instance, state)
-        assert choice is not None
-        assert apply_insertion(state, choice, instance) is state  # updated in place
-        assert list(live_payload(state)) == pytest.approx(
-            payload_profile(instance, state.partial), abs=1e-12
-        )
-        assert all(p <= instance.load_limit for p in live_payload(state))
-        assert state.cost_so_far == pytest.approx(
-            tour_cost(instance, state.partial), abs=1e-9
-        )
-        steps += 1
-    return state
+    """Drive a one-row lock-step block by hand, checking payload and cost throughout."""
+    block = CihBlock.initial(instance, [init])
+    while block.size <= instance.node_count and (rounds is None or block.size - 2 < rounds):
+        choice = best_insertion(instance, block)
+        assert not choice.stalled[0]
+        assert apply_insertion(block, choice, instance) is block  # updated in place
+        partial = block_partial(block)
+        assert list(live_payload(block)) == payload_profile(instance, partial)
+        assert all(p <= instance.load_limit for p in live_payload(block))
+        assert block.total[0] == pytest.approx(tour_cost(instance, partial), abs=1e-9)
+    return block
 
 
 class TestInitialState:
     def test_initial_payload_matches_event_semantics(self, two_pair):
+        block = CihBlock.initial(two_pair, list(range(two_pair.node_count)))
         for init in range(two_pair.node_count):
-            state = CihState.initial(two_pair, init)
-            assert state.partial == (init, init)
-            assert list(live_payload(state)) == payload_profile(two_pair, state.partial)
+            partial = block_partial(block, init)
+            assert partial == (init, init)
+            assert block.payload[init, :2].tolist() == payload_profile(two_pair, partial)
 
     def test_pickup_start_carries_pending_balance(self, two_pair):
-        state = CihState.initial(two_pair, 1)
-        assert live_payload(state) == (1.0, 1.0)
+        assert live_payload(CihBlock.initial(two_pair, [1])) == (1.0, 1.0)
 
     def test_delivery_start_is_empty_until_close(self, two_pair):
-        state = CihState.initial(two_pair, 3)
-        assert live_payload(state) == (0.0, -1.0)
+        assert live_payload(CihBlock.initial(two_pair, [3])) == (0.0, -1.0)
 
 
 class TestFeasibleSlots:
@@ -95,7 +102,7 @@ class TestFeasibleSlots:
         assert list(feasible_slots(two_pair, state, 3)) == [1]
 
     def test_capacity_suffix_window(self, two_pair):
-        tight = two_pair.with_capacity(1.0)
+        tight = with_capacity(two_pair, 1.0)
         state = cih_state(tight, (0, 1, 3, 0))
         assert live_payload(state) == (0.0, 1.0, 0.0, 0.0)
         # suffix max before D1 is 1, and 1 + 1 > 1: only the slot after D1 fits
@@ -108,7 +115,7 @@ class TestFeasibleSlots:
     def test_matches_brute_force_simulation(self):
         for seed in range(8):
             inst = make_random_instance(5, (seed % 3) + 1, seed)
-            state = run_rounds(inst, seed % inst.node_count, rounds=4)
+            state = cih_state(inst, block_partial(run_rounds(inst, seed % inst.node_count, rounds=4)))
             for node in sorted(state.remainder):
                 assert list(feasible_slots(inst, state, node)) == brute_force_slots(
                     inst, state, node
@@ -135,15 +142,14 @@ class TestInsertionRatio:
 
 class TestApplyInsertion:
     def test_pickup_then_delivery_chain(self, two_pair):
-        state = CihState.initial(two_pair, 0)
-        apply_insertion(state, InsertionChoice(1, 0, 0.0), two_pair)
-        assert state.partial == (0, 1, 0)
-        assert live_payload(state) == (0.0, 1.0, 1.0)
-        assert state.remainder == {2, 3, 4}
-        apply_insertion(state, InsertionChoice(3, 1, 0.0), two_pair)
-        assert state.partial == (0, 1, 3, 0)
-        assert live_payload(state) == (0.0, 1.0, 0.0, 0.0)
-        assert state.remainder == {2, 4}
+        block = CihBlock.initial(two_pair, [0])
+        splice(block, 1, 0, two_pair)
+        assert block_partial(block) == (0, 1, 0)
+        assert live_payload(block) == (0.0, 1.0, 1.0)
+        splice(block, 3, 1, two_pair)
+        assert block_partial(block) == (0, 1, 3, 0)
+        assert live_payload(block) == (0.0, 1.0, 0.0, 0.0)
+        assert block.total[0] == tour_cost(two_pair, (0, 1, 3, 0))
 
     def test_cost_bookkeeping_matches_recomputation(self):
         for seed in range(6):
@@ -151,37 +157,34 @@ class TestApplyInsertion:
             run_rounds(inst, seed % inst.node_count)  # asserts internally
 
     def test_bad_slot_rejected(self, two_pair):
+        # the reference builder refuses a hand-written insertion that does not fit
         state = CihState.initial(two_pair, 0)
         with pytest.raises(ValueError, match="slot"):
-            apply_insertion(state, InsertionChoice(1, 5, 0.0), two_pair)
+            reference_apply_insertion(state, Insertion(1, 5, 0.0), two_pair)
         assert state.partial == (0, 0)  # a refused insertion changes nothing
 
 
 class TestBestInsertion:
     def test_ratio_rule_soundness(self):
+        # every start of one block at once, each row against the per-slot rule
         for seed in range(6):
             inst = make_random_instance(5, 2, seed)
-            state = CihState.initial(inst, seed % inst.node_count)
-            while state.remainder:
-                choice = best_insertion(inst, state)
-                reference = min(
-                    (
-                        (insertion_ratio(inst, state.partial[k], node, state.partial[k + 1]),
-                         node, k)
-                        for node in sorted(state.remainder)
-                        for k in feasible_slots(inst, state, node)
-                    ),
-                    default=None,
-                )
-                assert reference is not None
-                ratio, node, slot = reference
-                assert (choice.node, choice.slot) == (node, slot)
-                assert choice.ratio == pytest.approx(ratio, abs=1e-12)
-                state = apply_insertion(state, choice, inst)
+            block = CihBlock.initial(inst, list(range(inst.node_count)))
+            while block.size <= inst.node_count:
+                choice = best_insertion(inst, block)
+                assert not choice.stalled.any()
+                for r in range(block.inits.size):
+                    state = cih_state(inst, block_partial(block, r))
+                    reference = reference_choice(inst, state)
+                    assert reference is not None
+                    ratio, node, slot = reference
+                    assert (choice.node[r], choice.slot[r]) == (node, slot)
+                    assert choice.ratio[r] == pytest.approx(ratio, abs=1e-12)
+                apply_insertion(block, choice, inst)
 
     def test_exhausted_remainder_returns_none(self, two_pair):
-        state = run_rounds(two_pair, 0)
-        assert best_insertion(two_pair, state) is None
+        state = cih_state(two_pair, block_partial(run_rounds(two_pair, 0)))
+        assert reference_best_insertion(two_pair, state) is None
 
 
 def reference_choice(instance, state):
@@ -215,19 +218,29 @@ class TestCachedRatios:
     @pytest.mark.parametrize("seed,metric,q", CACHE_CASES,
                              ids=[f"seed{s}-{m.value}-Q{q}" for s, m, q in CACHE_CASES])
     def test_every_step_matches_the_reference(self, seed, metric, q):
+        # a one-row block and the reference builder's cached ratios, step by step
         inst = grid_instance(3 + seed, q, seed, metric)
         dead_ends = 0
         for init in range(inst.node_count):
+            block = CihBlock.initial(inst, [init])
             state = CihState.initial(inst, init)
             while True:
-                cached = best_insertion(inst, state)
+                assert block_partial(block) == state.partial
+                if not state.remainder:
+                    break
+                choice = best_insertion(inst, block)
+                cached = reference_best_insertion(inst, state)
                 reference = reference_choice(inst, state)
                 if reference is None:
-                    assert cached is None
-                    dead_ends += bool(state.remainder)
+                    assert choice.stalled[0] and choice.cells == 0 and cached is None
+                    dead_ends += 1
                     break
+                assert (choice.ratio[0], choice.node[0], choice.slot[0]) == reference
                 assert (cached.ratio, cached.node, cached.slot) == reference
-                apply_insertion(state, cached, inst)
+                assert choice.cells == sum(len(feasible_slots(inst, state, v)) for v in state.remainder)
+                apply_insertion(block, choice, inst)
+                reference_apply_insertion(state, cached, inst)
+            assert reference_choice(inst, state) is None
         if q == 1:
             assert dead_ends > 0  # the Q=1 stall path is covered too
 
@@ -245,12 +258,12 @@ class TestCachedRatios:
             assert state.ratios[: len(slots)].tolist() == expected
             if not state.remainder:
                 break
-            apply_insertion(state, best_insertion(inst, state), inst)
+            reference_apply_insertion(state, reference_best_insertion(inst, state), inst)
 
     def test_node_already_in_tour_rejected(self, two_pair):
         state = CihState.initial(two_pair, 0)
         with pytest.raises(ValueError, match="not awaiting insertion"):
-            apply_insertion(state, InsertionChoice(0, 0, 0.0), two_pair)
+            reference_apply_insertion(state, Insertion(0, 0, 0.0), two_pair)
 
 
 class TestCihFrom:
@@ -268,13 +281,14 @@ class TestCihFrom:
         # the 25-pair layout with central pickups: from any delivery start the
         # other deliveries are all blocked and a pickup opens the tour
         inst = generate(eil51_cloud, GenerationSpec(Direction.PICKUPS_CENTRAL, 10))
+        block = CihBlock.initial(inst, list(inst.deliveries))
         for delivery in inst.deliveries:
             state = CihState.initial(inst, delivery)
             for node in inst.deliveries:
                 if node != delivery:
                     assert list(feasible_slots(inst, state, node)) == []
-            choice = best_insertion(inst, state)
-            assert inst.role(choice.node) is Role.PICKUP
+        choice = best_insertion(inst, block)
+        assert all(inst.role(int(node)) is Role.PICKUP for node in choice.node)
 
     def test_eil51_any_start_validates(self, eil51_cloud):
         inst = generate(eil51_cloud, GenerationSpec(Direction.DELIVERIES_CENTRAL, 2))
@@ -295,7 +309,7 @@ class TestCihFrom:
 
     def test_flagged_instance_refused(self, two_pair):
         with pytest.raises(InfeasibleInstanceError):
-            cih_from(two_pair.with_capacity(0.5), 0)
+            cih_from(with_capacity(two_pair, 0.5), 0)
 
 
 class TestCihBest:
@@ -309,7 +323,7 @@ class TestCihBest:
         assert all(result.best_cost <= c for c in result.costs.values())
 
     def test_stalls_carry_the_dead_end_lengths(self, two_pair):
-        tight = two_pair.with_capacity(1.0)
+        tight = with_capacity(two_pair, 1.0)
         result = cih_best(tight)
         assert result.dead_ends and sorted(result.stalls) == list(result.dead_ends)
         for init, stall in result.stalls.items():
@@ -318,12 +332,30 @@ class TestCihBest:
             assert stall == (len(err.value.partial), len(err.value.remainder))
 
     def test_dead_ends_keep_no_builder_frames(self, two_pair):
-        # a kept traceback would hold each stalled start's last state, ratio
-        # matrix included, until the cyclic garbage collector ran
+        # a kept traceback would hold the builder's frames, and the block in
+        # them, until the cyclic garbage collector ran
         with pytest.raises(MultiStartError) as err:
-            cih_best(two_pair.with_capacity(1.0), inits=[3, 4])
+            cih_best(with_capacity(two_pair, 1.0), inits=[3, 4])
         assert set(err.value.failures) == {3, 4}
         assert all(exc.__traceback__ is None for exc in err.value.failures.values())
+
+    def test_steps_and_cells_count_the_block_work(self):
+        # the in-window cells of every step of every start, the stalling step
+        # included, and one step per node inserted
+        inst = grid_instance(4, 1, 3, MetricMode.ROUNDED)
+        result = cih_best(inst)
+        steps = cells = 0
+        for init in range(inst.node_count):
+            state = CihState.initial(inst, init)
+            while state.remainder:
+                cells += sum(len(feasible_slots(inst, state, v)) for v in state.remainder)
+                choice = reference_best_insertion(inst, state)
+                if choice is None:
+                    break
+                reference_apply_insertion(state, choice, inst)
+                steps += 1
+        assert result.dead_ends
+        assert (result.steps, result.cells) == (steps, cells)
 
     def test_cost_table_reproducible_across_capacities(self, eil51_cloud):
         for q in (2, 10):

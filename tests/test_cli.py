@@ -107,8 +107,9 @@ class TestSolve:
         assert code == 0
         assert "feasible" in out
         table = table_path.read_text().splitlines()
-        assert table[0] == "heuristic,init,cost"
+        assert table[0] == "heuristic,init,cost,stall_step,nodes_left"
         assert len(table) == 1 + 2 * 5  # both heuristics, five starts each
+        assert all(row.endswith(",,") for row in table[1:])  # no start stalled
 
     def test_dead_ends_show_their_stall_step(self, capsys, tmp_path):
         # from D1 the tour runs 3, 1, 0 and from D2 it runs 4, 2, 0; then the
@@ -122,8 +123,8 @@ class TestSolve:
         assert "2 dead ends" in out
         assert "     3  dead-end at step 3, 2 left" in out
         assert "     4  dead-end at step 3, 2 left" in out
-        # the table file keeps its bare dead-end marker
-        assert table_path.read_text().splitlines()[-2:] == ["NNH,3,dead-end", "NNH,4,dead-end"]
+        # the table file gives each dead end its stall step and nodes left
+        assert table_path.read_text().splitlines()[-2:] == ["NNH,3,dead-end,3,2", "NNH,4,dead-end,3,2"]
 
     def test_single_node_init(self, capsys, two_pair_file):
         code, out, _ = run(capsys, "solve", two_pair_file, "--heuristic", "nnh",

@@ -4,7 +4,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from conftest import make_random_instance
+from conftest import make_random_instance, with_capacity
 from mpdtsp import exact
 from mpdtsp.exact import HELD_KARP_PAIR_LIMIT, precedence_orders
 from mpdtsp import (
@@ -56,14 +56,14 @@ class TestTwoPairFixture:
         assert validate(two_pair, hk).feasible
 
     def test_q1_restricts_to_pair_at_a_time(self, two_pair):
-        tight = two_pair.with_capacity(1.0)
+        tight = with_capacity(two_pair, 1.0)
         hk = held_karp(tight)
         bf = brute_force(tight)
         assert hk.cost == pytest.approx(3.0 + SQRT2 + SQRT5, abs=1e-12)
         assert bf.cost == pytest.approx(hk.cost, abs=1e-12)
 
     def test_capacity_below_item_mass_is_infeasible(self, two_pair):
-        flagged = two_pair.with_capacity(0.5)
+        flagged = with_capacity(two_pair, 0.5)
         assert held_karp(flagged) is None
         assert brute_force(flagged) is None
 
@@ -89,13 +89,13 @@ class TestProperties:
     def test_capacity_monotone_in_q(self):
         for seed in range(10):
             inst = make_random_instance(3, 1, seed)
-            costs = [held_karp(inst.with_capacity(q)).cost for q in (1, 2, 3)]
+            costs = [held_karp(with_capacity(inst, q)).cost for q in (1, 2, 3)]
             assert costs[0] >= costs[1] >= costs[2]
 
     def test_uncapacitated_equals_precedence_only(self):
         for seed in range(6):
             inst = make_random_instance(3, 3, seed)
-            relaxed = inst.with_capacity(inst.n_pairs * float(inst.loads[1:].max()))
+            relaxed = with_capacity(inst, inst.n_pairs * float(inst.loads[1:].max()))
             assert held_karp(relaxed).cost == pytest.approx(
                 precedence_only_optimum(relaxed), abs=1e-9
             )

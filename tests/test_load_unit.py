@@ -9,11 +9,9 @@ leaves every builder decision and every exact optimum as it is, even where
 
 import pytest
 
-from conftest import CORPUS_DIR, cih_state, live_payload, make_random_instance
+from conftest import CORPUS_DIR, block_partial, cih_block, live_payload, make_random_instance
 from mpdtsp import (
-    InsertionChoice,
     Instance,
-    best_insertion,
     cih_best,
     held_karp,
     nnh_best,
@@ -23,6 +21,7 @@ from mpdtsp import (
     tour_cost,
     tsplib,
 )
+from mpdtsp.cheapest_insertion import best_insertion
 from mpdtsp.generate import Direction, GenerationSpec, generate
 
 SCALES = (0.3, 0.7)
@@ -79,7 +78,9 @@ def test_cih_window_admits_the_item_that_fills_the_capacity():
     # rounds to 0.8999999999999999, a third item of 0.3 still fits
     coords = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0), (1.0, 50.0), (2.0, 50.0), (3.0, 50.0)]
     inst = Instance.from_coords(coords, paired_loads([0.3] * 3), 3 * 0.3)
-    state = cih_state(inst, (0, 1, 2, 0))
-    assert live_payload(state) == tuple(payload_profile(inst, state.partial)) == (0.0, 0.3, 0.6, 0.6)
-    assert state.cost_so_far == tour_cost(inst, state.partial)
-    assert best_insertion(inst, state) == InsertionChoice(node=3, slot=2, ratio=2.0)
+    block = cih_block(inst, (0, 1, 2, 0))
+    partial = block_partial(block)
+    assert live_payload(block) == tuple(payload_profile(inst, partial)) == (0.0, 0.3, 0.6, 0.6)
+    assert block.total[0] == tour_cost(inst, partial)
+    choice = best_insertion(inst, block)
+    assert (choice.node.tolist(), choice.slot.tolist(), choice.ratio.tolist()) == ([3], [2], [2.0])

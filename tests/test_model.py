@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import TWO_PAIR_COORDS, make_random_instance, plain_checker
+from conftest import TWO_PAIR_COORDS, make_random_instance, plain_checker, with_capacity
 from reference_checkers import reference_cost_matrix
 from mpdtsp import (
     Instance,
@@ -118,16 +118,8 @@ class TestInstance:
         assert rounded.with_metric(MetricMode.EXACT).cost.tobytes() == inst.cost.tobytes()
         assert inst.with_metric(MetricMode.EXACT) is inst
 
-    def test_with_capacity_keeps_costs_name_and_meta(self):
-        base = make_random_instance(5, 2.0, 3)
-        inst = Instance.from_coords(base.coords, base.loads, 2.0, name=base.name, meta={"k": "v"})
-        capped = inst.with_capacity(1)
-        assert capped.capacity == 1.0
-        assert capped.cost.tobytes() == inst.cost.tobytes()
-        assert (capped.name, dict(capped.meta)) == (inst.name, {"k": "v"})
-
     def test_oversized_item_flags_infeasible(self, two_pair):
-        flagged = two_pair.with_capacity(0.5)
+        flagged = with_capacity(two_pair, 0.5)
         assert flagged.is_trivially_infeasible
         assert flagged.oversized_items == (1, 2)
         assert not two_pair.is_trivially_infeasible
@@ -259,7 +251,7 @@ class TestValidate:
         assert (ViolationKind.PRECEDENCE, 1) in kinds
 
     def test_capacity_upper_at_second_pickup(self, two_pair):
-        report = validate(two_pair.with_capacity(1.0), [0, 1, 2, 3, 4, 0])
+        report = validate(with_capacity(two_pair, 1.0), [0, 1, 2, 3, 4, 0])
         assert not report.feasible
         assert (ViolationKind.CAPACITY_UPPER, 2) in {
             (v.kind, v.position) for v in report.violations
@@ -299,8 +291,8 @@ class TestValidate:
             (one_pair, [0, 2, 1, 0]),
             (two_pair, [0, 1, 2, 3, 4, 0]),
             (two_pair, [0, 3, 1, 2, 4, 0]),
-            (two_pair.with_capacity(1.0), [0, 1, 2, 3, 4, 0]),
-            (two_pair.with_capacity(1.0), [0, 1, 3, 2, 4, 0]),
+            (with_capacity(two_pair, 1.0), [0, 1, 2, 3, 4, 0]),
+            (with_capacity(two_pair, 1.0), [0, 1, 3, 2, 4, 0]),
         ]
         for inst, seq in cases:
             assert validate(inst, seq).feasible == plain_checker(inst, seq), seq

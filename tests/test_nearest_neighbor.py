@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from conftest import make_random_instance
+from conftest import make_random_instance, with_capacity
 from reference_checkers import NnhState, feasible_candidates
 from mpdtsp import (
     DeadEndError,
@@ -25,7 +25,7 @@ class TestFeasibleCandidates:
         assert feasible_candidates(two_pair, state) == [1, 2]
 
     def test_capacity_and_precedence_gates_together(self, two_pair):
-        tight = two_pair.with_capacity(1.0)
+        tight = with_capacity(two_pair, 1.0)
         state = NnhState(partial=[0, 1], payload=1.0, remainder={2, 3, 4}, cost_so_far=1.0)
         # P2 blocked by capacity, D2 blocked by precedence, D1 admissible
         assert feasible_candidates(tight, state) == [3]
@@ -87,7 +87,7 @@ class TestNnhFrom:
     def test_delivery_start_dead_end_under_unit_capacity(self, two_pair):
         # from D1: P1 (nearest), then the depot still fits, then nothing does:
         # P2 is blocked by the load on board and D2 by precedence
-        tight = two_pair.with_capacity(1.0)
+        tight = with_capacity(two_pair, 1.0)
         with pytest.raises(DeadEndError) as err:
             nnh_from(tight, 3)
         assert err.value.init == 3
@@ -96,7 +96,7 @@ class TestNnhFrom:
 
     def test_flagged_instance_refused(self, two_pair):
         with pytest.raises(InfeasibleInstanceError):
-            nnh_from(two_pair.with_capacity(0.5), 0)
+            nnh_from(with_capacity(two_pair, 0.5), 0)
 
 
 class TestNnhBest:
@@ -113,15 +113,23 @@ class TestNnhBest:
         assert all(result.best_cost <= c for c in result.costs.values())
 
     def test_dead_ends_recorded_and_best_still_found(self, two_pair):
-        result = nnh_best(two_pair.with_capacity(1.0))
+        result = nnh_best(with_capacity(two_pair, 1.0))
         assert result.dead_ends == (3, 4)
         # 3, 1, 0 and 4, 2, 0, then the two nodes left are blocked
         assert result.stalls == {3: (3, 2), 4: (3, 2)}
         assert set(result.costs) == {0, 1, 2}
-        assert validate(two_pair.with_capacity(1.0), result.best_tour).feasible
+        assert validate(with_capacity(two_pair, 1.0), result.best_tour).feasible
+
+    def test_steps_and_cells_count_the_block_work(self, two_pair):
+        # three starts append 4 nodes each; the two that stall at step 3 append
+        # 2 each.  Every live start's step scans all 5 nodes, the stalling one
+        # included.
+        result = nnh_best(with_capacity(two_pair, 1.0))
+        assert result.steps == 3 * 4 + 2 * 2
+        assert result.cells == 5 * (3 * 4 + 2 * 3)
 
     def test_all_starts_failing_raises_multistart_error(self, two_pair):
-        tight = two_pair.with_capacity(1.0)
+        tight = with_capacity(two_pair, 1.0)
         with pytest.raises(MultiStartError) as err:
             nnh_best(tight, inits=[3, 4])
         assert set(err.value.failures) == {3, 4}

@@ -2,8 +2,8 @@
 
 Loads are drawn from [0.1, 3] and the capacity is either drawn freely or set
 to a sum of some of the loads, so partial sums land on the capacity up to
-rounding, where a second upper bound would show.  The lock-step property
-draws loads from [0.1, 1] under a capacity of 1 to 3 instead, so many starts
+rounding, where a second upper bound would show.  The lock-step properties
+draw loads from [0.1, 1] under a capacity of 1 to 3 instead, so many starts
 stall.  The examples are derandomized, so every run checks the same
 instances.
 """
@@ -13,8 +13,13 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import Phase, example, given, settings, strategies as st  # noqa: E402
 
-from conftest import plain_checker  # noqa: E402
-from reference_checkers import NnhState, feasible_candidates, reference_cost_matrix  # noqa: E402
+from conftest import plain_checker, with_capacity  # noqa: E402
+from reference_checkers import (  # noqa: E402
+    NnhState,
+    feasible_candidates,
+    reference_cih_from,
+    reference_cost_matrix,
+)
 from mpdtsp import (  # noqa: E402
     DeadEndError,
     Instance,
@@ -31,6 +36,7 @@ from mpdtsp import (  # noqa: E402
     tour_cost,
     validate,
 )
+from mpdtsp.cheapest_insertion import _lockstep as cih_lockstep  # noqa: E402
 from mpdtsp.exact import precedence_orders  # noqa: E402
 
 PROPERTY = settings(deadline=None, derandomize=True, database=None, max_examples=120)
@@ -164,7 +170,7 @@ def test_held_karp_carries_six_items_of_0_3_at_q_1_8():
     # the uncapacitated one and it carries all six items at once
     instance = clustered([0.3] * 6, 1.8)
     optimum = held_karp(instance)
-    assert optimum.cost == held_karp(instance.with_capacity(6.0)).cost
+    assert optimum.cost == held_karp(with_capacity(instance, 6.0)).cost
     assert optimum.sequence == (0, 1, 2, 3, 4, 5, 6, 12, 11, 10, 9, 8, 7, 0)
     assert validate(instance, optimum).feasible
 
@@ -250,6 +256,36 @@ def test_lock_step_starts_match_single_starts(case):
     assert result.stalls == {init: (len(e.partial), len(e.remainder)) for init, e in stalls.items()}
     best = min(tours, key=lambda init: (tours[init].cost, init))
     assert (result.best_init, result.best_tour) == (best, tours[best])
+
+
+@PROPERTY
+@given(tight_instances_and_inits())
+@example((TIGHT_TWO_PAIR, None))
+@example((TIGHT_TWO_PAIR, [3, 4]))
+def test_cih_block_matches_the_per_start_reference(case):
+    instance, inits = case
+    m = instance.node_count
+    starts = range(m) if inits is None else sorted({0 if i == m else i for i in inits})
+    tours, stalls = {}, {}
+    for init in starts:
+        try:
+            tours[init] = reference_cih_from(instance, init)
+        except DeadEndError as exc:
+            stalls[init] = exc
+    block_tours, block_stalls, steps, _ = cih_lockstep(instance, list(starts))
+    assert {i: (t.sequence, t.cost.hex()) for i, t in block_tours.items()} == {
+        i: (t.sequence, t.cost.hex()) for i, t in tours.items()}
+    assert {i: (e.partial, e.remainder) for i, e in block_stalls.items()} == {
+        i: (e.partial, e.remainder) for i, e in stalls.items()}
+    assert steps == len(tours) * (m - 1) + sum(len(e.partial) - 2 for e in stalls.values())
+    # a start alone, as cih_from runs it, is the same row of a one-row block
+    for init in starts:
+        if init in tours:
+            assert cih_from(instance, init) == tours[init]
+        else:
+            with pytest.raises(DeadEndError) as err:
+                cih_from(instance, init)
+            assert (err.value.partial, err.value.remainder) == (stalls[init].partial, stalls[init].remainder)
 
 
 @st.composite
