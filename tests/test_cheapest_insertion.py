@@ -5,7 +5,6 @@ import pytest
 
 from conftest import (
     block_partial,
-    cih_block,
     cih_state,
     live_payload,
     make_random_instance,
@@ -19,7 +18,6 @@ from reference_checkers import (
     insertion_ratio,
     reference_apply_insertion,
     reference_best_insertion,
-    reference_cih_from,
 )
 from mpdtsp import (
     DeadEndError,
@@ -70,7 +68,7 @@ def run_rounds(instance, init, rounds=None):
         assert not choice.stalled[0]
         assert apply_insertion(block, choice, instance) is block  # updated in place
         partial = block_partial(block)
-        assert list(live_payload(block)) == payload_profile(instance, partial)
+        assert list(live_payload(block)) == pytest.approx(payload_profile(instance, partial), abs=1e-12)
         assert all(p <= instance.load_limit for p in live_payload(block))
         assert block.total[0] == pytest.approx(tour_cost(instance, partial), abs=1e-9)
     return block
