@@ -96,9 +96,26 @@ Outcome = tuple[dict[int, Tour], dict[int, DeadEndError], int, int]
 Block = Callable[[Instance, list[int]], Outcome]
 
 
+#: (starts x nodes^2) a block may hold.  A cheapest-insertion step lays out up
+#: to nodes^2 / 4 cells a start, so each of its flat arrays stays under 8 MiB.
+BLOCK_CELLS = 1 << 22
+
+
 def run_multistart(instance: Instance, inits: Iterable[int] | None, block: Block) -> MultiStartResult:
-    """Grow every start's tour with ``block`` and keep the deterministic best."""
-    return multistart_result(*block(instance, start_ids(instance, inits)))
+    """Grow every start's tour with ``block`` and keep the deterministic best.
+
+    Starts are independent, so they run in blocks of at most ``BLOCK_CELLS /
+    nodes^2`` starts: every start at 121 nodes or fewer, 4 at 1001 nodes.
+    """
+    starts = start_ids(instance, inits)
+    size = max(1, BLOCK_CELLS // instance.node_count**2)
+    tours, failures, steps, cells = block(instance, starts[:size])
+    for i in range(size, len(starts), size):
+        more_tours, more_failures, more_steps, more_cells = block(instance, starts[i : i + size])
+        tours.update(more_tours)
+        failures.update(more_failures)
+        steps, cells = steps + more_steps, cells + more_cells
+    return multistart_result(tours, failures, steps, cells)
 
 
 def run_single(instance: Instance, init: int, block: Block) -> Tour:

@@ -28,11 +28,13 @@ from mpdtsp import (
     Role,
     cih_best,
     cih_from,
+    nnh_best,
     paired_loads,
     payload_profile,
     tour_cost,
     validate,
 )
+from mpdtsp import construction
 from mpdtsp.cheapest_insertion import CihBlock, apply_insertion, best_insertion
 from mpdtsp.generate import Direction, GenerationSpec, generate
 
@@ -354,6 +356,14 @@ class TestCihBest:
                 steps += 1
         assert result.dead_ends
         assert (result.steps, result.cells) == (steps, cells)
+
+    @pytest.mark.parametrize("solver", (cih_best, nnh_best), ids=("CIH", "NNH"))
+    def test_starts_split_into_blocks_give_the_same_result(self, monkeypatch, solver):
+        inst = grid_instance(4, 1, 3, MetricMode.ROUNDED)
+        whole = solver(inst)
+        monkeypatch.setattr(construction, "BLOCK_CELLS", 2 * inst.node_count**2)  # two starts a block
+        assert solver(inst) == whole
+        assert whole.dead_ends  # stalls merge across blocks too
 
     def test_cost_table_reproducible_across_capacities(self, eil51_cloud):
         for q in (2, 10):
