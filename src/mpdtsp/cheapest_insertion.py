@@ -189,4 +189,4 @@ def cih_from(instance: Instance, init: int) -> Tour:
 
 def cih_best(instance: Instance, inits: Iterable[int] | None = None) -> MultiStartResult:
     """Cheapest insertion tour over the given starts (default: all nodes)."""
-    return run_multistart(instance, inits, _lockstep)
+    return run_multistart(instance, inits, _lockstep, instance.node_count**2 // 4)  # nodes x slots

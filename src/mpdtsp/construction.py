@@ -96,19 +96,21 @@ Outcome = tuple[dict[int, Tour], dict[int, DeadEndError], int, int]
 Block = Callable[[Instance, list[int]], Outcome]
 
 
-#: (starts x nodes^2) a block may hold.  A cheapest-insertion step lays out up
-#: to nodes^2 / 4 cells a start, so each of its flat arrays stays under 8 MiB.
-BLOCK_CELLS = 1 << 22
+#: cells one step of a block may lay out; at 8 bytes a cell, 8 MiB an array
+BLOCK_CELLS = 1 << 20
 
 
-def run_multistart(instance: Instance, inits: Iterable[int] | None, block: Block) -> MultiStartResult:
+def run_multistart(
+    instance: Instance, inits: Iterable[int] | None, block: Block, cells_per_start: int
+) -> MultiStartResult:
     """Grow every start's tour with ``block`` and keep the deterministic best.
 
-    Starts are independent, so they run in blocks of at most ``BLOCK_CELLS /
-    nodes^2`` starts: every start at 121 nodes or fewer, 4 at 1001 nodes.
+    ``cells_per_start`` bounds the cells one step of ``block`` lays out for a
+    start.  Starts are independent, so they run in blocks of at most
+    ``BLOCK_CELLS / cells_per_start`` starts.
     """
     starts = start_ids(instance, inits)
-    size = max(1, BLOCK_CELLS // instance.node_count**2)
+    size = max(1, BLOCK_CELLS // cells_per_start)
     tours, failures, steps, cells = block(instance, starts[:size])
     for i in range(size, len(starts), size):
         more_tours, more_failures, more_steps, more_cells = block(instance, starts[i : i + size])

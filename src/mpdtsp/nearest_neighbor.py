@@ -111,4 +111,4 @@ def nnh_from(instance: Instance, init: int) -> Tour:
 
 def nnh_best(instance: Instance, inits: Iterable[int] | None = None) -> MultiStartResult:
     """Cheapest nearest-neighbor tour over the given starts (default: all nodes)."""
-    return run_multistart(instance, inits, _lockstep)
+    return run_multistart(instance, inits, _lockstep, instance.node_count)

@@ -361,7 +361,7 @@ class TestCihBest:
     def test_starts_split_into_blocks_give_the_same_result(self, monkeypatch, solver):
         inst = grid_instance(4, 1, 3, MetricMode.ROUNDED)
         whole = solver(inst)
-        monkeypatch.setattr(construction, "BLOCK_CELLS", 2 * inst.node_count**2)  # two starts a block
+        monkeypatch.setattr(construction, "BLOCK_CELLS", 1)  # one start a block
         assert solver(inst) == whole
         assert whole.dead_ends  # stalls merge across blocks too
 
