@@ -33,9 +33,10 @@ from .construction import (
     MultiStartResult,
     Outcome,
     check_carriable,
-    check_construction,
+    finished_tours,
     run_multistart,
     run_single,
+    stall_errors,
 )
 from .model import Instance, Tour, visit_events
 
@@ -166,9 +167,7 @@ def _lockstep(instance: Instance, starts: list[int]) -> Outcome:
         choice = best_insertion(instance, state)
         cells += choice.cells
         if choice.stalled.any():
-            for r in choice.stalled.nonzero()[0]:
-                init, partial = int(state.inits[r]), state.tour[r, : state.size].tolist()
-                failures[init] = DeadEndError(init, partial, set(range(n_nodes)).difference(partial))
+            failures.update(stall_errors(instance, state.inits, state.tour, state.size, choice.stalled))
             going = ~choice.stalled
             state.inits, state.tour = state.inits[going], state.tour[going]
             state.payload, state.total = state.payload[going], state.total[going]
@@ -177,9 +176,7 @@ def _lockstep(instance: Instance, starts: list[int]) -> Outcome:
         apply_insertion(state, choice, instance)
         steps += state.inits.size
 
-    rows = zip(state.inits.tolist(), state.tour.tolist(), state.total.tolist())
-    tours = {init: check_construction(instance, Tour(tuple(seq), cost)) for init, seq, cost in rows}
-    return tours, failures, steps, cells
+    return finished_tours(instance, state.inits, state.tour, state.total), failures, steps, cells
 
 
 def cih_from(instance: Instance, init: int) -> Tour:

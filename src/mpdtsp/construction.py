@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
+import numpy as np
+
 from .model import Instance, InfeasibleInstanceError, Tour, validate
 
 
@@ -127,6 +129,23 @@ def run_single(instance: Instance, init: int, block: Block) -> Tour:
     if failures:
         raise failures[init]
     return tours[init]
+
+
+def stall_errors(
+    instance: Instance, inits: np.ndarray, tours: np.ndarray, size: int, stalled: np.ndarray
+) -> dict[int, DeadEndError]:
+    """The :class:`DeadEndError` of each ``stalled`` block row, its partial tour ``tours[r, :size]``."""
+    partials = {int(inits[r]): tours[r, :size].tolist() for r in stalled.nonzero()[0]}
+    nodes = range(instance.node_count)
+    return {init: DeadEndError(init, p, set(nodes).difference(p)) for init, p in partials.items()}
+
+
+def finished_tours(
+    instance: Instance, inits: np.ndarray, tours: np.ndarray, totals: np.ndarray
+) -> dict[int, Tour]:
+    """Every block row's tour by start id, each checked by :func:`check_construction`."""
+    rows = zip(inits.tolist(), tours.tolist(), totals.tolist())
+    return {init: check_construction(instance, Tour(tuple(seq), cost)) for init, seq, cost in rows}
 
 
 def check_carriable(instance: Instance) -> None:

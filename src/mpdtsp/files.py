@@ -18,10 +18,15 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .model import Instance, Role, Tour
+from .model import Instance, Tour
 from .tsplib import MetricMode
 
-_ROLE_TOKENS = {Role.DEPOT: "DEPOT", Role.PICKUP: "PICKUP", Role.DELIVERY: "DELIVERY"}
+
+def _role_and_pair(node: int, n: int) -> tuple[str, int]:
+    """The role token and pair index of ``node`` under the id convention of ``n`` pairs."""
+    if node == 0:
+        return "DEPOT", 0
+    return ("PICKUP", node) if node <= n else ("DELIVERY", node - n)
 
 
 def instance_to_text(instance: Instance) -> str:
@@ -30,14 +35,10 @@ def instance_to_text(instance: Instance) -> str:
         f"CAPACITY {instance.capacity!r}",
         f"METRIC {instance.metric.name}",
     ]
-    for node in range(instance.node_count):
-        role = instance.role(node)
-        pair = 0 if role is Role.DEPOT else instance.pair_index(node)
-        x, y = instance.coords[node]
-        lines.append(
-            f"{node} {_ROLE_TOKENS[role]} {pair} {float(x)!r} {float(y)!r} "
-            f"{float(instance.loads[node])!r}"
-        )
+    rows = zip(instance.coords.tolist(), instance.loads.tolist())
+    for node, ((x, y), load) in enumerate(rows):
+        role, pair = _role_and_pair(node, instance.n_pairs)
+        lines.append(f"{node} {role} {pair} {x!r} {y!r} {load!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -71,10 +72,9 @@ def instance_from_text(text: str, name: str = "") -> Instance:
         node_id, role_token, pair_token = int(fields[0]), fields[1], int(fields[2])
         if node_id != i:
             raise ValueError(f"node lines must be in id order; expected id {i}, got {node_id}")
-        expected_role = "DEPOT" if i == 0 else ("PICKUP" if i <= n else "DELIVERY")
+        expected_role, expected_pair = _role_and_pair(i, n)
         if role_token != expected_role:
             raise ValueError(f"node {i}: role {role_token!r} does not match id convention")
-        expected_pair = 0 if i == 0 else (i if i <= n else i - n)
         if pair_token != expected_pair:
             raise ValueError(f"node {i}: pair index {pair_token} does not match id convention")
         coords[i] = (float(fields[3]), float(fields[4]))

@@ -36,7 +36,7 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .tsplib import MetricMode, tsplib_distance
+from .tsplib import DISTANCE_BLOCK, Distances, MetricMode
 
 #: absolute slack for load comparisons (loads are exact for unit masses; the
 #: slack only matters for real-valued masses, whose partial sums round)
@@ -198,17 +198,23 @@ class Instance:
 
 
 def _coordinate_cost_matrix(coords: np.ndarray, metric: MetricMode) -> np.ndarray:
-    # each cell still goes through math.hypot: np.hypot and sqrt(dx*dx + dy*dy)
-    # round differently in some cells, which would move the EXACT golden tables
+    # the upper triangle in row blocks of at most DISTANCE_BLOCK cells, each
+    # mirrored into the lower one: rows i0..i1-1 against columns i0..m-1, so
+    # a block also holds a small square of cells below the diagonal, which
+    # come out with the same bits as their mirrors.  Every cell is math.hypot
+    # bit for bit (tsplib.Distances), so the EXACT golden tables stay put.
     m = coords.shape[0]
-    cost = np.zeros((m, m), dtype=float)
-    # a difference of finite points can overflow to inf, which the caller
-    # rejects; one errstate per matrix, since one per row costs about 2 us
-    with np.errstate(over="ignore"):
-        for i in range(m - 1):
-            row = tsplib_distance(coords[i], coords[i + 1 :], metric)
-            cost[i, i + 1 :] = row
-            cost[i + 1 :, i] = row
+    cost = np.empty((m, m))
+    # scratch for the largest block, which is less than DISTANCE_BLOCK when
+    # the whole matrix is, and one row when a row is more
+    distances = Distances(coords, metric, min(m * m, max(DISTANCE_BLOCK, m)))
+    i0 = 0
+    while i0 < m:
+        i1 = min(m, i0 + max(1, DISTANCE_BLOCK // (m - i0)))
+        block = distances.block(i0, i1, i0, m)
+        cost[i0:i1, i0:] = block
+        cost[i0:, i0:i1] = block.T
+        i0 = i1
     return cost
 
 

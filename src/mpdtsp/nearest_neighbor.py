@@ -27,9 +27,10 @@ from .construction import (
     MultiStartResult,
     Outcome,
     check_carriable,
-    check_construction,
+    finished_tours,
     run_multistart,
     run_single,
+    stall_errors,
 )
 from .model import Instance, Tour, visit_events
 
@@ -74,9 +75,7 @@ def _lockstep(instance: Instance, starts: list[int]) -> Outcome:
         arc = arcs[rows, pick]
         stalled = arc == np.inf
         if stalled.any():
-            for r in stalled.nonzero()[0]:
-                init, partial = int(inits[r]), sequences[r, :step].tolist()
-                failures[init] = DeadEndError(init, partial, set(range(n_nodes)).difference(partial))
+            failures.update(stall_errors(instance, inits, sequences, step, stalled))
             going = ~stalled
             inits, release, is_open = inits[going], release[going], is_open[going]
             payload, total, sequences = payload[going], total[going], sequences[going]
@@ -93,11 +92,7 @@ def _lockstep(instance: Instance, starts: list[int]) -> Outcome:
 
     sequences[:, n_nodes] = inits
     total += cost[sequences[:, n_nodes - 1], inits]
-    tours = {
-        init: check_construction(instance, Tour(tuple(sequence), cost_))
-        for init, sequence, cost_ in zip(inits.tolist(), sequences.tolist(), total.tolist())
-    }
-    return tours, failures, steps, cells
+    return finished_tours(instance, inits, sequences, total), failures, steps, cells
 
 
 def nnh_from(instance: Instance, init: int) -> Tour:

@@ -4,13 +4,15 @@ Only 2D coordinate instances (``EDGE_WEIGHT_TYPE: EUC_2D``) are supported.
 Matrix-based instances (``EXPLICIT``), geographic coordinates (``GEO``) and
 tour files are rejected with a :class:`TsplibParseError` naming the offending
 keyword and line, as are a ``DIMENSION`` below 1 or given twice.  A parsed
-cloud holds exactly ``DIMENSION`` points; :func:`tsplib_distance` is the one
-source of arc costs, under either :class:`MetricMode` convention.
+cloud holds exactly ``DIMENSION`` points; :class:`Distances` is the one
+source of arc costs, under either :class:`MetricMode` convention, and
+:func:`tsplib_distance` its row form.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -55,16 +57,154 @@ class PointCloud:
 def tsplib_distance(a: Point, points: np.ndarray, mode: MetricMode = MetricMode.EXACT) -> np.ndarray:
     """Distances from point ``a`` to each row of the (k, 2) array ``points``.
 
-    Each is ``math.hypot`` of the two float coordinate differences.  ROUNDED
-    follows the TSPLIB nearest-integer rule with halves rounded up.
+    Each is ``math.hypot`` of the two float coordinate differences, bit for
+    bit, as :class:`Distances` computes it.  ROUNDED follows the TSPLIB
+    nearest-integer rule with halves rounded up.
     """
-    dx = (a[0] - points[:, 0]).tolist()
-    dy = (a[1] - points[:, 1]).tolist()
-    d = np.fromiter(map(math.hypot, dx, dy), float, len(dx))
-    if mode is MetricMode.ROUNDED:
-        d += 0.5
-        np.floor(d, out=d)
-    return d
+    coords = np.vstack((np.asarray(a, dtype=float), points))
+    return Distances(coords, mode, len(points)).block(0, 1, 1, len(coords))[0].copy()
+
+
+#: cells one :meth:`Distances.block` call covers; its nine float64 scratch
+#: arrays of this length take 504 KiB
+DISTANCE_BLOCK = 7168
+
+_SCRATCH_ROWS = 9
+_VELTKAMP = np.float64(2.0**27 + 1.0)
+_ONE = np.float64(1.0)
+# (_SCALE_BITS - (bits of m & _EXPONENT)) are the bits of 2**-e, where
+# m = f * 2**e with 0.5 <= f < 1, for m = 0 or 2**-1022 <= m < 2**1022
+_EXPONENT = np.int64(0x7FF << 52)
+_SCALE_BITS = np.int64(2045 << 52)
+# a coordinate of magnitude 0 or in [2**-969, 2**1020), whose frexp exponent
+# is in [-968, 1020], is a multiple of 2**-1021 below 2**1020, so a
+# difference of two such coordinates is 0 or in [2**-1021, 2**1021]: a cell
+# the exponent-bit scale gets right
+_TAME_EXPONENTS = (-968, 1020)
+
+
+def _square(x: np.ndarray, p: np.ndarray, e: np.ndarray, t: np.ndarray, u: np.ndarray) -> None:
+    """``p = x*x`` rounded and ``e = x*x - p`` exactly (Dekker 1971, Veltkamp split).
+
+    ``e`` may be ``x``; ``t`` and ``u`` are scratch.
+    """
+    np.multiply(x, _VELTKAMP, t)
+    np.subtract(t, x, u)
+    np.subtract(t, u, t)    # hi: x's leading 26 bits
+    np.subtract(x, t, u)    # lo = x - hi
+    np.multiply(x, x, p)
+    np.multiply(t, t, e)
+    np.subtract(e, p, e)
+    np.multiply(t, u, t)
+    np.add(t, t, t)
+    np.add(e, t, e)
+    np.multiply(u, u, u)
+    np.add(e, u, e)
+
+
+def _hypot(work: np.ndarray, n: int) -> np.ndarray:
+    """``math.hypot(dx, dy)`` of ``n`` cells, bit for bit, for cells with
+    ``max(|dx|, |dy|)`` zero or in [2**-1022, 2**1022).
+
+    ``work[:n]`` holds the dx and ``work[n:2n]`` the dy; ``work[:9n]`` is
+    overwritten and the result is a view of it.  This is CPython's two-term
+    ``vector_norm`` (Modules/mathmodule.c; Borges, arXiv:1904.09481) as
+    whole-array steps: scale both terms by 2**-e so that the larger lies in
+    [0.5, 1), add their exact squares to 1.0 with Fast2Sum, keeping the low
+    parts in frac1 and frac2, take ``h = sqrt(csum - 1 + (frac1 + frac2))``,
+    correct it once with ``csum - h*h`` in double length, and scale back.
+    """
+    xy = work[: 2 * n].reshape(2, n)
+    scale = work[2 * n : 3 * n]
+    p = work[3 * n : 5 * n].reshape(2, n)
+    t = work[5 * n : 7 * n].reshape(2, n)
+    u = work[7 * n : 9 * n].reshape(2, n)
+    t_bits, scale_bits = t.view(np.int64), scale.view(np.int64)
+    np.bitwise_and(xy.view(np.int64), _EXPONENT, t_bits)
+    np.maximum(t_bits[0], t_bits[1], out=scale_bits)
+    np.subtract(_SCALE_BITS, scale_bits, scale_bits)
+    np.multiply(xy, scale, xy)
+    _square(xy, p, xy, t, u)
+    (frac1, h), (px, py), (t0, frac2), (csum, u1) = xy, p, t, u
+    # csum = 1 + px + py by Fast2Sum; frac1 gets the squares' low parts and
+    # frac2 the sums'
+    np.add(px, _ONE, t0)
+    np.subtract(t0, _ONE, frac2)
+    np.subtract(px, frac2, frac2)
+    np.add(t0, py, csum)
+    np.subtract(csum, t0, u1)
+    np.subtract(py, u1, u1)
+    np.add(frac1, h, frac1)
+    np.add(frac2, u1, frac2)
+    np.subtract(csum, _ONE, h)
+    np.add(frac1, frac2, u1)
+    np.add(h, u1, h)
+    np.sqrt(h, h)
+    # add -h*h in double length; x = csum - 1 + (frac1 + frac2) is then the
+    # residual, and h += x / (2h) the differential correction
+    _square(h, px, py, t0, u1)
+    np.subtract(csum, px, t0)
+    np.subtract(t0, csum, u1)
+    np.add(px, u1, u1)
+    np.subtract(frac1, py, frac1)
+    np.subtract(frac2, u1, frac2)
+    np.subtract(t0, _ONE, t0)
+    np.add(frac1, frac2, frac1)
+    np.add(t0, frac1, t0)
+    np.add(h, h, u1)
+    # a zero cell has h = 0 and x = 0; everywhere else h >= 0.5
+    np.maximum(u1, _ONE, out=u1)
+    np.divide(t0, u1, t0)
+    np.add(h, t0, h)
+    np.divide(h, scale, h)
+    return h
+
+
+class Distances:
+    """TSPLIB distances among the points of one (m, 2) coordinate array, a block at a time.
+
+    Scratch for ``cells`` cells is allocated once, and every :meth:`block`
+    runs in it.  A cell is ``math.hypot`` of its two float coordinate
+    differences, bit for bit: :func:`_hypot` computes it, except where some
+    coordinate is nonzero and below 2**-969 or at least 2**1020 in
+    magnitude.  Then the cells whose larger difference is subnormal, at
+    least 2**1022 or inf go through ``math.hypot`` one by one.
+    """
+
+    def __init__(self, coords: np.ndarray, mode: MetricMode, cells: int = DISTANCE_BLOCK):
+        self.mode = mode
+        self.x, self.y = np.ascontiguousarray(coords.T, dtype=float)
+        self.work = np.empty(_SCRATCH_ROWS * cells)
+        exponents = np.frexp(coords)[1]   # 0 for 0.0
+        self.exotic = bool(exponents.min() < _TAME_EXPONENTS[0] or exponents.max() > _TAME_EXPONENTS[1])
+
+    def block(self, i0: int, i1: int, j0: int, j1: int) -> np.ndarray:
+        """The distances from points ``i0..i1-1`` to points ``j0..j1-1``.
+
+        An (i1 - i0, j1 - j0) view of the scratch, which the next call
+        overwrites.
+        """
+        shape = (i1 - i0, j1 - j0)
+        n = shape[0] * shape[1]
+        dx, dy = self.work[:n], self.work[n : 2 * n]
+        # a difference of finite coordinates can overflow to inf only when
+        # some coordinate is exotic; the matrix rejects it
+        with np.errstate(over="ignore") if self.exotic else nullcontext():
+            np.subtract(self.x[i0:i1, None], self.x[None, j0:j1], dx.reshape(shape))
+            np.subtract(self.y[i0:i1, None], self.y[None, j0:j1], dy.reshape(shape))
+        if not self.exotic:
+            d = _hypot(self.work, n)
+        else:
+            larger = np.maximum(np.abs(dx), np.abs(dy))
+            slow = np.flatnonzero((larger >= 2.0**1022) | ((larger < 2.0**-1022) & (larger > 0)))
+            hypots = list(map(math.hypot, dx[slow].tolist(), dy[slow].tolist()))
+            dx[slow] = dy[slow] = 0.0
+            d = _hypot(self.work, n)
+            d[slow] = hypots
+        if self.mode is MetricMode.ROUNDED:
+            d += 0.5
+            np.floor(d, out=d)
+        return d.reshape(shape)
 
 
 _SUPPORTED_EDGE_WEIGHT_TYPES = {"EUC_2D"}

@@ -15,6 +15,7 @@ from mpdtsp import (
     tour_cost,
     validate,
 )
+from mpdtsp import model
 from mpdtsp.model import visit_events
 
 SQRT2 = math.sqrt(2.0)
@@ -147,10 +148,18 @@ class TestArcCost:
     @pytest.mark.parametrize("kind", sorted(COST_CLOUDS))
     def test_matrix_equals_pairwise_reference(self, kind, metric):
         rng = np.random.default_rng(7)
-        for m in (3, 5, 11, 31, 61):
+        # 301 points fill the upper triangle in 8 row blocks
+        for m in (3, 5, 11, 31, 61, 301):
             coords = COST_CLOUDS[kind](rng, m)
             inst = Instance.from_coords(coords, paired_loads([1.0] * (m // 2)), 1.0, metric)
             assert inst.cost.tobytes() == reference_cost_matrix(coords, metric).tobytes()
+
+    @pytest.mark.parametrize("budget", [1, 16, 40])
+    def test_rows_longer_than_the_block_budget(self, monkeypatch, budget):
+        monkeypatch.setattr(model, "DISTANCE_BLOCK", budget)
+        coords = COST_CLOUDS["wide-range"](np.random.default_rng(budget), 31)
+        inst = Instance.from_coords(coords, paired_loads([1.0] * 15), 1.0)
+        assert inst.cost.tobytes() == reference_cost_matrix(coords, MetricMode.EXACT).tobytes()
 
     def test_exact_halves_round_up(self):
         coords = [(0, 0), (0.5, 0), (2.5, 0)]

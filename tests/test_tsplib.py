@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from reference_checkers import reference_cost_matrix
+from mpdtsp import Instance, paired_loads
 from mpdtsp.tsplib import (
+    Distances,
     MetricMode,
     TsplibParseError,
     parse,
@@ -138,3 +141,63 @@ class TestDistance:
             a, b, c = [tuple(rng.uniform(-50, 50, 2)) for _ in range(3)]
             assert distance(a, b) == distance(b, a)
             assert distance(a, c) <= distance(a, b) + distance(b, c) + 1e-12
+
+
+#: where the parity cells' coordinates come from: an integer grid, the unit
+#: square, reals of both signs over 24 orders of magnitude, and +-1e12
+PARITY_SOURCES = {
+    "integer-grid": lambda rng, m: rng.integers(0, 1000, (m, 2)).astype(float),
+    "unit-square": lambda rng, m: rng.random((m, 2)),
+    "wide-range": lambda rng, m: rng.uniform(-1, 1, (m, 2)) * 10.0 ** rng.integers(-12, 12, (m, 2)),
+    "large": lambda rng, m: rng.uniform(-1e12, 1e12, (m, 2)),
+}
+
+_BELOW_2_1020 = math.nextafter(2.0**1020, 0.0)
+
+#: point pairs at the edges of the kernel: zeros, subnormal and overflowing
+#: differences, and the bounds of the coordinates it takes without fallback
+EDGE_PAIRS = [
+    ((0.0, 0.0), (0.0, 0.0)),
+    ((3.5, -2.0), (3.5, -2.0)),                         # a repeated point
+    ((0.0, -0.0), (-0.0, 0.0)),                         # signed zeros
+    ((-0.0, -0.0), (0.0, 7.0)),
+    ((5e-324, 5e-324), (0.0, 0.0)),                     # the smallest subnormal
+    ((1e-310, 3e-310), (0.0, 0.0)),
+    ((1e-310, 0.0), (3e-310, 1e-320)),
+    ((2.0**-1023, 2.0**-1024), (0.0, 0.0)),
+    ((2.0**-1022, 1e-308), (0.0, 0.0)),                 # the smallest normal larger difference
+    ((1e-300, 1.0), (0.0, 0.0)),                        # one difference far below the other
+    ((2.0**-969, 0.0), (math.nextafter(2.0**-969, 1.0), 0.0)),
+    ((_BELOW_2_1020, 1.0), (-_BELOW_2_1020, 0.0)),      # the largest differences without fallback
+    ((2.0**1021, 3.0), (0.0, 0.0)),
+    ((2.0**1022, 3.0), (0.0, 0.0)),
+    ((1.5e308, 1.5e308), (0.0, 0.0)),                   # hypot overflows to inf
+    ((1e308, 0.0), (-1e308, 0.0)),                      # the difference itself overflows
+]
+
+
+class TestDistanceParity:
+    """Every distance is ``math.hypot`` of the coordinate differences, bit for bit."""
+
+    @pytest.mark.parametrize("source", sorted(PARITY_SOURCES))
+    def test_matrix_cells_match_math_hypot(self, source):
+        # 709 points: 251,086 distinct pairs a source, over a million in all
+        coords = PARITY_SOURCES[source](np.random.default_rng(12), 709)
+        inst = Instance.from_coords(coords, paired_loads([1.0] * 354), 1.0)
+        assert inst.cost.tobytes() == reference_cost_matrix(coords, MetricMode.EXACT).tobytes()
+
+    @pytest.mark.parametrize("mode", list(MetricMode))
+    @pytest.mark.parametrize("a, b", EDGE_PAIRS)
+    def test_edge_cells_match_math_hypot(self, a, b, mode):
+        expected = math.hypot(a[0] - b[0], a[1] - b[1])
+        if mode is MetricMode.ROUNDED:
+            expected = math.floor(expected + 0.5) if math.isfinite(expected) else expected
+        assert distance(a, b, mode).hex() == float(expected).hex()
+        assert distance(b, a, mode).hex() == float(expected).hex()
+
+    def test_cloud_of_edge_points_matches_reference(self):
+        # every edge point in one block, next to ordinary ones
+        coords = np.array([p for pair in EDGE_PAIRS for p in pair] + [(1.0, 2.0), (-3e5, 4e-3)])
+        m = len(coords)
+        block = Distances(coords, MetricMode.EXACT, m * m).block(0, m, 0, m)
+        assert block.tobytes() == reference_cost_matrix(coords, MetricMode.EXACT).tobytes()
