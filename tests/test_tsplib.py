@@ -181,7 +181,7 @@ class TestDistanceParity:
 
     @pytest.mark.parametrize("source", sorted(PARITY_SOURCES))
     def test_matrix_cells_match_math_hypot(self, source):
-        # 709 points: 251,086 distinct pairs a source, over a million in all
+        # 709 points: 250,986 distinct pairs a source, over a million in all
         coords = PARITY_SOURCES[source](np.random.default_rng(12), 709)
         inst = Instance.from_coords(coords, paired_loads([1.0] * 354), 1.0)
         assert inst.cost.tobytes() == reference_cost_matrix(coords, MetricMode.EXACT).tobytes()
