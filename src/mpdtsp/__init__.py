@@ -24,7 +24,6 @@ from .generate import Direction, GenerationSpec, generate
 from .model import (
     InfeasibleInstanceError,
     Instance,
-    Role,
     Tour,
     ViolationKind,
     paired_loads,
@@ -47,7 +46,6 @@ __all__ = [
     "MetricMode",
     "MultiStartError",
     "ResultRow",
-    "Role",
     "Tour",
     "ViolationKind",
     "brute_force",

@@ -7,11 +7,12 @@ an alias of the depot (a tour conventionally terminates at it) and is
 collapsed onto node 0 so the cost matrix has no degenerate zero-cost arc.
 
 An instance is its node coordinates, loads, capacity and metric.  The
-constructor derives the pair count and the cost matrix from the coordinates:
-the TSPLIB distance of each node pair under the instance's metric, exact or
-rounded Euclidean.  No instance can carry a hand-written matrix, costs are
-symmetric with a zero diagonal, and :meth:`Instance.with_metric` re-derives
-them under the other metric.
+constructor derives the pair count and, once the loads and capacity have
+passed their checks, the cost matrix from the coordinates:
+:func:`tsplib.cost_matrix` gives the TSPLIB distance of each node pair under
+the instance's metric, exact or rounded Euclidean.  No instance can carry a
+hand-written matrix, costs are symmetric with a zero diagonal, and
+:meth:`Instance.with_metric` re-derives them under the other metric.
 
 Payload semantics are event based: every node contributes its load ``q`` at
 its visit position.  The start node of a closed tour occurs twice; its event
@@ -36,17 +37,11 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .tsplib import DISTANCE_BLOCK, Distances, MetricMode
+from .tsplib import MetricMode, cost_matrix
 
 #: absolute slack for load comparisons (loads are exact for unit masses; the
 #: slack only matters for real-valued masses, whose partial sums round)
 LOAD_TOLERANCE = 1e-9
-
-
-class Role(Enum):
-    DEPOT = "depot"
-    PICKUP = "pickup"
-    DELIVERY = "delivery"
 
 
 class InfeasibleInstanceError(Exception):
@@ -88,10 +83,6 @@ class Instance:
             raise ValueError("coords must be finite")
         n = (m - 1) // 2
         object.__setattr__(self, "n_pairs", n)
-        object.__setattr__(self, "cost", _coordinate_cost_matrix(self.coords, self.metric))
-        if not np.isfinite(self.cost).all():
-            # finite points can still be too far apart for a float distance
-            raise ValueError("cost matrix entries must be finite")
         if self.loads.shape != (m,):
             raise ValueError(f"load vector must have length {m}, got {self.loads.shape}")
         if not np.isfinite(self.loads).all():
@@ -106,6 +97,11 @@ class Instance:
             raise ValueError(f"capacity must be finite, got {self.capacity!r}")
         if self.capacity < 0:
             raise ValueError("capacity must be nonnegative")
+        # checked last, so bad loads or capacity build no matrix
+        object.__setattr__(self, "cost", cost_matrix(self.coords, self.metric))
+        if not np.isfinite(self.cost).all():
+            # finite points can still be too far apart for a float distance
+            raise ValueError("cost matrix entries must be finite")
 
     # -- structure ---------------------------------------------------------
 
@@ -135,19 +131,6 @@ class Instance:
         if not 0 <= node < self.node_count:
             raise ValueError(f"node id {node} out of range for {self.n_pairs}-pair instance")
         return node
-
-    def role(self, node: int) -> Role:
-        node = self.normalize_node(node)
-        if node == 0:
-            return Role.DEPOT
-        return Role.PICKUP if node <= self.n_pairs else Role.DELIVERY
-
-    def pair_index(self, node: int) -> int:
-        """1-based commodity index of a pickup or delivery node."""
-        node = self.normalize_node(node)
-        if node == 0:
-            raise ValueError("the depot carries no commodity")
-        return node if node <= self.n_pairs else node - self.n_pairs
 
     @cached_property
     def _load_list(self) -> list[float]:
@@ -195,27 +178,6 @@ class Instance:
         if metric is self.metric:
             return self
         return replace(self, metric=metric, meta=dict(self.meta))
-
-
-def _coordinate_cost_matrix(coords: np.ndarray, metric: MetricMode) -> np.ndarray:
-    # the upper triangle in row blocks of at most DISTANCE_BLOCK cells, each
-    # mirrored into the lower one: rows i0..i1-1 against columns i0..m-1, so
-    # a block also holds a small square of cells below the diagonal, which
-    # come out with the same bits as their mirrors.  Every cell is math.hypot
-    # bit for bit (tsplib.Distances), so the EXACT golden tables stay put.
-    m = coords.shape[0]
-    cost = np.empty((m, m))
-    # scratch for the largest block, which is less than DISTANCE_BLOCK when
-    # the whole matrix is, and one row when a row is more
-    distances = Distances(coords, metric, min(m * m, max(DISTANCE_BLOCK, m)))
-    i0 = 0
-    while i0 < m:
-        i1 = min(m, i0 + max(1, DISTANCE_BLOCK // (m - i0)))
-        block = distances.block(i0, i1, i0, m)
-        cost[i0:i1, i0:] = block
-        cost[i0:, i0:i1] = block.T
-        i0 = i1
-    return cost
 
 
 # -- tours -------------------------------------------------------------------

@@ -43,20 +43,12 @@ def _lockstep(instance: Instance, starts: list[int]) -> Outcome:
     cost = instance.cost
     loads = instance.loads
 
-    # picking pickup k opens delivery n+k; any other node opens the spare
-    # column n_nodes, which is never read.  A delivery start's own pickup
-    # opens nothing, since that delivery waits for the closing visit.
-    release = np.full((len(starts), n_nodes), n_nodes)
-    release[:, 1 : n_pairs + 1] = np.arange(n_pairs + 1, n_nodes)
     inits = np.array(starts)
     rows = np.arange(inits.size)
-    delivery_start = inits > n_pairs
-    release[delivery_start, inits[delivery_start] - n_pairs] = n_nodes
-    # is_open[r, v]: v is unvisited and, if a delivery, its pickup is visited
-    is_open = np.zeros((inits.size, n_nodes + 1), dtype=bool)
-    is_open[:, : n_pairs + 1] = True
-    is_open[rows, inits] = False
-    is_open[rows, release[rows, inits]] = True
+    # a delivery start is visited from the outset, so its pickup opens nothing:
+    # that delivery waits for the closing visit
+    visited = np.zeros((inits.size, n_nodes), dtype=bool)
+    visited[rows, inits] = True
 
     # on board leaving the start
     payload = np.array([visit_events(instance, (init, init))[0] for init in starts])
@@ -68,7 +60,9 @@ def _lockstep(instance: Instance, starts: list[int]) -> Outcome:
 
     for step in range(1, n_nodes):
         cells += inits.size * n_nodes
-        admissible = is_open[:, :n_nodes] & (payload[:, None] + loads <= instance.load_limit)
+        admissible = ~visited & (payload[:, None] + loads <= instance.load_limit)
+        # a delivery waits for its pickup
+        admissible[:, n_pairs + 1 :] &= visited[:, 1 : n_pairs + 1]
         # ties on arc cost go to the lowest node id
         arcs = np.where(admissible, cost[sequences[:, step - 1]], np.inf)
         pick = arcs.argmin(axis=1)
@@ -77,7 +71,7 @@ def _lockstep(instance: Instance, starts: list[int]) -> Outcome:
         if stalled.any():
             failures.update(stall_errors(instance, inits, sequences, step, stalled))
             going = ~stalled
-            inits, release, is_open = inits[going], release[going], is_open[going]
+            inits, visited = inits[going], visited[going]
             payload, total, sequences = payload[going], total[going], sequences[going]
             pick, arc = pick[going], arc[going]
             rows = rows[: inits.size]
@@ -85,8 +79,7 @@ def _lockstep(instance: Instance, starts: list[int]) -> Outcome:
                 break
         total += arc
         payload += loads[pick]
-        is_open[rows, pick] = False
-        is_open[rows, release[rows, pick]] = True
+        visited[rows, pick] = True
         sequences[:, step] = pick
         steps += inits.size
 

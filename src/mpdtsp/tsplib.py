@@ -4,9 +4,8 @@ Only 2D coordinate instances (``EDGE_WEIGHT_TYPE: EUC_2D``) are supported.
 Matrix-based instances (``EXPLICIT``), geographic coordinates (``GEO``) and
 tour files are rejected with a :class:`TsplibParseError` naming the offending
 keyword and line, as are a ``DIMENSION`` below 1 or given twice.  A parsed
-cloud holds exactly ``DIMENSION`` points; :class:`Distances` is the one
-source of arc costs, under either :class:`MetricMode` convention, and
-:func:`tsplib_distance` its row form.
+cloud holds exactly ``DIMENSION`` points; :func:`cost_matrix` is the one
+source of arc costs, under either :class:`MetricMode` convention.
 """
 
 from __future__ import annotations
@@ -18,8 +17,6 @@ from enum import Enum
 from pathlib import Path
 
 import numpy as np
-
-Point = tuple[float, float]
 
 
 class MetricMode(Enum):
@@ -54,19 +51,8 @@ class PointCloud:
         return np.array([(x, y) for _, x, y in self.points], dtype=float)
 
 
-def tsplib_distance(a: Point, points: np.ndarray, mode: MetricMode = MetricMode.EXACT) -> np.ndarray:
-    """Distances from point ``a`` to each row of the (k, 2) array ``points``.
-
-    Each is ``math.hypot`` of the two float coordinate differences, bit for
-    bit, as :class:`Distances` computes it.  ROUNDED follows the TSPLIB
-    nearest-integer rule with halves rounded up.
-    """
-    coords = np.vstack((np.asarray(a, dtype=float), points))
-    return Distances(coords, mode, len(points)).block(0, 1, 1, len(coords))[0].copy()
-
-
-#: cells one :meth:`Distances.block` call covers; its nine float64 scratch
-#: arrays of this length take 504 KiB
+#: cells one row block of :func:`cost_matrix` covers; its nine float64
+#: scratch arrays of this length take 504 KiB
 DISTANCE_BLOCK = 7168
 
 _SCRATCH_ROWS = 9
@@ -160,51 +146,58 @@ def _hypot(work: np.ndarray, n: int) -> np.ndarray:
     return h
 
 
-class Distances:
-    """TSPLIB distances among the points of one (m, 2) coordinate array, a block at a time.
+def cost_matrix(coords: np.ndarray, mode: MetricMode) -> np.ndarray:
+    """The (m, m) TSPLIB distances among the points of an (m, 2) coordinate array.
 
-    Scratch for ``cells`` cells is allocated once, and every :meth:`block`
-    runs in it.  A cell is ``math.hypot`` of its two float coordinate
-    differences, bit for bit: :func:`_hypot` computes it, except where some
-    coordinate is nonzero and below 2**-969 or at least 2**1020 in
-    magnitude.  Then the cells whose larger difference is subnormal, at
-    least 2**1022 or inf go through ``math.hypot`` one by one.
+    A cell is ``math.hypot`` of its two float coordinate differences, bit
+    for bit, so the EXACT golden tables stay put: :func:`_hypot` computes
+    it, except where some coordinate is nonzero and below 2**-969 or at
+    least 2**1020 in magnitude.  Then the cells whose larger difference is
+    subnormal, at least 2**1022 or inf go through ``math.hypot`` one by one.
+    ROUNDED follows the TSPLIB nearest-integer rule with halves rounded up.
+
+    The upper triangle is filled in row blocks of at most
+    :data:`DISTANCE_BLOCK` cells, or one row where a row is longer, each
+    mirrored into the lower one: rows i0..i1-1 against columns i0..m-1, so a
+    block also holds a small square of cells below the diagonal, which come
+    out with the same bits as their mirrors.
     """
-
-    def __init__(self, coords: np.ndarray, mode: MetricMode, cells: int = DISTANCE_BLOCK):
-        self.mode = mode
-        self.x, self.y = np.ascontiguousarray(coords.T, dtype=float)
-        self.work = np.empty(_SCRATCH_ROWS * cells)
-        exponents = np.frexp(coords)[1]   # 0 for 0.0
-        self.exotic = bool(exponents.min() < _TAME_EXPONENTS[0] or exponents.max() > _TAME_EXPONENTS[1])
-
-    def block(self, i0: int, i1: int, j0: int, j1: int) -> np.ndarray:
-        """The distances from points ``i0..i1-1`` to points ``j0..j1-1``.
-
-        An (i1 - i0, j1 - j0) view of the scratch, which the next call
-        overwrites.
-        """
-        shape = (i1 - i0, j1 - j0)
+    m = coords.shape[0]
+    x, y = np.ascontiguousarray(coords.T, dtype=float)
+    exponents = np.frexp(coords)[1]   # 0 for 0.0
+    exotic = bool(exponents.min() < _TAME_EXPONENTS[0] or exponents.max() > _TAME_EXPONENTS[1])
+    # scratch for the largest block, which is less than DISTANCE_BLOCK when
+    # the whole matrix is, and one row when a row is more
+    work = np.empty(_SCRATCH_ROWS * min(m * m, max(DISTANCE_BLOCK, m)))
+    cost = np.empty((m, m))
+    i0 = 0
+    while i0 < m:
+        i1 = min(m, i0 + max(1, DISTANCE_BLOCK // (m - i0)))
+        shape = (i1 - i0, m - i0)
         n = shape[0] * shape[1]
-        dx, dy = self.work[:n], self.work[n : 2 * n]
+        dx, dy = work[:n], work[n : 2 * n]
         # a difference of finite coordinates can overflow to inf only when
-        # some coordinate is exotic; the matrix rejects it
-        with np.errstate(over="ignore") if self.exotic else nullcontext():
-            np.subtract(self.x[i0:i1, None], self.x[None, j0:j1], dx.reshape(shape))
-            np.subtract(self.y[i0:i1, None], self.y[None, j0:j1], dy.reshape(shape))
-        if not self.exotic:
-            d = _hypot(self.work, n)
+        # some coordinate is exotic; the instance rejects it
+        with np.errstate(over="ignore") if exotic else nullcontext():
+            np.subtract(x[i0:i1, None], x[None, i0:], dx.reshape(shape))
+            np.subtract(y[i0:i1, None], y[None, i0:], dy.reshape(shape))
+        if not exotic:
+            d = _hypot(work, n)
         else:
             larger = np.maximum(np.abs(dx), np.abs(dy))
             slow = np.flatnonzero((larger >= 2.0**1022) | ((larger < 2.0**-1022) & (larger > 0)))
             hypots = list(map(math.hypot, dx[slow].tolist(), dy[slow].tolist()))
             dx[slow] = dy[slow] = 0.0
-            d = _hypot(self.work, n)
+            d = _hypot(work, n)
             d[slow] = hypots
-        if self.mode is MetricMode.ROUNDED:
+        if mode is MetricMode.ROUNDED:
             d += 0.5
             np.floor(d, out=d)
-        return d.reshape(shape)
+        block = d.reshape(shape)
+        cost[i0:i1, i0:] = block
+        cost[i0:, i0:i1] = block.T
+        i0 = i1
+    return cost
 
 
 _SUPPORTED_EDGE_WEIGHT_TYPES = {"EUC_2D"}

@@ -17,7 +17,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from mpdtsp import DeadEndError, Instance, MetricMode, Role, Tour
+from mpdtsp import DeadEndError, Instance, MetricMode, Tour
 from mpdtsp.construction import check_carriable, check_construction
 from mpdtsp.model import visit_events
 
@@ -34,7 +34,7 @@ class NnhState:
     @classmethod
     def initial(cls, instance: Instance, init: int) -> "NnhState":
         init = instance.normalize_node(init)
-        payload = float(instance.loads[init]) if instance.role(init) is Role.PICKUP else 0.0
+        payload = float(instance.loads[init]) if 1 <= init <= instance.n_pairs else 0.0
         remainder = set(range(instance.node_count)) - {init}
         return cls(partial=[init], payload=payload, remainder=remainder, cost_so_far=0.0)
 
@@ -48,7 +48,7 @@ def feasible_candidates(instance: Instance, state: NnhState) -> list[int]:
     visited = set(state.partial)
     out = []
     for node in sorted(state.remainder):
-        if instance.role(node) is Role.DELIVERY and node - instance.n_pairs not in visited:
+        if node > instance.n_pairs and node - instance.n_pairs not in visited:
             continue
         if state.payload + instance.loads[node] > instance.load_limit:
             continue
@@ -208,7 +208,7 @@ def feasible_slots(instance: Instance, state: CihState, node: int) -> range:
         else:
             break
 
-    if instance.role(node) is Role.DELIVERY:
+    if node > instance.n_pairs:
         pickup = node - instance.n_pairs
         if pickup not in state.partial:
             return range(m - 1, m - 1)  # empty: no admissible slot yet

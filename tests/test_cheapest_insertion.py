@@ -25,7 +25,6 @@ from mpdtsp import (
     Instance,
     MetricMode,
     MultiStartError,
-    Role,
     cih_best,
     cih_from,
     nnh_best,
@@ -54,7 +53,7 @@ def brute_force_slots(instance, state, node):
         )
         if any(p > instance.load_limit for p in new_payload):
             continue
-        if instance.role(node) is Role.DELIVERY:
+        if node > instance.n_pairs:
             pickup = node - instance.n_pairs
             if pickup not in state.partial or k < state.partial.index(pickup):
                 continue
@@ -288,7 +287,7 @@ class TestCihFrom:
                 if node != delivery:
                     assert list(feasible_slots(inst, state, node)) == []
         choice = best_insertion(inst, block)
-        assert all(inst.role(int(node)) is Role.PICKUP for node in choice.node)
+        assert all(1 <= node <= inst.n_pairs for node in choice.node)
 
     def test_eil51_any_start_validates(self, eil51_cloud):
         inst = generate(eil51_cloud, GenerationSpec(Direction.DELIVERIES_CENTRAL, 2))

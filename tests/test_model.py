@@ -8,14 +8,13 @@ from reference_checkers import reference_cost_matrix
 from mpdtsp import (
     Instance,
     MetricMode,
-    Role,
     ViolationKind,
     paired_loads,
     payload_profile,
     tour_cost,
     validate,
 )
-from mpdtsp import model
+from mpdtsp import model, tsplib
 from mpdtsp.model import visit_events
 
 SQRT2 = math.sqrt(2.0)
@@ -39,6 +38,17 @@ NON_FINITE_BUILDS = {
     ),
 }
 
+#: (loads, capacity, error) of one-pair instances that fail a check on their loads or capacity
+BAD_LOADS_AND_CAPACITIES = {
+    "load-count": ([0.0, 1.0], 1.0, "load vector must have length 3"),
+    "load-nan": ([0.0, math.nan, math.nan], 1.0, "loads must be finite"),
+    "depot-load": ([1.0, 1.0, -1.0], 1.0, "depot load must be zero"),
+    "pickup-load": ([0.0, -1.0, 1.0], 1.0, "pickup loads must be positive"),
+    "delivery-load": ([0.0, 1.0, -2.0], 1.0, "delivery loads must exactly negate"),
+    "capacity-inf": (paired_loads([1.0]), math.inf, "capacity must be finite"),
+    "capacity-negative": (paired_loads([1.0]), -1.0, "capacity must be nonnegative"),
+}
+
 #: finite clouds whose distances overflow to inf
 OVERFLOWING_CLOUDS = (
     [(0, 0), (1.5e308, 1.5e308), (0, 1)],
@@ -57,15 +67,14 @@ COST_CLOUDS = {
 
 class TestInstance:
     def test_roles_and_pairing(self, two_pair):
-        assert two_pair.role(0) is Role.DEPOT
-        assert two_pair.role(1) is Role.PICKUP
-        assert two_pair.role(4) is Role.DELIVERY
-        assert two_pair.pair_index(3) == 1
-        assert two_pair.pair_index(4) == 2
+        # pickup k is paired to delivery n+k, which takes its load off again
+        assert list(two_pair.pickups) == [1, 2]
+        assert list(two_pair.deliveries) == [3, 4]
+        assert two_pair.loads[0] == 0.0
+        assert list(two_pair.loads[3:]) == list(-two_pair.loads[1:3])
 
     def test_terminal_alias_maps_to_depot(self, two_pair):
         assert two_pair.normalize_node(5) == 0
-        assert two_pair.role(5) is Role.DEPOT
 
     def test_load_pairing_enforced(self):
         bad = paired_loads([1.0, 1.0])
@@ -85,6 +94,16 @@ class TestInstance:
     def test_non_finite_input_rejected(self, field, value):
         with pytest.raises(ValueError, match="finite"):
             NON_FINITE_BUILDS[field](value)
+
+    @pytest.mark.parametrize("field", sorted(BAD_LOADS_AND_CAPACITIES))
+    def test_bad_loads_and_capacity_build_no_matrix(self, monkeypatch, field):
+        def no_matrix(coords, metric):
+            raise AssertionError("built a cost matrix for an instance that fails its checks")
+
+        monkeypatch.setattr(model, "cost_matrix", no_matrix)
+        loads, capacity, message = BAD_LOADS_AND_CAPACITIES[field]
+        with pytest.raises(ValueError, match=message):
+            Instance.from_coords([(0, 0), (1, 0), (0, 1)], loads, capacity)
 
     @pytest.mark.parametrize("metric", list(MetricMode))
     def test_overflowing_distance_rejected(self, metric):
@@ -156,7 +175,7 @@ class TestArcCost:
 
     @pytest.mark.parametrize("budget", [1, 16, 40])
     def test_rows_longer_than_the_block_budget(self, monkeypatch, budget):
-        monkeypatch.setattr(model, "DISTANCE_BLOCK", budget)
+        monkeypatch.setattr(tsplib, "DISTANCE_BLOCK", budget)
         coords = COST_CLOUDS["wide-range"](np.random.default_rng(budget), 31)
         inst = Instance.from_coords(coords, paired_loads([1.0] * 15), 1.0)
         assert inst.cost.tobytes() == reference_cost_matrix(coords, MetricMode.EXACT).tobytes()

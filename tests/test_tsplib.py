@@ -5,13 +5,8 @@ import pytest
 
 from reference_checkers import reference_cost_matrix
 from mpdtsp import Instance, paired_loads
-from mpdtsp.tsplib import (
-    Distances,
-    MetricMode,
-    TsplibParseError,
-    parse,
-    tsplib_distance,
-)
+from mpdtsp import tsplib
+from mpdtsp.tsplib import MetricMode, TsplibParseError, cost_matrix, parse
 
 MINIMAL = """\
 NAME: tiny
@@ -114,8 +109,8 @@ def test_nonconsecutive_indices_preserved():
 
 
 def distance(a, b, mode=MetricMode.EXACT):
-    """The row form of ``tsplib_distance`` on one pair."""
-    return tsplib_distance(a, np.array([b], dtype=float), mode)[0]
+    """The distance between two points, from their two-point cost matrix."""
+    return cost_matrix(np.array([a, b], dtype=float), mode)[0, 1]
 
 
 class TestDistance:
@@ -175,6 +170,10 @@ EDGE_PAIRS = [
     ((1e308, 0.0), (-1e308, 0.0)),                      # the difference itself overflows
 ]
 
+#: every edge point, next to ordinary ones, and its pairwise reference matrix
+EDGE_CLOUD = np.array([p for pair in EDGE_PAIRS for p in pair] + [(1.0, 2.0), (-3e5, 4e-3)])
+EDGE_REFERENCE = reference_cost_matrix(EDGE_CLOUD, MetricMode.EXACT)
+
 
 class TestDistanceParity:
     """Every distance is ``math.hypot`` of the coordinate differences, bit for bit."""
@@ -197,7 +196,12 @@ class TestDistanceParity:
 
     def test_cloud_of_edge_points_matches_reference(self):
         # every edge point in one block, next to ordinary ones
-        coords = np.array([p for pair in EDGE_PAIRS for p in pair] + [(1.0, 2.0), (-3e5, 4e-3)])
-        m = len(coords)
-        block = Distances(coords, MetricMode.EXACT, m * m).block(0, m, 0, m)
-        assert block.tobytes() == reference_cost_matrix(coords, MetricMode.EXACT).tobytes()
+        assert cost_matrix(EDGE_CLOUD, MetricMode.EXACT).tobytes() == EDGE_REFERENCE.tobytes()
+
+    @pytest.mark.parametrize("budget", [1, 16, 40])
+    def test_edge_points_across_blocks_match_reference(self, monkeypatch, budget):
+        # the scalar fallback cells spread over many row blocks, and over
+        # one-row blocks where a row is longer than the budget; EXACT only,
+        # since the reference cannot round an infinite distance
+        monkeypatch.setattr(tsplib, "DISTANCE_BLOCK", budget)
+        assert cost_matrix(EDGE_CLOUD, MetricMode.EXACT).tobytes() == EDGE_REFERENCE.tobytes()
