@@ -9,15 +9,14 @@ in-window (node, slot) cells the lowest insertion ratio (new arcs over the
 replaced arc, or over 1 when that arc costs nothing, as in the opening move)
 wins; ties go to the lowest node id, then the earliest slot.
 
-Every start's partial tour has the same length after every step, so all
-starts advance together, in lock step.  One choice step
-(:func:`best_insertion`) derives every (start, node) window at once, lays the
+The starts grow in :func:`construction.lockstep <mpdtsp.construction.lockstep>`
+blocks of closed partial tours (:class:`CihBlock`).  Its choice step,
+:func:`best_insertion`, derives every (start, node) window at once, lays the
 in-window cells of all starts out in one flat array, computes each cell's
-ratio afresh and reduces it per start; :func:`apply_insertion` splices every
-start's choice in at once.  No ratio is kept between steps and no cell
-outside a window is computed.  A start with no cell stalls and leaves the
-block, its partial tour and the nodes left kept for its :class:`DeadEndError`.
-A single start (:func:`cih_from`) is the same block with one row.
+ratio afresh and reduces it per start; a start with no cell stalls.
+:func:`apply_insertion` splices every start's choice in at once.  No ratio is
+kept between steps and no cell outside a window is computed.  A single start
+(:func:`cih_from`) is the same block with one row.
 """
 
 from __future__ import annotations
@@ -28,33 +27,19 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .construction import (
-    DeadEndError,
-    MultiStartResult,
-    Outcome,
-    check_carriable,
-    finished_tours,
-    run_multistart,
-    run_single,
-    stall_errors,
-)
+from .construction import Block, MultiStartResult, Outcome, lockstep, run_multistart, run_single
 from .model import Instance, Tour, visit_events
 
 
 @dataclass(eq=False)
-class CihBlock:
-    """The closed partial tours of every live start, one row each, all of one length.
+class CihBlock(Block):
+    """The closed partial tours of every live start (start node doubled).
 
-    Row r is start ``inits[r]``: tour ``tour[r, :size]``, load on board leaving
-    each position ``payload[r, :size]``, cost so far ``total[r]``.  ``thresholds``
-    holds the distinct ``load_limit - loads`` ascending, ``level[u]`` node u's index.
+    ``payload[r, :size]`` is the load on board leaving each position of row
+    r.  ``thresholds`` holds the distinct ``load_limit - loads`` ascending,
+    ``level[u]`` node u's index.
     """
 
-    inits: np.ndarray
-    tour: np.ndarray = field(repr=False)
-    payload: np.ndarray = field(repr=False)
-    total: np.ndarray
-    size: int
     thresholds: np.ndarray = field(repr=False)
     level: np.ndarray = field(repr=False)
 
@@ -156,27 +141,9 @@ def apply_insertion(state: CihBlock, choice: InsertionChoice, instance: Instance
     return state
 
 
-def _lockstep(instance: Instance, starts: list[int]) -> Outcome:
-    """Grow the tour of every start together: tours and stalls by start, steps and cells."""
-    check_carriable(instance)
-    n_nodes = instance.node_count
-    state = CihBlock.initial(instance, starts)
-    failures: dict[int, DeadEndError] = {}
-    steps = cells = 0
-    for _ in range(n_nodes - 1):
-        choice = best_insertion(instance, state)
-        cells += choice.cells
-        if choice.stalled.any():
-            failures.update(stall_errors(instance, state.inits, state.tour, state.size, choice.stalled))
-            going = ~choice.stalled
-            state.inits, state.tour = state.inits[going], state.tour[going]
-            state.payload, state.total = state.payload[going], state.total[going]
-            if not state.inits.size:
-                break
-        apply_insertion(state, choice, instance)
-        steps += state.inits.size
-
-    return finished_tours(instance, state.inits, state.tour, state.total), failures, steps, cells
+def _lockstep(instance: Instance, starts: list[int], rows: int) -> Outcome:
+    """Grow the tour of every start, ``rows`` starts a block: tours and stalls by start, steps and cells."""
+    return lockstep(instance, starts, rows, CihBlock.initial, best_insertion, apply_insertion)
 
 
 def cih_from(instance: Instance, init: int) -> Tour:

@@ -26,7 +26,7 @@ EXIT_INFEASIBLE = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
-_METRIC_FLAGS = {"rounded": MetricMode.ROUNDED, "exact": MetricMode.EXACT}
+_METRIC_CHOICES = sorted(m.value for m in MetricMode)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -46,7 +46,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--direction", required=True,
                    choices=[d.value for d in Direction])
     p.add_argument("--capacity", required=True, type=int, metavar="ITEMS")
-    p.add_argument("--metric", choices=sorted(_METRIC_FLAGS), default="exact")
+    p.add_argument("--metric", choices=_METRIC_CHOICES, default="exact")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_generate)
 
@@ -55,7 +55,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--heuristic", choices=["nnh", "cih", "both"], default="both")
     p.add_argument("--init", default="all",
                    help="'all', 'depot', or a node id (default: all)")
-    p.add_argument("--metric", choices=sorted(_METRIC_FLAGS),
+    p.add_argument("--metric", choices=_METRIC_CHOICES,
                    help="override the metric recorded in the instance file")
     p.add_argument("--table", help="write the per-start cost table as CSV")
     p.add_argument("--out", help="write the best tour (one node id per line)")
@@ -76,7 +76,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", help="directory of TSPLIB EUC_2D files")
     p.add_argument("--directions", help="comma list of precedence directions")
     p.add_argument("--capacities", help="comma list of capacities, e.g. 2,4,6,8,10")
-    p.add_argument("--metric", choices=sorted(_METRIC_FLAGS))
+    p.add_argument("--metric", choices=_METRIC_CHOICES)
     p.add_argument("--init-policy", choices=[bench.InitPolicy.ALL, bench.InitPolicy.DEPOT])
     p.add_argument("--max-nodes", type=int)
     p.add_argument("--csv", help="write result rows here")
@@ -94,7 +94,7 @@ def _load_instance(args) -> Instance:
     instance = files.read_instance(args.instance)
     metric = getattr(args, "metric", None)
     if metric:
-        instance = instance.with_metric(_METRIC_FLAGS[metric])
+        instance = instance.with_metric(MetricMode(metric))
     return instance
 
 
@@ -116,7 +116,7 @@ def _cmd_inspect(args) -> int:
 def _cmd_generate(args) -> int:
     cloud = tsplib.parse_file(args.file)
     spec = GenerationSpec(Direction(args.direction), args.capacity)
-    instance = generate(cloud, spec, _METRIC_FLAGS[args.metric])
+    instance = generate(cloud, spec, MetricMode(args.metric))
     files.write_instance(instance, args.out)
     files.write_sidecar(instance.meta, str(args.out) + ".meta")
     dropped = instance.meta.get("dropped_file_index") or "none"

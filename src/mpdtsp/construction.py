@@ -1,18 +1,20 @@
 """Shared machinery for multi-start tour construction.
 
-Both greedy builders grow one tour per start node, and both grow every
-start's tour together, in one lock-step block: a builder is a function from
-an instance and the start ids to the finished tours, the stalls, and its step
-and cell counts.  :func:`run_multistart` is the one skeleton around a
-builder: the start ids, the block, then :func:`multistart_result`.  The best
-tour is the cheapest successful one, with ties broken by the lowest start id
-so results never depend on evaluation order.
+Both greedy builders grow one tour per start node, a node a step, and every
+start's partial tour has the same length after every step, so all starts
+advance together, in lock step.  :func:`lockstep` is the one step loop: each
+step a builder's ``choose`` picks the next move of every row of a
+:class:`Block`, the rows that stalled leave with their :class:`DeadEndError`,
+and the builder's ``apply`` makes the moves of the rest.  The builders differ
+only in that pair: append the nearest node, or insert at the cheapest ratio.
+:func:`run_multistart` keeps the cheapest finished tour, with ties broken by
+the lowest start id so results never depend on evaluation order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable
+from dataclasses import dataclass, field
+from typing import Any, Callable, ClassVar, Iterable
 
 import numpy as np
 
@@ -49,8 +51,8 @@ class MultiStartResult:
     best_tour: Tour
     best_init: int
     costs: dict[int, float]        # start id -> tour cost, successful starts only
-    # start id -> (stall step, nodes left): the lengths of a DeadEndError's
-    # partial tour and remainder, in ascending start order
+    # start id -> (stall step, nodes left), in ascending start order; the
+    # stall step is the number of distinct nodes placed, the step that stalled
     stalls: dict[int, tuple[int, int]]
     steps: int                     # nodes added over all starts
     cells: int                     # candidate cells the choice steps scanned
@@ -65,37 +67,67 @@ class MultiStartResult:
         return tuple(self.stalls)
 
 
-def start_ids(instance: Instance, inits: Iterable[int] | None) -> list[int]:
-    """The distinct physical start ids in ascending order (default: all nodes)."""
-    if inits is None:
-        return list(range(instance.node_count))
-    ids = sorted({instance.normalize_node(i) for i in inits})
-    if not ids:
-        raise ValueError("inits must be nonempty")
-    return ids
+@dataclass(eq=False)
+class Block:
+    """The partial tours of every live start, one row each, all of one length.
+
+    Row r is start ``inits[r]``: tour ``tour[r, :size]``, load on board
+    ``payload[r]``, cost so far ``total[r]``.  ``ROWS`` names the arrays that
+    hold one row per start, which a stalled row leaves.
+    """
+
+    ROWS: ClassVar[tuple[str, ...]] = ("inits", "tour", "payload", "total")
+
+    inits: np.ndarray
+    tour: np.ndarray = field(repr=False)
+    payload: np.ndarray = field(repr=False)
+    total: np.ndarray
+    size: int
 
 
-def multistart_result(
-    tours: dict[int, Tour], failures: dict[int, DeadEndError], steps: int, cells: int
-) -> MultiStartResult:
-    """The deterministic best of every start's outcome: lowest cost, then lowest start id."""
-    if not tours:
-        raise MultiStartError(failures)
-    best_init = min(tours, key=lambda init: (tours[init].cost, init))
-    return MultiStartResult(
-        best_tour=tours[best_init],
-        best_init=best_init,
-        costs={init: tours[init].cost for init in sorted(tours)},
-        stalls={init: (len(exc.partial), len(exc.remainder)) for init, exc in sorted(failures.items())},
-        steps=steps,
-        cells=cells,
-    )
-
-
-#: what a lock-step builder returns: tours and stalls by start id, then its
-#: step and cell counts
+#: what :func:`lockstep` returns: tours and stalls by start id, then its step
+#: and cell counts
 Outcome = tuple[dict[int, Tour], dict[int, DeadEndError], int, int]
-Block = Callable[[Instance, list[int]], Outcome]
+#: a builder's lock step: (instance, start ids, rows a block) -> Outcome
+Grow = Callable[[Instance, list[int], int], Outcome]
+
+
+def lockstep(
+    instance: Instance, starts: list[int], rows: int, initial: Callable[[Instance, list[int]], Block],
+    choose: Callable[[Instance, Any], Any], apply: Callable[[Any, Any, Instance], Any],
+) -> Outcome:
+    """Grow the tour of every start, ``rows`` starts a block built by ``initial``, a node a step.
+
+    Each step ``choice = choose(instance, block)`` picks every row's move, or
+    flags the row in ``choice.stalled``, having scanned ``choice.cells``
+    cells.  A stalled row leaves with its :class:`DeadEndError`, whose partial
+    tour is ``block.tour[r, :block.size]``; ``apply(block, choice, instance)``
+    moves the rest.  Every finished tour is checked by :func:`check_construction`.
+    """
+    check_carriable(instance)
+    nodes = range(instance.node_count)
+    tours: dict[int, Tour] = {}
+    failures: dict[int, DeadEndError] = {}
+    steps = cells = 0
+    for first in range(0, len(starts), rows):
+        block = initial(instance, starts[first : first + rows])
+        for _ in nodes[1:]:
+            choice = choose(instance, block)
+            cells += choice.cells
+            if choice.stalled.any():
+                for r in choice.stalled.nonzero()[0]:
+                    init, partial = int(block.inits[r]), block.tour[r, : block.size].tolist()
+                    failures[init] = DeadEndError(init, partial, set(nodes).difference(partial))
+                going = ~choice.stalled
+                for name in block.ROWS:
+                    setattr(block, name, getattr(block, name)[going])
+                if not block.inits.size:
+                    break
+            apply(block, choice, instance)
+            steps += block.inits.size
+        for init, seq, cost in zip(block.inits.tolist(), block.tour.tolist(), block.total.tolist()):
+            tours[init] = check_construction(instance, Tour(tuple(seq), cost))
+    return tours, failures, steps, cells
 
 
 #: cells one step of a block may lay out; at 8 bytes a cell, 8 MiB an array
@@ -103,49 +135,43 @@ BLOCK_CELLS = 1 << 20
 
 
 def run_multistart(
-    instance: Instance, inits: Iterable[int] | None, block: Block, cells_per_start: int
+    instance: Instance, inits: Iterable[int] | None, grow: Grow, cells_per_start: int
 ) -> MultiStartResult:
-    """Grow every start's tour with ``block`` and keep the deterministic best.
+    """Grow every start's tour with ``grow`` and keep the deterministic best.
 
-    ``cells_per_start`` bounds the cells one step of ``block`` lays out for a
-    start.  Starts are independent, so they run in blocks of at most
-    ``BLOCK_CELLS / cells_per_start`` starts.
+    The starts are the distinct physical ids of ``inits``, ascending (default:
+    all nodes).  ``cells_per_start`` bounds the cells one step lays out for a
+    start, so a block holds at most ``BLOCK_CELLS / cells_per_start`` starts.
+    The best tour has the lowest cost, then the lowest start id.
     """
-    starts = start_ids(instance, inits)
-    size = max(1, BLOCK_CELLS // cells_per_start)
-    tours, failures, steps, cells = block(instance, starts[:size])
-    for i in range(size, len(starts), size):
-        more_tours, more_failures, more_steps, more_cells = block(instance, starts[i : i + size])
-        tours.update(more_tours)
-        failures.update(more_failures)
-        steps, cells = steps + more_steps, cells + more_cells
-    return multistart_result(tours, failures, steps, cells)
+    if inits is None:
+        starts = list(range(instance.node_count))
+    else:
+        starts = sorted({instance.normalize_node(i) for i in inits})
+        if not starts:
+            raise ValueError("inits must be nonempty")
+    tours, failures, steps, cells = grow(instance, starts, max(1, BLOCK_CELLS // cells_per_start))
+    if not tours:
+        raise MultiStartError(failures)
+    best_init = min(tours, key=lambda init: (tours[init].cost, init))
+    left = {init: len(exc.remainder) for init, exc in sorted(failures.items())}
+    return MultiStartResult(
+        best_tour=tours[best_init],
+        best_init=best_init,
+        costs={init: tours[init].cost for init in sorted(tours)},
+        stalls={init: (instance.node_count - n, n) for init, n in left.items()},
+        steps=steps,
+        cells=cells,
+    )
 
 
-def run_single(instance: Instance, init: int, block: Block) -> Tour:
-    """One start as a one-row ``block``: its tour, or its :class:`DeadEndError` raised."""
+def run_single(instance: Instance, init: int, grow: Grow) -> Tour:
+    """One start as a one-row block: its tour, or its :class:`DeadEndError` raised."""
     init = instance.normalize_node(init)
-    tours, failures, _, _ = block(instance, [init])
+    tours, failures, _, _ = grow(instance, [init], 1)
     if failures:
         raise failures[init]
     return tours[init]
-
-
-def stall_errors(
-    instance: Instance, inits: np.ndarray, tours: np.ndarray, size: int, stalled: np.ndarray
-) -> dict[int, DeadEndError]:
-    """The :class:`DeadEndError` of each ``stalled`` block row, its partial tour ``tours[r, :size]``."""
-    partials = {int(inits[r]): tours[r, :size].tolist() for r in stalled.nonzero()[0]}
-    nodes = range(instance.node_count)
-    return {init: DeadEndError(init, p, set(nodes).difference(p)) for init, p in partials.items()}
-
-
-def finished_tours(
-    instance: Instance, inits: np.ndarray, tours: np.ndarray, totals: np.ndarray
-) -> dict[int, Tour]:
-    """Every block row's tour by start id, each checked by :func:`check_construction`."""
-    rows = zip(inits.tolist(), tours.tolist(), totals.tolist())
-    return {init: check_construction(instance, Tour(tuple(seq), cost)) for init, seq, cost in rows}
 
 
 def check_carriable(instance: Instance) -> None:

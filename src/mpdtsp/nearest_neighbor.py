@@ -7,85 +7,91 @@ a pickup begins with that item loaded; starting at a delivery begins empty and
 unloads at the closing visit.  Running the construction from every node and
 keeping the cheapest tour gives the multi-start solution.
 
-Every start's partial tour has the same length after every step, so all
-starts advance together, in lock step.  One step gates every (start, node)
-pair for precedence and capacity at once and takes, for each start, the
-argmin of its last node's cost row with the gated nodes masked out.  A start
-with no admissible node stalls: it leaves the block, and its partial tour and
-the nodes left are kept for its :class:`DeadEndError`.  A single start
-(:func:`nnh_from`) is the same block with one row.
+The starts grow in :func:`construction.lockstep <mpdtsp.construction.lockstep>`
+blocks.  Its choice step, :func:`nearest`, gates every (start, node) pair for
+precedence and capacity at once and takes, for each start, the argmin of its
+last node's cost row with the gated nodes masked out; a start with no
+admissible node stalls.  :func:`extend` appends every start's choice.  A
+single start (:func:`nnh_from`) is the same block with one row.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from dataclasses import dataclass, field
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .construction import (
-    DeadEndError,
-    MultiStartResult,
-    Outcome,
-    check_carriable,
-    finished_tours,
-    run_multistart,
-    run_single,
-    stall_errors,
-)
+from .construction import Block, MultiStartResult, Outcome, lockstep, run_multistart, run_single
 from .model import Instance, Tour, visit_events
 
 
-def _lockstep(instance: Instance, starts: list[int]) -> Outcome:
-    """Grow the tour of every start together: tours and stalls by start, steps and cells."""
-    check_carriable(instance)
-    n_nodes = instance.node_count
-    n_pairs = instance.n_pairs
-    cost = instance.cost
-    loads = instance.loads
+@dataclass(eq=False)
+class NnhBlock(Block):
+    """The open partial tours of every live start; ``visited[r, u]`` once row r holds node u.
 
-    inits = np.array(starts)
-    rows = np.arange(inits.size)
-    # a delivery start is visited from the outset, so its pickup opens nothing:
-    # that delivery waits for the closing visit
-    visited = np.zeros((inits.size, n_nodes), dtype=bool)
-    visited[rows, inits] = True
+    A tour row starts filled with its start, so its closing visit is in place.
+    """
 
-    # on board leaving the start
-    payload = np.array([visit_events(instance, (init, init))[0] for init in starts])
-    total = np.zeros(inits.size)
-    sequences = np.empty((inits.size, n_nodes + 1), dtype=int)
-    sequences[:, 0] = inits
-    failures: dict[int, DeadEndError] = {}
-    steps = cells = 0
+    ROWS = Block.ROWS + ("visited",)
 
-    for step in range(1, n_nodes):
-        cells += inits.size * n_nodes
-        admissible = ~visited & (payload[:, None] + loads <= instance.load_limit)
-        # a delivery waits for its pickup
-        admissible[:, n_pairs + 1 :] &= visited[:, 1 : n_pairs + 1]
-        # ties on arc cost go to the lowest node id
-        arcs = np.where(admissible, cost[sequences[:, step - 1]], np.inf)
-        pick = arcs.argmin(axis=1)
-        arc = arcs[rows, pick]
-        stalled = arc == np.inf
-        if stalled.any():
-            failures.update(stall_errors(instance, inits, sequences, step, stalled))
-            going = ~stalled
-            inits, visited = inits[going], visited[going]
-            payload, total, sequences = payload[going], total[going], sequences[going]
-            pick, arc = pick[going], arc[going]
-            rows = rows[: inits.size]
-            if not inits.size:
-                break
-        total += arc
-        payload += loads[pick]
-        visited[rows, pick] = True
-        sequences[:, step] = pick
-        steps += inits.size
+    visited: np.ndarray = field(repr=False)
 
-    sequences[:, n_nodes] = inits
-    total += cost[sequences[:, n_nodes - 1], inits]
-    return finished_tours(instance, inits, sequences, total), failures, steps, cells
+    @classmethod
+    def initial(cls, instance: Instance, starts: list[int]) -> "NnhBlock":
+        inits = np.array(starts)
+        tour = np.repeat(inits[:, None], instance.node_count + 1, axis=1)
+        # a delivery start is visited from the outset, so its pickup opens
+        # nothing: that delivery waits for the closing visit
+        visited = np.zeros((inits.size, instance.node_count), dtype=bool)
+        visited[np.arange(inits.size), inits] = True
+        payload = np.array([visit_events(instance, (init, init))[0] for init in starts])
+        return cls(inits, tour, payload, np.zeros(inits.size), 1, visited)
+
+
+class NearestChoice(NamedTuple):
+    """Each row not ``stalled`` appends ``node`` over an arc costing ``arc``; ``cells`` were scanned."""
+
+    node: np.ndarray
+    arc: np.ndarray
+    stalled: np.ndarray
+    cells: int
+
+
+def nearest(instance: Instance, block: NnhBlock) -> NearestChoice:
+    """The cheapest admissible next node of every row of the block, or its stall.
+
+    Ties on arc cost go to the lowest node id.
+    """
+    n_pairs, visited = instance.n_pairs, block.visited
+    admissible = ~visited & (block.payload[:, None] + instance.loads <= instance.load_limit)
+    # a delivery waits for its pickup
+    admissible[:, n_pairs + 1 :] &= visited[:, 1 : n_pairs + 1]
+    arcs = np.where(admissible, instance.cost[block.tour[:, block.size - 1]], np.inf)
+    node = arcs.argmin(axis=1)
+    arc = arcs[np.arange(node.size), node]
+    stalled = arc == np.inf
+    if stalled.any():
+        node, arc = node[~stalled], arc[~stalled]
+    return NearestChoice(node, arc, stalled, arcs.size)
+
+
+def extend(block: NnhBlock, choice: NearestChoice, instance: Instance) -> NnhBlock:
+    """Append every row's chosen node; the block, updated in place, holds no stalled row."""
+    node = choice.node
+    block.total += choice.arc
+    block.payload += instance.loads[node]
+    block.visited[np.arange(node.size), node] = True
+    block.tour[:, block.size] = node
+    block.size += 1
+    if block.size == instance.node_count:  # close the tour after its last arc
+        block.total += instance.cost[node, block.inits]
+    return block
+
+
+def _lockstep(instance: Instance, starts: list[int], rows: int) -> Outcome:
+    """Grow the tour of every start, ``rows`` starts a block: tours and stalls by start, steps and cells."""
+    return lockstep(instance, starts, rows, NnhBlock.initial, nearest, extend)
 
 
 def nnh_from(instance: Instance, init: int) -> Tour:

@@ -27,7 +27,6 @@ from mpdtsp import (
     MultiStartError,
     cih_best,
     cih_from,
-    nnh_best,
     paired_loads,
     payload_profile,
     tour_cost,
@@ -35,6 +34,8 @@ from mpdtsp import (
 )
 from mpdtsp import construction
 from mpdtsp.cheapest_insertion import CihBlock, apply_insertion, best_insertion
+from mpdtsp.cheapest_insertion import _lockstep as cih_lockstep
+from mpdtsp.nearest_neighbor import _lockstep as nnh_lockstep
 from mpdtsp.generate import Direction, GenerationSpec, generate
 
 SQRT2 = math.sqrt(2.0)
@@ -325,10 +326,13 @@ class TestCihBest:
         tight = with_capacity(two_pair, 1.0)
         result = cih_best(tight)
         assert result.dead_ends and sorted(result.stalls) == list(result.dead_ends)
+        # the stall step counts the distinct nodes placed: the closed partial
+        # tour, less its doubled start
         for init, stall in result.stalls.items():
             with pytest.raises(DeadEndError) as err:
                 cih_from(tight, init)
-            assert stall == (len(err.value.partial), len(err.value.remainder))
+            assert stall == (len(err.value.partial) - 1, len(err.value.remainder))
+        assert result.stalls == {3: (3, 2), 4: (3, 2)}  # as nnh_best reports them
 
     def test_dead_ends_keep_no_builder_frames(self, two_pair):
         # a kept traceback would hold the builder's frames, and the block in
@@ -356,13 +360,24 @@ class TestCihBest:
         assert result.dead_ends
         assert (result.steps, result.cells) == (steps, cells)
 
-    @pytest.mark.parametrize("solver", (cih_best, nnh_best), ids=("CIH", "NNH"))
-    def test_starts_split_into_blocks_give_the_same_result(self, monkeypatch, solver):
+    @pytest.mark.parametrize("rows", (1, 2, 3))
+    @pytest.mark.parametrize("builder", (cih_lockstep, nnh_lockstep), ids=("CIH", "NNH"))
+    def test_starts_split_into_blocks_give_the_same_result(self, builder, rows):
+        # blocks of 2 and 3 rows hold a row that stalls while the others go on
         inst = grid_instance(4, 1, 3, MetricMode.ROUNDED)
-        whole = solver(inst)
-        monkeypatch.setattr(construction, "BLOCK_CELLS", 1)  # one start a block
-        assert solver(inst) == whole
-        assert whole.dead_ends  # stalls merge across blocks too
+        starts = list(range(inst.node_count))
+        whole, split = builder(inst, starts, len(starts)), builder(inst, starts, rows)
+        assert split[0] == whole[0] and split[2:] == whole[2:]
+        assert {i: (e.partial, e.remainder) for i, e in split[1].items()} == {
+            i: (e.partial, e.remainder) for i, e in whole[1].items()}
+        assert whole[0] and whole[1]  # stalls merge across blocks too
+
+    @pytest.mark.parametrize("builder", (cih_lockstep, nnh_lockstep), ids=("CIH", "NNH"))
+    def test_a_block_holds_at_least_one_start(self, monkeypatch, builder):
+        inst = grid_instance(4, 1, 3, MetricMode.ROUNDED)
+        whole = construction.run_multistart(inst, None, builder, 1)
+        monkeypatch.setattr(construction, "BLOCK_CELLS", 1)  # fewer than one start's cells
+        assert construction.run_multistart(inst, None, builder, inst.node_count) == whole
 
     def test_cost_table_reproducible_across_capacities(self, eil51_cloud):
         for q in (2, 10):

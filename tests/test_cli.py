@@ -112,19 +112,23 @@ class TestSolve:
         assert all(row.endswith(",,") for row in table[1:])  # no start stalled
 
     def test_dead_ends_show_their_stall_step(self, capsys, tmp_path):
-        # from D1 the tour runs 3, 1, 0 and from D2 it runs 4, 2, 0; then the
-        # item on board and the unmet precedence block the two nodes left
+        # from D1 the nearest-neighbor tour runs 3, 1, 0 and from D2 it runs
+        # 4, 2, 0; then the item on board and the unmet precedence block the
+        # two nodes left.  Cheapest insertion stalls there too, and its stall
+        # step counts the same three distinct nodes placed.
         inst = Instance.from_coords(TWO_PAIR_COORDS, paired_loads([1.0, 1.0]), 1.0)
         path = tmp_path / "tight.inst"
         write_instance(inst, path)
         table_path = tmp_path / "table.csv"
-        code, out, _ = run(capsys, "solve", path, "--heuristic", "nnh", "--table", table_path)
-        assert code == 0
-        assert "2 dead ends" in out
-        assert "     3  dead-end at step 3, 2 left" in out
-        assert "     4  dead-end at step 3, 2 left" in out
-        # the table file gives each dead end its stall step and nodes left
-        assert table_path.read_text().splitlines()[-2:] == ["NNH,3,dead-end,3,2", "NNH,4,dead-end,3,2"]
+        for heuristic in ("nnh", "cih"):
+            code, out, _ = run(capsys, "solve", path, "--heuristic", heuristic, "--table", table_path)
+            assert code == 0
+            assert "2 dead ends" in out
+            assert "     3  dead-end at step 3, 2 left" in out
+            assert "     4  dead-end at step 3, 2 left" in out
+            # the table file gives each dead end its stall step and nodes left
+            name = heuristic.upper()
+            assert table_path.read_text().splitlines()[-2:] == [f"{name},3,dead-end,3,2", f"{name},4,dead-end,3,2"]
 
     def test_single_node_init(self, capsys, two_pair_file):
         code, out, _ = run(capsys, "solve", two_pair_file, "--heuristic", "nnh",
