@@ -103,6 +103,52 @@ def test_non_finite_coordinate_rejected_with_line(bad):
         parse(MINIMAL.replace("3 10 0", f"3 {bad} 0"))
 
 
+def _short(dimension, tail):
+    """MINIMAL declaring ``dimension`` rows, its ``EOF`` line replaced by ``tail``."""
+    return MINIMAL.replace("DIMENSION: 3", f"DIMENSION: {dimension}").replace("EOF\n", tail)
+
+
+#: (text, line, message) of every parser error, as ``parse`` reports them
+PARSE_ERRORS = {
+    "short-at-eof": (_short(5, "EOF\n"), 8, "NODE_COORD_SECTION ended after 3 of 5 rows"),
+    "short-at-eof-after-blanks": (_short(5, "\n\neof 1\n"), 10,
+                                  "NODE_COORD_SECTION ended after 3 of 5 rows"),
+    "short-after-blanks": (_short(5, "\n\n"), 10, "NODE_COORD_SECTION ended after 3 of 5 rows"),
+    "short-at-end-of-text": (_short(5, ""), 8, "NODE_COORD_SECTION ended after 3 of 5 rows"),
+    "empty-section": (MINIMAL.split("1 0 0")[0], 5, "NODE_COORD_SECTION ended after 0 of 3 rows"),
+    "four-fields": (MINIMAL.replace("2 3 4", "2 3 4 5"), 7,
+                    "NODE_COORD_SECTION row needs 'id x y', got '2 3 4 5'"),
+    "non-numeric": (MINIMAL.replace("2 3 4", "2 x 4"), 7,
+                    "NODE_COORD_SECTION row is not numeric: '2 x 4'"),
+    "header-in-section": (MINIMAL.replace("2 3 4", "NAME: x"), 7,
+                          "NODE_COORD_SECTION row needs 'id x y', got 'NAME: x'"),
+    "section-before-dimension": (
+        MINIMAL.replace("DIMENSION: 3\n", "").replace("EOF", "DIMENSION: 3"), 4,
+        "NODE_COORD_SECTION before DIMENSION",
+    ),
+    "section-before-edge-weight-type": (MINIMAL.replace("EDGE_WEIGHT_TYPE: EUC_2D\n", ""), 4,
+                                       "NODE_COORD_SECTION before EDGE_WEIGHT_TYPE"),
+    "dimension-not-integer": (MINIMAL.replace("DIMENSION: 3", "DIMENSION: 3.5"), 3,
+                              "DIMENSION is not an integer: '3.5'"),
+    "edge-weight-section": (MINIMAL.replace("NODE_COORD_SECTION", "EDGE_WEIGHT_SECTION"), 5,
+                            "unsupported section EDGE_WEIGHT_SECTION"),
+    "repeated-dimension": (MINIMAL.replace("EOF", "DIMENSION: 3"), 9, "repeated DIMENSION"),
+    "second-section": (MINIMAL.replace("EOF", "NODE_COORD_SECTION\n4 1 1"), 10,
+                       "NODE_COORD_SECTION has more rows than DIMENSION 3"),
+    # inside the section only a first field of EOF ends it; EOF: is a row
+    "eof-colon-in-short-section": (_short(5, "EOF:\n"), 9,
+                                   "NODE_COORD_SECTION row needs 'id x y', got 'EOF:'"),
+}
+
+
+@pytest.mark.parametrize("case", list(PARSE_ERRORS))
+def test_parse_error_message_and_line(case):
+    text, line, message = PARSE_ERRORS[case]
+    with pytest.raises(TsplibParseError) as info:
+        parse(text)
+    assert (info.value.line, str(info.value)) == (line, f"line {line}: {message}")
+
+
 def test_nonconsecutive_indices_preserved():
     text = MINIMAL.replace("1 0 0", "7 0 0").replace("2 3 4", "9 3 4").replace("3 10 0", "4 10 0")
     assert [idx for idx, _, _ in parse(text).points] == [7, 9, 4]
