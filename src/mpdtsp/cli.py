@@ -13,12 +13,12 @@ import sys
 from pathlib import Path
 
 from . import bench, files, tsplib
-from .cheapest_insertion import cih_best, cih_from
+from .cheapest_insertion import cih_best
 from .construction import MultiStartError, MultiStartResult
 from .exact import BRUTE_FORCE_PAIR_LIMIT, HELD_KARP_PAIR_LIMIT, brute_force, held_karp
 from .generate import Direction, GenerationSpec, centroid, generate, rank_by_centroid
 from .model import InfeasibleInstanceError, Instance, tour_cost, validate
-from .nearest_neighbor import nnh_best, nnh_from
+from .nearest_neighbor import nnh_best
 from .tsplib import MetricMode, TsplibParseError
 
 EXIT_OK = 0
@@ -100,7 +100,7 @@ def _load_instance(args) -> Instance:
 
 def _cmd_inspect(args) -> int:
     cloud = tsplib.parse_file(args.file)
-    xy = cloud.coords_array()
+    xy = cloud.coords
     cx, cy = centroid(cloud)
     depot_index = rank_by_centroid(cloud)[0]
     print(f"name: {cloud.name}")
@@ -263,10 +263,12 @@ def _cmd_compare(args) -> int:
         print("exact: infeasible")
         return EXIT_INFEASIBLE
     print(f"exact optimal cost (depot-rooted): {optimum.cost!r}")
-    for label, construct in (("NNH", nnh_from), ("CIH", cih_from)):
-        depot_tour = construct(instance, 0)
-        gap = (depot_tour.cost - optimum.cost) / optimum.cost if optimum.cost else 0.0
-        print(f"{label} depot-start cost {depot_tour.cost!r}, gap to optimum: {gap:.2%}")
+    # start 0 never stalls: an item on board can always be delivered next
+    # (NNH) or right after its pickup (CIH), and any item fits an empty vehicle
+    for label, result in (("NNH", nnh), ("CIH", cih)):
+        depot_cost = result.costs[0]
+        gap = (depot_cost - optimum.cost) / optimum.cost if optimum.cost else 0.0
+        print(f"{label} depot-start cost {depot_cost!r}, gap to optimum: {gap:.2%}")
     for label, result in (("NNH", nnh), ("CIH", cih)):
         # any-start tours carry different load profiles and may legitimately
         # undercut the depot-rooted optimum

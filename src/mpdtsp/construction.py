@@ -102,7 +102,8 @@ def lockstep(
     flags the row in ``choice.stalled``, having scanned ``choice.cells``
     cells.  A stalled row leaves with its :class:`DeadEndError`, whose partial
     tour is ``block.tour[r, :block.size]``; ``apply(block, choice, instance)``
-    moves the rest.  Every finished tour is checked by :func:`check_construction`.
+    moves the rest.  Every finished tour is checked by :func:`check_totals` and
+    :func:`check_construction`.
     """
     check_carriable(instance)
     nodes = range(instance.node_count)
@@ -125,6 +126,7 @@ def lockstep(
                     break
             apply(block, choice, instance)
             steps += block.inits.size
+        check_totals(instance, block)
         for init, seq, cost in zip(block.inits.tolist(), block.tour.tolist(), block.total.tolist()):
             tours[init] = check_construction(instance, Tour(tuple(seq), cost))
     return tours, failures, steps, cells
@@ -191,3 +193,18 @@ def check_construction(instance: Instance, tour: Tour) -> Tour:
             "this is an implementation bug, not a data problem"
         )
     return tour
+
+
+def check_totals(instance: Instance, block: Block) -> None:
+    """Postcondition of a finished block: each row's cost total is the sum of its tour's arcs."""
+    arcs = instance.cost[block.tour[:, :-1], block.tour[:, 1:]].sum(axis=1)
+    # the builder adds the same arcs in another order (CIH also subtracts the
+    # arcs it splices), so the two agree to rounding, not bit for bit: within
+    # 1e-9 of the arc sum, which lets an all-zero tour through exactly
+    off = np.abs(block.total - arcs) > 1e-9 * arcs
+    if off.any():
+        r = off.argmax()
+        raise RuntimeError(
+            f"the tour from start {block.inits[r]} has cost total {block.total[r]!r} but its arcs "
+            f"sum to {arcs[r]!r}; this is an implementation bug, not a data problem"
+        )

@@ -6,7 +6,9 @@ pair the remaining ranks from the two ends inward, so rank 2 pairs with rank
 m, rank 3 with rank m-1, and so on.  With pickups-central the inner point of
 each pair is the pickup; with deliveries-central the roles are reversed.  When
 the non-depot count is odd the self-paired middle rank is dropped and recorded
-in the instance metadata.
+in the instance metadata.  The ranking is one stable ``argsort`` of the
+squared distances, and one index into the cloud's coordinate array places the
+depot, the pickups and the deliveries.
 """
 
 from __future__ import annotations
@@ -47,17 +49,15 @@ def centroid(cloud: PointCloud) -> tuple[float, float]:
     """Arithmetic mean of the point coordinates."""
     if len(cloud) == 0:
         raise ValueError("cannot take the centroid of an empty point cloud")
-    xy = cloud.coords_array()
-    cx, cy = xy.mean(axis=0)
+    cx, cy = cloud.coords.mean(axis=0)
     return float(cx), float(cy)
 
 
-def _ranked_positions(cloud: PointCloud) -> list[int]:
+def _ranked_positions(cloud: PointCloud) -> np.ndarray:
     # squared distances keep tie detection exact for integer coordinates
     cx, cy = centroid(cloud)
-    xy = cloud.coords_array()
-    d2 = (xy[:, 0] - cx) ** 2 + (xy[:, 1] - cy) ** 2
-    return list(np.argsort(d2, kind="stable"))
+    d2 = (cloud.coords[:, 0] - cx) ** 2 + (cloud.coords[:, 1] - cy) ** 2
+    return np.argsort(d2, kind="stable")
 
 
 def rank_by_centroid(cloud: PointCloud) -> list[int]:
@@ -65,7 +65,7 @@ def rank_by_centroid(cloud: PointCloud) -> list[int]:
 
     Equidistant points keep their file order, so the ranking is reproducible.
     """
-    return [cloud.points[pos][0] for pos in _ranked_positions(cloud)]
+    return cloud.ids[_ranked_positions(cloud)].tolist()
 
 
 def generate(
@@ -77,30 +77,16 @@ def generate(
     if len(cloud) < MIN_CLOUD_POINTS:
         raise ValueError(f"need at least {MIN_CLOUD_POINTS} points for an instance, got {len(cloud)}")
 
-    order = _ranked_positions(cloud)
-    pts = cloud.points
-    depot_pos = order[0]
-    rest = order[1:]
-
+    depot, *rest = _ranked_positions(cloud).tolist()
     dropped = ""
     if len(rest) % 2 == 1:
-        middle = rest[len(rest) // 2]
-        dropped = str(pts[middle][0])
-        rest = rest[: len(rest) // 2] + rest[len(rest) // 2 + 1 :]
+        dropped = str(cloud.ids[rest.pop(len(rest) // 2)])
 
     n = len(rest) // 2
     inner = rest[:n]              # ranks 2..n+1, closest to the centroid
     outer = rest[n:][::-1]        # ranks m, m-1, ..., paired end-to-end
-    if spec.direction is Direction.PICKUPS_CENTRAL:
-        pickup_pos, delivery_pos = inner, outer
-    else:
-        pickup_pos, delivery_pos = outer, inner
-
-    coords = np.empty((2 * n + 1, 2), dtype=float)
-    coords[0] = pts[depot_pos][1:]
-    for k in range(n):
-        coords[1 + k] = pts[pickup_pos[k]][1:]
-        coords[1 + n + k] = pts[delivery_pos[k]][1:]
+    pickups, deliveries = (inner, outer) if spec.direction is Direction.PICKUPS_CENTRAL else (outer, inner)
+    coords = cloud.coords[[depot, *pickups, *deliveries]]
 
     meta = {
         "source": cloud.name,

@@ -4,8 +4,10 @@ Only 2D coordinate instances (``EDGE_WEIGHT_TYPE: EUC_2D``) are supported.
 Matrix-based instances (``EXPLICIT``), geographic coordinates (``GEO``) and
 tour files are rejected with a :class:`TsplibParseError` naming the offending
 keyword and line, as are a ``DIMENSION`` below 1 or given twice.  A parsed
-cloud holds exactly ``DIMENSION`` points; :func:`cost_matrix` is the one
-source of arc costs, under either :class:`MetricMode` convention.
+:class:`PointCloud` holds exactly ``DIMENSION`` points as two arrays, the file
+indices and the coordinates, both in file order; :func:`parse` reads the text
+in one pass over its lines.  :func:`cost_matrix` is the one source of arc
+costs, under either :class:`MetricMode` convention.
 """
 
 from __future__ import annotations
@@ -36,19 +38,16 @@ class TsplibParseError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointCloud:
-    """A named list of (file_index, x, y) rows in file order."""
+    """A named point cloud in file order: the file indices and the coordinates."""
 
     name: str
-    points: tuple[tuple[int, float, float], ...]
+    ids: np.ndarray       # (m,) int file indices
+    coords: np.ndarray    # (m, 2) float x, y
 
     def __len__(self) -> int:
-        return len(self.points)
-
-    def coords_array(self) -> np.ndarray:
-        """(m, 2) float array of coordinates in file order."""
-        return np.array([(x, y) for _, x, y in self.points], dtype=float)
+        return len(self.ids)
 
 
 #: cells one row block of :func:`cost_matrix` covers; its nine float64
@@ -213,13 +212,13 @@ _UNSUPPORTED_SECTIONS = {
 
 
 def _split_header(line: str) -> tuple[str, str]:
-    if ":" in line:
-        key, value = line.split(":", 1)
-        return key.strip().upper(), value.strip()
-    parts = line.split(None, 1)
-    key = parts[0].strip().upper()
-    value = parts[1].strip() if len(parts) > 1 else ""
-    return key, value
+    """``KEY: value`` or ``KEY value`` as (upper-case key, value)."""
+    key, *value = line.split(":" if ":" in line else None, 1)
+    return key.strip().upper(), value[0].strip() if value else ""
+
+
+def _cut_short(rows: int, dimension: int, line: int) -> TsplibParseError:
+    return TsplibParseError(f"NODE_COORD_SECTION ended after {rows} of {dimension} rows", line)
 
 
 def parse(text: str) -> PointCloud:
@@ -228,31 +227,46 @@ def parse(text: str) -> PointCloud:
     Header keys may appear in any order and use ``KEY: value`` or ``KEY value``
     form; an ``EOF`` terminator and flexible whitespace are tolerated.  The
     file indices in NODE_COORD_SECTION are preserved verbatim; a ``nan`` or
-    ``inf`` coordinate is rejected with the line it is on.
+    ``inf`` coordinate is rejected with the line it is on.  The section holds
+    the next ``DIMENSION`` nonblank rows; a row whose first field is ``EOF``
+    cuts it short.
     """
     name = ""
     dimension: int | None = None
     edge_weight_type: str | None = None
-    points: list[tuple[int, float, float]] = []
-    seen_coord_section = False
+    ids: list[int] = []
+    xy: list[tuple[float, float]] = []
+    in_section = False
 
-    lines = text.splitlines()
-    i = 0
-    while i < len(lines):
-        lineno = i + 1
-        line = lines[i].strip()
-        i += 1
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
         if not line:
+            continue
+        if in_section:
+            fields = line.split()
+            if fields[0].upper() in _TERMINAL_KEYS:    # the section ended on the line before
+                raise _cut_short(len(ids), dimension, lineno - 1)
+            if len(fields) != 3:
+                raise TsplibParseError(f"NODE_COORD_SECTION row needs 'id x y', got {line!r}", lineno)
+            try:
+                idx, x, y = int(fields[0]), float(fields[1]), float(fields[2])
+            except ValueError:
+                raise TsplibParseError(f"NODE_COORD_SECTION row is not numeric: {line!r}", lineno) from None
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise TsplibParseError(
+                    f"NODE_COORD_SECTION row has a non-finite coordinate: {line!r}", lineno
+                )
+            ids.append(idx)
+            xy.append((x, y))
+            in_section = len(ids) < dimension
             continue
         key, value = _split_header(line)
         if key in _TERMINAL_KEYS:
             break
         if key in _UNSUPPORTED_SECTIONS:
             raise TsplibParseError(f"unsupported section {key}", lineno)
-        if seen_coord_section and key.lstrip("+-").isdigit():
-            raise TsplibParseError(
-                f"NODE_COORD_SECTION has more rows than DIMENSION {dimension}", lineno
-            )
+        if ids and key.lstrip("+-").isdigit():    # a row after the full section
+            raise TsplibParseError(f"NODE_COORD_SECTION has more rows than DIMENSION {dimension}", lineno)
         if key == "NAME":
             name = value
         elif key == "DIMENSION":
@@ -267,59 +281,34 @@ def parse(text: str) -> PointCloud:
         elif key == "EDGE_WEIGHT_TYPE":
             edge_weight_type = value.upper()
             if edge_weight_type not in _SUPPORTED_EDGE_WEIGHT_TYPES:
-                raise TsplibParseError(
-                    f"unsupported EDGE_WEIGHT_TYPE {edge_weight_type}", lineno
-                )
+                raise TsplibParseError(f"unsupported EDGE_WEIGHT_TYPE {edge_weight_type}", lineno)
         elif key == "NODE_COORD_SECTION":
             if dimension is None:
                 raise TsplibParseError("NODE_COORD_SECTION before DIMENSION", lineno)
             if edge_weight_type is None:
                 raise TsplibParseError("NODE_COORD_SECTION before EDGE_WEIGHT_TYPE", lineno)
-            seen_coord_section = True
-            while i < len(lines) and len(points) < dimension:
-                row_no = i + 1
-                row = lines[i].strip()
-                i += 1
-                if not row:
-                    continue
-                if row.split(None, 1)[0].upper() in _TERMINAL_KEYS:
-                    i -= 1
-                    break
-                fields = row.split()
-                if len(fields) != 3:
-                    raise TsplibParseError(
-                        f"NODE_COORD_SECTION row needs 'id x y', got {row!r}", row_no
-                    )
-                try:
-                    idx, x, y = int(fields[0]), float(fields[1]), float(fields[2])
-                except ValueError:
-                    raise TsplibParseError(
-                        f"NODE_COORD_SECTION row is not numeric: {row!r}", row_no
-                    ) from None
-                if not (math.isfinite(x) and math.isfinite(y)):
-                    raise TsplibParseError(
-                        f"NODE_COORD_SECTION row has a non-finite coordinate: {row!r}", row_no
-                    )
-                points.append((idx, x, y))
-            if len(points) < dimension:
-                raise TsplibParseError(
-                    f"NODE_COORD_SECTION ended after {len(points)} of {dimension} rows",
-                    i,
-                )
+            in_section = not ids    # a second section header takes no rows
         # other header keys (TYPE, COMMENT, ...) are ignored
 
+    if in_section:
+        raise _cut_short(len(ids), dimension, lineno)
     if dimension is None:
         raise TsplibParseError("missing DIMENSION keyword")
     if edge_weight_type is None:
         raise TsplibParseError("missing EDGE_WEIGHT_TYPE keyword")
-    if not seen_coord_section:
+    if not ids:
         raise TsplibParseError("missing NODE_COORD_SECTION")
-    return PointCloud(name=name, points=tuple(points))
+    return PointCloud(name, np.array(ids), np.array(xy, dtype=float))
 
 
 def parse_file(path: str | Path) -> PointCloud:
+    """Parse a TSPLIB file, named by its stem when it has no NAME."""
     path = Path(path)
-    cloud = parse(path.read_text())
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as exc:
+        raise TsplibParseError(f"cannot decode {path}: {exc}") from None
+    cloud = parse(text)
     if not cloud.name:
         cloud = replace(cloud, name=path.stem)
     return cloud

@@ -169,7 +169,7 @@ def test_criterion_7_generator_fidelity(eil51_cloud):
     assert instance.n_pairs == 25
 
     # independent re-derivation of the centroid ranking
-    pts = eil51_cloud.points
+    pts = [(i, x, y) for i, (x, y) in zip(eil51_cloud.ids.tolist(), eil51_cloud.coords.tolist())]
     cx = sum(x for _, x, _ in pts) / len(pts)
     cy = sum(y for _, _, y in pts) / len(pts)
     ranked = sorted(pts, key=lambda p: ((p[1] - cx) ** 2 + (p[2] - cy) ** 2, p[0]))
@@ -189,10 +189,7 @@ def test_criterion_7_generator_fidelity(eil51_cloud):
 def test_criterion_8_determinism_and_scale_invariance(eil51_cloud):
     spec = GenerationSpec(Direction.DELIVERIES_CENTRAL, 10)
     instance = generate(eil51_cloud, spec)
-    scaled_cloud = PointCloud(
-        eil51_cloud.name,
-        tuple((i, 10.0 * x, 10.0 * y) for i, x, y in eil51_cloud.points),
-    )
+    scaled_cloud = PointCloud(eil51_cloud.name, eil51_cloud.ids, 10.0 * eil51_cloud.coords)
     scaled = generate(scaled_cloud, spec)
     for solver in (nnh_best, cih_best):
         first = solver(instance)

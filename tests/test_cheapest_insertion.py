@@ -32,7 +32,7 @@ from mpdtsp import (
     tour_cost,
     validate,
 )
-from mpdtsp import construction
+from mpdtsp import cheapest_insertion, construction
 from mpdtsp.cheapest_insertion import CihBlock, apply_insertion, best_insertion
 from mpdtsp.cheapest_insertion import _lockstep as cih_lockstep
 from mpdtsp.nearest_neighbor import _lockstep as nnh_lockstep
@@ -333,6 +333,17 @@ class TestCihBest:
                 cih_from(tight, init)
             assert stall == (len(err.value.partial) - 1, len(err.value.remainder))
         assert result.stalls == {3: (3, 2), 4: (3, 2)}  # as nnh_best reports them
+
+    def test_a_cost_total_off_its_arcs_is_a_bug(self, two_pair, monkeypatch):
+        # the right visit sequence with a wrong total must not pass as a tour
+        def overcharging(block, choice, instance):
+            block = apply_insertion(block, choice, instance)
+            block.total += 1.0
+            return block
+
+        monkeypatch.setattr(cheapest_insertion, "apply_insertion", overcharging)
+        with pytest.raises(RuntimeError, match="arcs sum to"):
+            cih_best(two_pair)
 
     def test_dead_ends_keep_no_builder_frames(self, two_pair):
         # a kept traceback would hold the builder's frames, and the block in

@@ -25,6 +25,10 @@ def two_pair_file(tmp_path):
     return path
 
 
+#: a TSPLIB header with two bytes that are not UTF-8
+UNDECODABLE = b"NAME: bad\n\xff\xfe DIMENSION: 3\n"
+
+
 def run(capsys, *argv):
     code = main([str(a) for a in argv])
     out = capsys.readouterr()
@@ -53,6 +57,14 @@ class TestInspect:
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert "line 6" in err and "non-finite" in err
+        assert out == ""
+
+    def test_undecodable_file_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "zzz.tsp"
+        path.write_bytes(UNDECODABLE)
+        code, out, err = run(capsys, "inspect", path)
+        assert code == 2
+        assert "cannot decode" in err and "zzz.tsp" in err
         assert out == ""
 
 
@@ -279,6 +291,22 @@ class TestBench:
         assert code == 0
         assert "rows: 4" in out
         assert csv_path.exists() and svg_path.exists()
+
+    def test_undecodable_file_is_skipped(self, capsys, tmp_path, caplog):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for name in ("eil51.tsp", "uni031.tsp"):
+            (corpus / name).write_text((CORPUS_DIR / name).read_text())
+        (corpus / "zzz.tsp").write_bytes(UNDECODABLE)
+        csv_path = tmp_path / "rows.csv"
+        with caplog.at_level("WARNING"):
+            code, out, _ = run(capsys, "bench", "--corpus", corpus, "--capacities", "2",
+                               "--init-policy", "depot", "--csv", csv_path)
+        assert code == 0
+        assert "rows: 8" in out
+        assert any("skipping zzz.tsp: cannot decode" in message for message in caplog.messages)
+        sources = {line.split(",")[0] for line in csv_path.read_text().splitlines()[1:]}
+        assert sources == {"eil51", "uni031"}
 
     def test_missing_corpus_is_usage_error(self, capsys):
         code, _, err = run(capsys, "bench")

@@ -9,8 +9,7 @@ from mpdtsp.tsplib import PointCloud
 
 
 def cloud_of(coords, name="test"):
-    pts = tuple((i + 1, float(x), float(y)) for i, (x, y) in enumerate(coords))
-    return PointCloud(name, pts)
+    return PointCloud(name, np.arange(1, len(coords) + 1), np.array(coords, dtype=float).reshape(-1, 2))
 
 
 class TestCentroid:
@@ -25,7 +24,7 @@ class TestCentroid:
 
     def test_empty_cloud_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            centroid(PointCloud("empty", ()))
+            centroid(cloud_of([], "empty"))
 
 
 class TestRanking:

@@ -25,13 +25,15 @@ def test_parse_minimal_file():
     cloud = parse(MINIMAL)
     assert cloud.name == "tiny"
     assert len(cloud) == 3
-    assert cloud.points == ((1, 0.0, 0.0), (2, 3.0, 4.0), (3, 10.0, 0.0))
+    assert cloud.ids.tolist() == [1, 2, 3]
+    assert cloud.coords.tolist() == [[0.0, 0.0], [3.0, 4.0], [10.0, 0.0]]
+    assert cloud.coords.dtype == float and cloud.coords.shape == (3, 2)
 
 
 def test_parse_eil51(eil51_cloud):
     assert len(eil51_cloud) == 51
-    assert eil51_cloud.points[0] == (1, 37.0, 52.0)
-    assert eil51_cloud.points[-1] == (51, 30.0, 40.0)
+    assert (eil51_cloud.ids[0], *eil51_cloud.coords[0]) == (1, 37.0, 52.0)
+    assert (eil51_cloud.ids[-1], *eil51_cloud.coords[-1]) == (51, 30.0, 40.0)
 
 
 def test_key_order_and_whitespace_flexible():
@@ -45,7 +47,7 @@ def test_key_order_and_whitespace_flexible():
     )
     cloud = parse(text)
     assert cloud.name == "loose"
-    assert cloud.points[0] == (1, 1.5, 2.5)
+    assert (cloud.ids[0], *cloud.coords[0]) == (1, 1.5, 2.5)
 
 
 def test_eof_token_optional():
@@ -151,7 +153,7 @@ def test_parse_error_message_and_line(case):
 
 def test_nonconsecutive_indices_preserved():
     text = MINIMAL.replace("1 0 0", "7 0 0").replace("2 3 4", "9 3 4").replace("3 10 0", "4 10 0")
-    assert [idx for idx, _, _ in parse(text).points] == [7, 9, 4]
+    assert parse(text).ids.tolist() == [7, 9, 4]
 
 
 def distance(a, b, mode=MetricMode.EXACT):
