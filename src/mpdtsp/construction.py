@@ -18,7 +18,7 @@ from typing import Any, Callable, ClassVar, Iterable
 
 import numpy as np
 
-from .model import Instance, InfeasibleInstanceError, Tour, validate
+from .model import LOAD_TOLERANCE, Instance, InfeasibleInstanceError, Tour, validate
 
 
 class DeadEndError(Exception):
@@ -102,8 +102,7 @@ def lockstep(
     flags the row in ``choice.stalled``, having scanned ``choice.cells``
     cells.  A stalled row leaves with its :class:`DeadEndError`, whose partial
     tour is ``block.tour[r, :block.size]``; ``apply(block, choice, instance)``
-    moves the rest.  Every finished tour is checked by :func:`check_totals` and
-    :func:`check_construction`.
+    moves the rest.  Each finished block is checked at once by :func:`check_block`.
     """
     check_carriable(instance)
     nodes = range(instance.node_count)
@@ -115,7 +114,7 @@ def lockstep(
         for _ in nodes[1:]:
             choice = choose(instance, block)
             cells += choice.cells
-            if choice.stalled.any():
+            if np.count_nonzero(choice.stalled):
                 for r in choice.stalled.nonzero()[0]:
                     init, partial = int(block.inits[r]), block.tour[r, : block.size].tolist()
                     failures[init] = DeadEndError(init, partial, set(nodes).difference(partial))
@@ -126,9 +125,9 @@ def lockstep(
                     break
             apply(block, choice, instance)
             steps += block.inits.size
-        check_totals(instance, block)
+        check_block(instance, block)
         for init, seq, cost in zip(block.inits.tolist(), block.tour.tolist(), block.total.tolist()):
-            tours[init] = check_construction(instance, Tour(tuple(seq), cost))
+            tours[init] = Tour(tuple(seq), cost)
     return tours, failures, steps, cells
 
 
@@ -184,19 +183,63 @@ def check_carriable(instance: Instance) -> None:
         )
 
 
-def check_construction(instance: Instance, tour: Tour) -> Tour:
-    """Postcondition shared by both builders: the finished tour must validate."""
-    report = validate(instance, tour)
-    if not report.feasible:
+def feasible_rows(instance: Instance, inits: np.ndarray, tour: np.ndarray) -> np.ndarray:
+    """Which rows of a (rows x N+1) block of closed tours are feasible tours from their start.
+
+    Row r passes when its ids are physical nodes, it opens and closes at
+    ``inits[r]`` and visits every node once in between, its event-rule
+    payload (:func:`~mpdtsp.model.visit_events`) stays within
+    ``[-LOAD_TOLERANCE, load_limit]`` and ends within ``LOAD_TOLERANCE`` of
+    0, and each pickup comes before its delivery, except that a delivery start
+    unloads at the closing visit.  For a row that opens at ``inits[r]`` the
+    verdict is ``validate(instance, row).feasible``, which also accepts the
+    terminal alias; the builders never write it.
+    """
+    n_rows, n_nodes, n_pairs = inits.size, instance.node_count, instance.n_pairs
+    ok = (tour.min(axis=1) >= 0) & (tour.max(axis=1) < n_nodes)
+    if not ok.all():
+        tour = np.where(ok[:, None], tour, 0)  # an all-depot row, rejected below
+    first = tour[:, 0]
+    ok &= (first == inits) & (tour[:, -1] == inits)
+    delivery_start = first > n_pairs
+
+    # the running sum of the events is sequential, as ``validate``'s
+    # ``accumulate`` is, so the two agree bit for bit
+    payload = instance.loads.take(tour)
+    payload[delivery_start, 0] = 0.0
+    payload[~delivery_start, -1] = 0.0
+    np.cumsum(payload, axis=1, out=payload)
+    ok &= payload.max(axis=1) <= instance.load_limit
+    ok &= payload.min(axis=1) >= -LOAD_TOLERANCE
+    ok &= np.abs(payload[:, -1]) <= LOAD_TOLERANCE
+    del payload
+
+    # N visits cover all N nodes only if none repeats; a delivery start's
+    # visit counts at the closing position, after its pickup
+    pos = np.full((n_rows, n_nodes), -1)
+    pos[np.arange(n_rows)[:, None], tour[:, :-1]] = np.arange(n_nodes)
+    ok &= pos.min(axis=1) >= 0
+    pos[delivery_start.nonzero()[0], first[delivery_start]] = n_nodes
+    ok &= (pos[:, 1 : n_pairs + 1] < pos[:, n_pairs + 1 :]).all(axis=1)
+    return ok
+
+
+def check_block(instance: Instance, block: Block) -> None:
+    """Postcondition of a finished block: every row is a feasible tour whose cost total sums its arcs.
+
+    The rows are checked at once by :func:`feasible_rows`; the first one it
+    rejects is reported by :func:`~mpdtsp.model.validate`.
+    """
+    bad = ~feasible_rows(instance, block.inits, block.tour)
+    if bad.any():
+        r = bad.argmax()
+        seq = block.tour[r].tolist()
+        report = validate(instance, seq)
+        detail = report if not report.feasible else f"it opens at {seq[0]}, not at start {block.inits[r]}"
         raise RuntimeError(
-            f"constructed tour violates the constraint system ({report}); "
+            f"constructed tour violates the constraint system ({detail}); "
             "this is an implementation bug, not a data problem"
         )
-    return tour
-
-
-def check_totals(instance: Instance, block: Block) -> None:
-    """Postcondition of a finished block: each row's cost total is the sum of its tour's arcs."""
     arcs = instance.cost[block.tour[:, :-1], block.tour[:, 1:]].sum(axis=1)
     # the builder adds the same arcs in another order (CIH also subtracts the
     # arcs it splices), so the two agree to rounding, not bit for bit: within

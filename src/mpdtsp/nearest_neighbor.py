@@ -71,7 +71,7 @@ def nearest(instance: Instance, block: NnhBlock) -> NearestChoice:
     node = arcs.argmin(axis=1)
     arc = arcs[np.arange(node.size), node]
     stalled = arc == np.inf
-    if stalled.any():
+    if np.count_nonzero(stalled):
         node, arc = node[~stalled], arc[~stalled]
     return NearestChoice(node, arc, stalled, arcs.size)
 

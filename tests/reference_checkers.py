@@ -17,8 +17,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from mpdtsp import DeadEndError, Instance, MetricMode, Tour
-from mpdtsp.construction import check_carriable, check_construction
+from mpdtsp import DeadEndError, Instance, MetricMode, Tour, validate
+from mpdtsp.construction import check_carriable
 from mpdtsp.model import visit_events
 
 
@@ -182,7 +182,10 @@ def reference_cih_from(instance: Instance, init: int) -> Tour:
         if choice is None:
             raise DeadEndError(int(state.tour[0]), state.partial, state.remainder)
         reference_apply_insertion(state, choice, instance)
-    return check_construction(instance, Tour(state.partial, state.cost_so_far))
+    tour = Tour(state.partial, state.cost_so_far)
+    report = validate(instance, tour)
+    assert report.feasible, report
+    return tour
 
 
 def feasible_slots(instance: Instance, state: CihState, node: int) -> range:

@@ -345,6 +345,19 @@ class TestCihBest:
         with pytest.raises(RuntimeError, match="arcs sum to"):
             cih_best(two_pair)
 
+    def test_a_repeated_node_is_a_bug(self, two_pair, monkeypatch):
+        # the last splice writes over a placed node with its neighbour, so
+        # one node is missing and another repeated
+        def repeating(block, choice, instance):
+            block = apply_insertion(block, choice, instance)
+            if block.size == instance.node_count + 1:
+                block.tour[:, 1] = block.tour[:, 2]
+            return block
+
+        monkeypatch.setattr(cheapest_insertion, "apply_insertion", repeating)
+        with pytest.raises(RuntimeError, match="(?s)violates the constraint system.*visit-count"):
+            cih_best(two_pair)
+
     def test_dead_ends_keep_no_builder_frames(self, two_pair):
         # a kept traceback would hold the builder's frames, and the block in
         # them, until the cyclic garbage collector ran

@@ -14,7 +14,9 @@ from mpdtsp import (
     nnh_from,
     validate,
 )
+from mpdtsp import nearest_neighbor
 from mpdtsp.generate import Direction, GenerationSpec, generate
+from mpdtsp.nearest_neighbor import extend
 
 SQRT2 = math.sqrt(2.0)
 
@@ -127,6 +129,19 @@ class TestNnhBest:
         result = nnh_best(with_capacity(two_pair, 1.0))
         assert result.steps == 3 * 4 + 2 * 2
         assert result.cells == 5 * (3 * 4 + 2 * 3)
+
+    def test_a_repeated_node_is_a_bug(self, two_pair, monkeypatch):
+        # the last step writes the node before it again, so one node is
+        # missing and another repeated
+        def repeating(block, choice, instance):
+            block = extend(block, choice, instance)
+            if block.size == instance.node_count:
+                block.tour[:, block.size - 1] = block.tour[:, block.size - 2]
+            return block
+
+        monkeypatch.setattr(nearest_neighbor, "extend", repeating)
+        with pytest.raises(RuntimeError, match="(?s)violates the constraint system.*visit-count"):
+            nnh_best(two_pair)
 
     def test_all_starts_failing_raises_multistart_error(self, two_pair):
         tight = with_capacity(two_pair, 1.0)

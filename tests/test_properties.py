@@ -8,6 +8,7 @@ stall.  The examples are derandomized, so every run checks the same
 instances.
 """
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -37,6 +38,7 @@ from mpdtsp import (  # noqa: E402
     validate,
 )
 from mpdtsp.cheapest_insertion import _lockstep as cih_lockstep  # noqa: E402
+from mpdtsp.construction import feasible_rows  # noqa: E402
 from mpdtsp.exact import precedence_orders  # noqa: E402
 
 PROPERTY = settings(deadline=None, derandomize=True, database=None, max_examples=120)
@@ -326,6 +328,96 @@ def test_rotating_a_depot_tour_keeps_its_cost_and_follows_the_start_rule(case, d
     before = set(body[: i + 1] if start > instance.n_pairs else body[:i])
     on_board = [k for k in instance.pickups if k in before and k + instance.n_pairs not in before]
     assert validate(instance, rotated).feasible == (not on_board)
+
+
+def stray_ids(instance: Instance) -> list[int]:
+    """Ids outside ``0..2n`` other than the terminal alias, which ``validate`` reads as the depot."""
+    return [-2, -1, instance.terminal_alias + 1, instance.terminal_alias + 2]
+
+
+@st.composite
+def tour_blocks(draw):
+    """An instance, each row's start and a block of 1-12 closed rows.
+
+    Each row is a random precedence order from the depot, which may overload
+    the vehicle, or the same pairs served one at a time, which never does;
+    rotated to a random start, and then perhaps mutated: one position copied
+    over another (a node repeated, another missing), the closing node
+    replaced, an id out of range written, a pair's first visits swapped, or
+    the row's start replaced.
+    """
+    instance = draw(instances())
+    n, m = instance.n_pairs, instance.node_count
+    inits, rows = [], []
+    for _ in range(draw(st.integers(1, 12))):
+        pairs = draw(st.permutations([k for k in range(1, n + 1) for _ in (0, 1)]))
+        if draw(st.booleans()):
+            seen: set[int] = set()
+            body = [0]
+            for k in pairs:
+                body.append(k + n if k in seen else k)
+                seen.add(k)
+        else:
+            body = [0, *(v for k in dict.fromkeys(pairs) for v in (k, k + n))]
+        i = draw(st.integers(0, m - 1))
+        row = [*body[i:], *body[:i], body[i]]
+        init = row[0]
+        mutation = draw(st.sampled_from(["none", "repeat", "close", "stray", "swap", "start"]))
+        if mutation == "repeat":
+            row[draw(st.integers(0, m))] = row[draw(st.integers(0, m))]
+        elif mutation == "close":
+            row[-1] = draw(st.integers(0, m - 1))
+        elif mutation == "stray":
+            row[draw(st.integers(0, m))] = draw(st.sampled_from(stray_ids(instance)))
+        elif mutation == "swap":
+            k = draw(st.integers(1, n))
+            a, b = row.index(k), row.index(k + n)
+            row[a], row[b] = row[b], row[a]
+        elif mutation == "start":
+            init = draw(st.integers(0, m - 1))
+        inits.append(init)
+        rows.append(row)
+    return instance, np.array(inits), np.array(rows)
+
+
+def block_case(item_loads: list[float], capacity: float, rows: list[list[int]]):
+    """Rows on nodes placed along a line, each row's start its first id."""
+    coords = [(float(i), 0.0) for i in range(2 * len(item_loads) + 1)]
+    tour = np.array(rows)
+    return Instance.from_coords(coords, paired_loads(item_loads), capacity), tour[:, 0], tour
+
+
+#: rows that one rule alone decides, which random real loads in [0.1, 3]
+#: seldom draw: running sums that overshoot the capacity, dip below 0 or end
+#: off 0 by a rounding, within the tolerance or beyond it (large loads), and a
+#: pickup written over another of the same load
+ROUNDING_ROWS = [[0, 1, 2, 3, 4, 0], [0, 1, 2, 4, 3, 0], [3, 2, 1, 4, 0, 3]]
+ONE_RULE_CASES = [
+    block_case([0.1, 0.2], 0.3, ROUNDING_ROWS),
+    block_case([0.7, 0.1], 0.8, ROUNDING_ROWS),
+    block_case([1.0, 1.0], 2.0, [[0, 1, 1, 3, 4, 0]]),
+    block_case([0.1, 1e9], 2e9, [[0, 1, 2, 4, 3, 0]]),
+    block_case([0.3, 123456789.0, 1e9], 2e9, [[0, 1, 2, 5, 4, 3, 6, 0]]),
+]
+
+
+def assert_block_check_agrees(instance: Instance, inits: np.ndarray, tour: np.ndarray) -> None:
+    expected = [
+        validate(instance, row).feasible and row[0] == init
+        for init, row in zip(inits.tolist(), tour.tolist())
+    ]
+    assert feasible_rows(instance, inits, tour).tolist() == expected
+
+
+@settings(PROPERTY, max_examples=400)
+@given(tour_blocks())
+def test_the_block_check_rejects_exactly_what_validate_rejects(case):
+    assert_block_check_agrees(*case)
+
+
+@pytest.mark.parametrize("case", ONE_RULE_CASES)
+def test_the_block_check_rejects_what_one_rule_alone_rejects(case):
+    assert_block_check_agrees(*case)
 
 
 #: where a cloud's coordinates come from: an integer grid, the unit square,
