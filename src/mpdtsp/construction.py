@@ -7,6 +7,9 @@ step a builder's ``choose`` picks the next move of every row of a
 :class:`Block`, the rows that stalled leave with their :class:`DeadEndError`,
 and the builder's ``apply`` makes the moves of the rest.  The builders differ
 only in that pair: append the nearest node, or insert at the cheapest ratio.
+:func:`check_block` checks each finished block at once: :func:`feasible_rows`
+applies the rules of :func:`~mpdtsp.model.validate` to every row in one numpy
+pass, and each cost total must be the sum of its tour's arcs.
 :func:`run_multistart` keeps the cheapest finished tour, with ties broken by
 the lowest start id so results never depend on evaluation order.
 """
@@ -212,7 +215,7 @@ def feasible_rows(instance: Instance, inits: np.ndarray, tour: np.ndarray) -> np
     ok &= payload.max(axis=1) <= instance.load_limit
     ok &= payload.min(axis=1) >= -LOAD_TOLERANCE
     ok &= np.abs(payload[:, -1]) <= LOAD_TOLERANCE
-    del payload
+    del payload  # so the check holds one block-sized array at a time
 
     # N visits cover all N nodes only if none repeats; a delivery start's
     # visit counts at the closing position, after its pickup

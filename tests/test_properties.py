@@ -330,11 +330,6 @@ def test_rotating_a_depot_tour_keeps_its_cost_and_follows_the_start_rule(case, d
     assert validate(instance, rotated).feasible == (not on_board)
 
 
-def stray_ids(instance: Instance) -> list[int]:
-    """Ids outside ``0..2n`` other than the terminal alias, which ``validate`` reads as the depot."""
-    return [-2, -1, instance.terminal_alias + 1, instance.terminal_alias + 2]
-
-
 @st.composite
 def tour_blocks(draw):
     """An instance, each row's start and a block of 1-12 closed rows.
@@ -368,7 +363,8 @@ def tour_blocks(draw):
         elif mutation == "close":
             row[-1] = draw(st.integers(0, m - 1))
         elif mutation == "stray":
-            row[draw(st.integers(0, m))] = draw(st.sampled_from(stray_ids(instance)))
+            # not m, the terminal alias, which ``validate`` reads as the depot
+            row[draw(st.integers(0, m))] = draw(st.sampled_from([-2, -1, m + 1, m + 2]))
         elif mutation == "swap":
             k = draw(st.integers(1, n))
             a, b = row.index(k), row.index(k + n)
