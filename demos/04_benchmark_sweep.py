@@ -2,7 +2,9 @@
 
 Sweeps every corpus file across both precedence directions and five
 capacities, prints the win fractions and ratio quartiles, and writes the raw
-rows (CSV) plus the summary charts (SVG) under demos/out/.
+rows (CSV) plus the summary charts (SVG) into demos/out/, which git ignores:
+both hold wall times.  The committed copy of the rows, wall times cut and
+Q = 1 added, is tests/golden_bench_rows.csv, which `pytest` checks.
 
 It runs in about ten seconds on a 2-core machine.  Pass a different corpus directory as
 the first argument to sweep it.

@@ -8,6 +8,8 @@ differ only in the timing fields.
 
 from __future__ import annotations
 
+import csv
+import io
 import logging
 import math
 import time
@@ -102,9 +104,13 @@ def _solve_rows(instance: Instance, source_name: str, direction: Direction, q: i
 
 
 def run_corpus(config: ExperimentConfig) -> list[ResultRow]:
-    """Sweep every parsable corpus file across directions and capacities."""
+    """Sweep every parsable corpus file across directions and capacities.
+
+    A file whose cloud name an earlier file (in name order) already has is
+    skipped with a warning, as an unparsable file is."""
     corpus = Path(config.corpus_dir)
     clouds: list[tsplib.PointCloud] = []
+    name_owner: dict[str, Path] = {}  # rows are keyed by cloud name
     for path in sorted(corpus.glob("*.tsp")):
         try:
             cloud = tsplib.parse_file(path)
@@ -118,6 +124,11 @@ def run_corpus(config: ExperimentConfig) -> list[ResultRow]:
             log.info("skipping %s: %d nodes exceeds max_nodes=%d",
                      path.name, len(cloud), config.max_nodes)
             continue
+        if cloud.name in name_owner:
+            log.warning("skipping %s: its name %r is taken by %s",
+                        path.name, cloud.name, name_owner[cloud.name].name)
+            continue
+        name_owner[cloud.name] = path
         clouds.append(cloud)
     if not clouds:
         raise ValueError(f"no instances: {corpus} contains no parsable EUC_2D files")
@@ -181,7 +192,10 @@ def summarize(rows: list[ResultRow]) -> Summary:
     by_key: dict[tuple[str, str, int], dict[str, ResultRow]] = {}
     for row in rows:
         key = (row.instance, row.direction, row.capacity_items)
-        by_key.setdefault(key, {})[row.heuristic] = row
+        entry = by_key.setdefault(key, {})
+        if row.heuristic in entry:
+            raise ValueError(f"rows for {key} repeat {row.heuristic}")
+        entry[row.heuristic] = row
     pairs = []
     for key, entry in sorted(by_key.items()):
         if set(entry) != {"NNH", "CIH"}:
@@ -232,16 +246,18 @@ def summarize(rows: list[ResultRow]) -> Summary:
 
 
 def emit_csv(rows: list[ResultRow], path: str | Path) -> None:
-    """Write rows under the fixed header, in the deterministic sort order."""
-    lines = [CSV_HEADER]
+    """Write rows under the fixed header, in the deterministic sort order.
+
+    A field holding a comma or a quote, such as a cloud's NAME, is quoted."""
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(CSV_HEADER.split(","))
     for row in sorted(rows, key=ResultRow.sort_key):
-        lines.append(
-            f"{row.instance},{row.direction},{row.capacity_items},{row.heuristic},"
-            f"{row.best_cost!r},{row.wall_time_s!r},{row.node_count},"
-            f"{row.init_of_best},{row.dead_end_count}"
-        )
+        writer.writerow((row.instance, row.direction, row.capacity_items, row.heuristic,
+                         repr(row.best_cost), repr(row.wall_time_s), row.node_count,
+                         row.init_of_best, row.dead_end_count))
     try:
-        Path(path).write_text("\n".join(lines) + "\n", newline="\n")
+        Path(path).write_text(text.getvalue(), newline="\n")
     except OSError as exc:
         raise OSError(f"cannot write CSV to {path}: {exc}") from exc
 

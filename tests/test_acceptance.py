@@ -1,24 +1,33 @@
 """Acceptance suite: every criterion runs at its stated tolerance and prints
 one pass/fail line.  The corpus sweep (ten EUC_2D files, both precedence
-directions, five capacities, multi-start from every node) takes about ten
+directions, six capacities, multi-start from every node) takes about ten
 seconds on a 2-core machine; everything else is fast.
+
+The sweep's rows, wall times cut, must equal tests/golden_bench_rows.csv.
+After a change that is meant to alter them, re-record the file with
+
+    PYTHONPATH=src python -m mpdtsp bench --corpus corpus --capacities 1,2,4,6,8,10 --csv rows.csv && cut -d, -f1-5,7- rows.csv > tests/golden_bench_rows.csv
 """
 
+import csv
 import time
+from pathlib import Path
 
 import pytest
 
 from conftest import CORPUS_DIR, make_random_instance, with_capacity
 from mpdtsp import (
+    ExperimentConfig,
     MetricMode,
-    ResultRow,
     brute_force,
     cih_best,
     cih_from,
+    emit_csv,
     held_karp,
     instance_to_text,
     nnh_best,
     nnh_from,
+    run_corpus,
     summarize,
     tsplib,
     validate,
@@ -26,8 +35,8 @@ from mpdtsp import (
 from mpdtsp.generate import Direction, GenerationSpec, generate
 from mpdtsp.tsplib import PointCloud
 
-CAPACITIES = (2, 4, 6, 8, 10)
-DIRECTIONS = (Direction.PICKUPS_CENTRAL, Direction.DELIVERIES_CENTRAL)
+CAPACITIES = (1, 2, 4, 6, 8, 10)  # the paper compares Q = 2..10; Q = 1 adds dead ends
+GOLDEN_ROWS = Path(__file__).resolve().parent / "golden_bench_rows.csv"
 
 
 def ok(criterion: int, message: str) -> None:
@@ -39,35 +48,14 @@ def ok(criterion: int, message: str) -> None:
 
 @pytest.fixture(scope="module")
 def sweep():
-    """Full corpus sweep; returns (rows, validated tour artifacts)."""
-    files = sorted(CORPUS_DIR.glob("*.tsp"))
-    assert len(files) >= 10, "corpus must hold at least ten EUC_2D files"
-    rows: list[ResultRow] = []
-    artifacts = []
-    for path in files:
-        cloud = tsplib.parse_file(path)
-        for direction in DIRECTIONS:
-            for q in CAPACITIES:
-                instance = generate(cloud, GenerationSpec(direction, q))
-                for label, solver in (("NNH", nnh_best), ("CIH", cih_best)):
-                    t0 = time.perf_counter()
-                    result = solver(instance)
-                    elapsed = time.perf_counter() - t0
-                    rows.append(
-                        ResultRow(
-                            instance=cloud.name,
-                            direction=direction.value,
-                            capacity_items=q,
-                            heuristic=label,
-                            best_cost=result.best_cost,
-                            wall_time_s=elapsed,
-                            node_count=instance.node_count,
-                            init_of_best=result.best_init,
-                            dead_end_count=len(result.dead_ends),
-                        )
-                    )
-                    artifacts.append((instance, result.best_tour))
-    return rows, artifacts
+    """The paper's experiment over the corpus, one row per file, direction, Q and heuristic."""
+    return run_corpus(ExperimentConfig(CORPUS_DIR, capacities=CAPACITIES))
+
+
+@pytest.fixture(scope="module")
+def paper_rows(sweep):
+    """The rows at the capacities the paper compares, Q = 2..10."""
+    return [row for row in sweep if row.capacity_items > 1]
 
 
 @pytest.fixture(scope="module")
@@ -87,21 +75,32 @@ def small_instances():
 # -- criteria --------------------------------------------------------------------
 
 
+def test_sweep_matches_golden_rows(sweep, tmp_path):
+    emit_csv(sweep, tmp_path / "rows.csv")
+    with open(tmp_path / "rows.csv", newline="") as written, open(GOLDEN_ROWS, newline="") as golden:
+        # every field but wall_time_s, the sixth
+        assert [row[:5] + row[6:] for row in csv.reader(written)] == list(csv.reader(golden))
+
+
 def test_criterion_1_feasibility_sweep(sweep):
-    rows, artifacts = sweep
-    file_count = len(list(CORPUS_DIR.glob("*.tsp")))
-    assert len(rows) == file_count * 2 * len(CAPACITIES) * 2
-    checked = 0
-    for instance, tour in artifacts:
+    files = sorted(CORPUS_DIR.glob("*.tsp"))
+    assert len(files) >= 10, "corpus must hold at least ten EUC_2D files"
+    assert len(sweep) == len(files) * 2 * len(CAPACITIES) * 2
+    clouds = {cloud.name: cloud for cloud in map(tsplib.parse_file, files)}
+    builders = {"NNH": nnh_from, "CIH": cih_from}
+    for row in sweep:
+        spec = GenerationSpec(Direction(row.direction), row.capacity_items)
+        instance = generate(clouds[row.instance], spec)
+        tour = builders[row.heuristic](instance, row.init_of_best)
+        assert tour.cost == row.best_cost, row
         report = validate(instance, tour)
-        assert report.feasible, (instance.name, report)
-        checked += 1
-    ok(1, f"{checked}/{checked} multi-start tours valid over "
-          f"{len(rows) // 20} files x 2 directions x {len(CAPACITIES)} capacities")
+        assert report.feasible, (row, report)
+    ok(1, f"{len(sweep)}/{len(sweep)} multi-start winners rebuilt at their cost and valid over "
+          f"{len(files)} files x 2 directions x {len(CAPACITIES)} capacities")
 
 
 def test_criterion_2_oracle_equivalence(small_instances):
-    start = time.perf_counter()
+    start = time.monotonic()
     for seed, instance, optimum in small_instances:
         reference = brute_force(instance)
         assert optimum is not None and reference is not None, seed
@@ -109,7 +108,7 @@ def test_criterion_2_oracle_equivalence(small_instances):
             assert optimum.cost == reference.cost, seed
         else:
             assert abs(optimum.cost - reference.cost) <= 1e-9, seed
-    elapsed = time.perf_counter() - start
+    elapsed = time.monotonic() - start
     assert elapsed < 60.0, f"oracle equivalence took {elapsed:.1f}s, budget is one minute"
     ok(2, f"held-karp equals enumeration on 200 seeded instances in {elapsed:.1f}s")
 
@@ -125,9 +124,8 @@ def test_criterion_3_heuristic_dominance(small_instances):
     ok(3, "depot starts never beat the optimum; multi-start never loses to its depot start")
 
 
-def test_criterion_4_headline_reproduction(sweep):
-    rows, _ = sweep
-    summary = summarize(rows)
+def test_criterion_4_headline_reproduction(paper_rows):
+    summary = summarize(paper_rows)
     deliveries = summary.directions[Direction.DELIVERIES_CENTRAL.value]
     assert deliveries.win_fraction >= 0.85, deliveries
     assert summary.overall_win_fraction >= 0.75, summary.overall_win_fraction
@@ -136,10 +134,9 @@ def test_criterion_4_headline_reproduction(sweep):
           f"{summary.max_cost_reduction:.1%} (comparison figure: up to 30%)")
 
 
-def test_criterion_5_timing_order(sweep):
-    rows, _ = sweep
+def test_criterion_5_timing_order(paper_rows):
     by_key = {}
-    for row in rows:
+    for row in paper_rows:
         by_key.setdefault((row.instance, row.direction, row.capacity_items), {})[
             row.heuristic
         ] = row

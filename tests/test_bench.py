@@ -1,3 +1,4 @@
+import csv
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 
@@ -97,6 +98,21 @@ class TestRunCorpus:
         for name in ("bad.tsp", "negative.tsp", "two.tsp"):
             assert any(name in message for message in caplog.messages)
 
+    def test_repeated_name_skipped_with_warning(self, tmp_path, caplog):
+        def cloud_text(points):
+            coords = [f"{i + 1} {(7 * i) % points} {(3 * i * i) % points}" for i in range(points)]
+            return "\n".join(["NAME: same", f"DIMENSION: {points}", "EDGE_WEIGHT_TYPE: EUC_2D",
+                              "NODE_COORD_SECTION", *coords, "EOF", ""])
+
+        (tmp_path / "a.tsp").write_text(cloud_text(11))
+        (tmp_path / "b.tsp").write_text(cloud_text(13))
+        config = ExperimentConfig(corpus_dir=tmp_path, capacities=(2,), init_policy=InitPolicy.DEPOT)
+        with caplog.at_level("WARNING"):
+            rows = run_corpus(config)
+        assert len(rows) == 4
+        assert all(r.node_count == 11 for r in rows)
+        assert any("b.tsp" in message and "a.tsp" in message for message in caplog.messages)
+
     def test_max_nodes_filter(self, eil51_only):
         config = ExperimentConfig(corpus_dir=eil51_only, max_nodes=50)
         with pytest.raises(ValueError, match="no instances"):
@@ -172,6 +188,11 @@ class TestSummarize:
         with pytest.raises(ValueError, match="unpaired"):
             summarize([row(heuristic="NNH")])
 
+    def test_repeated_rows_rejected(self):
+        rows = paired_rows([("a", "pickups-central", 2, 10.0, 11.0)])
+        with pytest.raises(ValueError, match="repeat"):
+            summarize(rows + rows[:1])
+
     def test_permutation_invariant(self):
         rows = paired_rows(
             [
@@ -208,6 +229,15 @@ class TestEmitters:
         assert lines[1].startswith("a,pickups-central,2,CIH,9.5,")
         assert lines[2].startswith("a,pickups-central,2,NNH,9.0,")
         assert lines[3].startswith("b,pickups-central,2,CIH,")
+
+    def test_csv_quotes_a_name_with_a_comma_or_quote(self, tmp_path):
+        name = 'west,"east"'
+        emit_csv(paired_rows([(name, "pickups-central", 2, 10.0, 11.0)]), tmp_path / "out.csv")
+        with open(tmp_path / "out.csv", newline="") as f:
+            header, *records = csv.reader(f)
+        assert header == CSV_HEADER.split(",")
+        assert [len(r) for r in records] == [9, 9]
+        assert [r[0] for r in records] == [name, name]
 
     def test_csv_deterministic_bytes(self, tmp_path):
         rows = paired_rows([("a", "pickups-central", 2, 10.0, 11.0)])
