@@ -55,6 +55,8 @@ class ExperimentConfig:
             raise ValueError("directions must be a nonempty list without repeats")
         if self.init_policy not in (InitPolicy.ALL, InitPolicy.DEPOT):
             raise ValueError(f"unknown init policy {self.init_policy!r}")
+        if self.max_nodes is not None and self.max_nodes < MIN_CLOUD_POINTS:
+            raise ValueError(f"max_nodes must be at least {MIN_CLOUD_POINTS}, got {self.max_nodes}")
 
 
 @dataclass(frozen=True)
@@ -107,31 +109,38 @@ def run_corpus(config: ExperimentConfig) -> list[ResultRow]:
     """Sweep every parsable corpus file across directions and capacities.
 
     A file whose cloud name an earlier file (in name order) already has is
-    skipped with a warning, as an unparsable file is."""
+    skipped with a warning, as an unparsable file is; a cloud above
+    ``max_nodes`` is skipped at INFO.  When no file is left, the error gives
+    each skip's reason."""
     corpus = Path(config.corpus_dir)
+    if not corpus.is_dir():
+        raise ValueError(f"corpus {corpus} is not a directory")
     clouds: list[tsplib.PointCloud] = []
     name_owner: dict[str, Path] = {}  # rows are keyed by cloud name
+    skipped: list[str] = []  # "<file>: <reason>", for the error when no file is left
+
+    def skip(path: Path, reason: str, level: int = logging.WARNING) -> None:
+        log.log(level, "skipping %s: %s", path.name, reason)
+        skipped.append(f"{path.name}: {reason}")
+
     for path in sorted(corpus.glob("*.tsp")):
         try:
             cloud = tsplib.parse_file(path)
         except (TsplibParseError, OSError) as exc:
-            log.warning("skipping %s: %s", path.name, exc)
+            skip(path, str(exc))
             continue
         if len(cloud) < MIN_CLOUD_POINTS:
-            log.warning("skipping %s: %d points are too few for an instance", path.name, len(cloud))
-            continue
-        if config.max_nodes is not None and len(cloud) > config.max_nodes:
-            log.info("skipping %s: %d nodes exceeds max_nodes=%d",
-                     path.name, len(cloud), config.max_nodes)
-            continue
-        if cloud.name in name_owner:
-            log.warning("skipping %s: its name %r is taken by %s",
-                        path.name, cloud.name, name_owner[cloud.name].name)
-            continue
-        name_owner[cloud.name] = path
-        clouds.append(cloud)
+            skip(path, f"{len(cloud)} points are too few for an instance")
+        elif config.max_nodes is not None and len(cloud) > config.max_nodes:
+            skip(path, f"{len(cloud)} nodes exceeds max_nodes={config.max_nodes}", logging.INFO)
+        elif cloud.name in name_owner:
+            skip(path, f"its name {cloud.name!r} is taken by {name_owner[cloud.name].name}")
+        else:
+            name_owner[cloud.name] = path
+            clouds.append(cloud)
     if not clouds:
-        raise ValueError(f"no instances: {corpus} contains no parsable EUC_2D files")
+        raise ValueError(f"no instances: {corpus} holds {len(skipped)} .tsp files"
+                         + "".join(f"; skipped {entry}" for entry in skipped))
 
     rows: list[ResultRow] = []
     for cloud in clouds:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import bench, files, tsplib
@@ -27,6 +28,14 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 _METRIC_CHOICES = sorted(m.value for m in MetricMode)
+
+
+def _comma_list(parse):
+    """An argparse type reading a comma list, each value by ``parse``."""
+    def read(text: str) -> tuple:
+        return tuple(parse(value.strip()) for value in text.split(","))
+    read.__name__ = f"{parse.__name__} list"  # argparse: "invalid int list value: '2,x'"
+    return read
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -55,8 +64,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--heuristic", choices=["nnh", "cih", "both"], default="both")
     p.add_argument("--init", default="all",
                    help="'all', 'depot', or a node id (default: all)")
-    p.add_argument("--metric", choices=_METRIC_CHOICES,
-                   help="override the metric recorded in the instance file")
     p.add_argument("--table", help="write the per-start cost table as CSV")
     p.add_argument("--out", help="write the best tour (one node id per line)")
     p.set_defaults(func=_cmd_solve)
@@ -71,12 +78,14 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("bench", help="sweep a corpus directory with both heuristics")
-    p.add_argument("--config", help="key=value file with the keys "
-                   f"{', '.join(_BENCH_SETTINGS)}; flags override it")
-    p.add_argument("--corpus", help="directory of TSPLIB EUC_2D files")
-    p.add_argument("--directions", help="comma list of precedence directions")
-    p.add_argument("--capacities", help="comma list of capacities, e.g. 2,4,6,8,10")
-    p.add_argument("--metric", choices=_METRIC_CHOICES)
+    # each setting's dest is its ExperimentConfig field; an unset one stays None
+    p.add_argument("--corpus", dest="corpus_dir", type=Path, required=True,
+                   help="directory of TSPLIB EUC_2D files")
+    p.add_argument("--directions", type=_comma_list(Direction),
+                   help=f"comma list of {', '.join(d.value for d in Direction)}")
+    p.add_argument("--capacities", type=_comma_list(int),
+                   help="comma list of capacities, e.g. 2,4,6,8,10")
+    p.add_argument("--metric", type=MetricMode, metavar="{%s}" % ",".join(_METRIC_CHOICES))
     p.add_argument("--init-policy", choices=[bench.InitPolicy.ALL, bench.InitPolicy.DEPOT])
     p.add_argument("--max-nodes", type=int)
     p.add_argument("--csv", help="write result rows here")
@@ -88,14 +97,6 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_compare)
 
     return parser
-
-
-def _load_instance(args) -> Instance:
-    instance = files.read_instance(args.instance)
-    metric = getattr(args, "metric", None)
-    if metric:
-        instance = instance.with_metric(MetricMode(metric))
-    return instance
 
 
 def _cmd_inspect(args) -> int:
@@ -169,7 +170,7 @@ def _write_table(results: dict[str, MultiStartResult], path: str) -> None:
 
 
 def _cmd_solve(args) -> int:
-    instance = _load_instance(args)
+    instance = files.read_instance(args.instance)
     inits = _parse_inits(instance, args.init)
     solvers = {"nnh": [("NNH", nnh_best)], "cih": [("CIH", cih_best)],
                "both": [("NNH", nnh_best), ("CIH", cih_best)]}[args.heuristic]
@@ -188,7 +189,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_exact(args) -> int:
-    instance = _load_instance(args)
+    instance = files.read_instance(args.instance)
     tour = held_karp(instance)
     if tour is None:
         print("infeasible: no tour satisfies the constraint system")
@@ -199,7 +200,7 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    instance = _load_instance(args)
+    instance = files.read_instance(args.instance)
     sequence = files.read_tour_sequence(args.tour)
     report = validate(instance, sequence)
     print(report)
@@ -209,28 +210,11 @@ def _cmd_validate(args) -> int:
     return EXIT_INFEASIBLE
 
 
-# config-file key (and flag dest) -> (ExperimentConfig field, parser of its value)
-_BENCH_SETTINGS = {
-    "corpus": ("corpus_dir", Path),
-    "directions": ("directions", lambda s: tuple(Direction(v.strip()) for v in s.split(","))),
-    "capacities": ("capacities", lambda s: tuple(int(v) for v in s.split(","))),
-    "metric": ("metric", MetricMode),
-    "init_policy": ("init_policy", str),
-    "max_nodes": ("max_nodes", int),
-}
-
-
 def _cmd_bench(args) -> int:
-    settings = files.read_key_values(args.config, _BENCH_SETTINGS) if args.config else {}
-    # CLI flags override the config file
-    settings.update({key: getattr(args, key) for key in _BENCH_SETTINGS
-                     if getattr(args, key) is not None})
-    if "corpus" not in settings:
-        raise ValueError("bench needs --corpus (or corpus= in the config file)")
     # only the given settings are passed, so ExperimentConfig holds the defaults
-    config = bench.ExperimentConfig(**{field: parse(settings[key])
-                                       for key, (field, parse) in _BENCH_SETTINGS.items()
-                                       if key in settings})
+    config = bench.ExperimentConfig(**{f.name: getattr(args, f.name)
+                                       for f in fields(bench.ExperimentConfig)
+                                       if getattr(args, f.name) is not None})
     rows = bench.run_corpus(config)
     summary = bench.summarize(rows)
     print(f"rows: {len(rows)}")
@@ -250,7 +234,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    instance = _load_instance(args)
+    instance = files.read_instance(args.instance)
     nnh = nnh_best(instance)
     cih = cih_best(instance)
     _print_result("NNH", nnh)

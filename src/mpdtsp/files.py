@@ -14,7 +14,7 @@ Tour files hold one node id per line, first and last identical.  Sidecars are
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -112,23 +112,3 @@ def read_tour_sequence(path: str | Path) -> list[int]:
 def write_sidecar(meta: Mapping[str, str], path: str | Path) -> None:
     body = "".join(f"{key}={meta[key]}\n" for key in meta)
     Path(path).write_text(body, newline="\n")
-
-
-def read_key_values(path: str | Path, keys: Iterable[str] | None = None) -> dict[str, str]:
-    """Parse ``key=value`` lines; blank lines and ``#`` comments are skipped.
-
-    With ``keys``, a key outside it is an error naming its line.
-    """
-    out: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}: line {lineno} is not 'key=value': {line!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if keys is not None and key not in keys:
-            raise ValueError(f"{path}: line {lineno} has unknown key {key!r} "
-                             f"(expected one of {', '.join(keys)})")
-        out[key] = value
-    return out

@@ -11,8 +11,7 @@ constructor derives the pair count and, once the loads and capacity have
 passed their checks, the cost matrix from the coordinates:
 :func:`tsplib.cost_matrix` gives the TSPLIB distance of each node pair under
 the instance's metric, exact or rounded Euclidean.  No instance can carry a
-hand-written matrix, costs are symmetric with a zero diagonal, and
-:meth:`Instance.with_metric` re-derives them under the other metric.
+hand-written matrix, and costs are symmetric with a zero diagonal.
 
 Payload semantics are event based: every node contributes its load ``q`` at
 its visit position.  The start node of a closed tour occurs twice; its event
@@ -20,7 +19,8 @@ fires at the opening occurrence when it is a pickup or the depot, and at the
 closing occurrence when it is a delivery.  This is the unique convention under
 which any-start tours carry a well-defined load and end the tour empty.
 :func:`visit_events` is the one place that applies it; the payload profile,
-the validator and both builders' initial loads all take it from there.
+the validator and both builders' initial loads all take it from there, and
+:func:`construction.feasible_rows` restates it in numpy for whole blocks.
 
 Every load check reads one upper bound, :attr:`Instance.load_limit` (the
 capacity plus :data:`LOAD_TOLERANCE`), so scaling all loads and the capacity
@@ -29,7 +29,7 @@ by one factor cannot change a tour.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import accumulate
@@ -172,12 +172,6 @@ class Instance:
             np.asarray(coords, dtype=float), np.asarray(loads, dtype=float), float(capacity),
             metric, name, dict(meta or {}),
         )
-
-    def with_metric(self, metric: MetricMode) -> "Instance":
-        """The same instance with its costs derived under another metric."""
-        if metric is self.metric:
-            return self
-        return replace(self, metric=metric, meta=dict(self.meta))
 
 
 # -- tours -------------------------------------------------------------------

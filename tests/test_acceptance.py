@@ -1,4 +1,4 @@
-"""Acceptance suite: every criterion runs at its stated tolerance and prints
+r"""Acceptance suite: every criterion runs at its stated tolerance and prints
 one pass/fail line.  The corpus sweep (ten EUC_2D files, both precedence
 directions, six capacities, multi-start from every node) takes about ten
 seconds on a 2-core machine; everything else is fast.
@@ -6,7 +6,11 @@ seconds on a 2-core machine; everything else is fast.
 The sweep's rows, wall times cut, must equal tests/golden_bench_rows.csv.
 After a change that is meant to alter them, re-record the file with
 
-    PYTHONPATH=src python -m mpdtsp bench --corpus corpus --capacities 1,2,4,6,8,10 --csv rows.csv && cut -d, -f1-5,7- rows.csv > tests/golden_bench_rows.csv
+    PYTHONPATH=src python -m mpdtsp bench --corpus corpus --capacities 1,2,4,6,8,10 --csv rows.csv
+    python -c "import csv, sys; csv.writer(sys.stdout, lineterminator='\n').writerows(r[:5] + r[6:] for r in csv.reader(open('rows.csv', newline='')))" > tests/golden_bench_rows.csv
+
+The csv module drops the sixth column, wall_time_s, even where a quoted
+cloud NAME holds a comma.
 """
 
 import csv

@@ -1,4 +1,5 @@
 import csv
+import re
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 
@@ -17,7 +18,7 @@ from mpdtsp.bench import (
     run_corpus,
     summarize,
 )
-from mpdtsp.generate import Direction
+from mpdtsp.generate import MIN_CLOUD_POINTS, Direction
 
 
 def row(instance="a", direction="pickups-central", q=2, heuristic="NNH",
@@ -75,7 +76,8 @@ class TestRunCorpus:
         assert len(calls) == 1
 
     def test_empty_corpus_is_an_error(self, tmp_path):
-        with pytest.raises(ValueError, match="no instances"):
+        expected = f"no instances: {re.escape(str(tmp_path))} holds 0 .tsp files$"
+        with pytest.raises(ValueError, match=expected):
             run_corpus(ExperimentConfig(corpus_dir=tmp_path))
 
     def test_unparsable_file_skipped_with_warning(self, eil51_only, tmp_path, caplog):
@@ -115,7 +117,8 @@ class TestRunCorpus:
 
     def test_max_nodes_filter(self, eil51_only):
         config = ExperimentConfig(corpus_dir=eil51_only, max_nodes=50)
-        with pytest.raises(ValueError, match="no instances"):
+        with pytest.raises(ValueError, match="no instances: .* holds 1 .tsp files; "
+                                             "skipped eil51.tsp: 51 nodes exceeds max_nodes=50$"):
             run_corpus(config)
 
     def test_config_validation(self, tmp_path):
@@ -129,6 +132,10 @@ class TestRunCorpus:
             ExperimentConfig(corpus_dir=tmp_path, directions=(Direction.PICKUPS_CENTRAL,) * 2)
         with pytest.raises(ValueError, match="directions"):
             ExperimentConfig(corpus_dir=tmp_path, directions=())
+        for max_nodes in (-5, 0, MIN_CLOUD_POINTS - 1):
+            with pytest.raises(ValueError, match=f"max_nodes must be at least {MIN_CLOUD_POINTS}"):
+                ExperimentConfig(corpus_dir=tmp_path, max_nodes=max_nodes)
+        assert ExperimentConfig(corpus_dir=tmp_path, max_nodes=MIN_CLOUD_POINTS).max_nodes == 3
 
 
 class TestSummarize:

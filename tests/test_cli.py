@@ -148,11 +148,18 @@ class TestSolve:
         assert code == 0
         assert "start 2" in out
 
-    def test_metric_flag_changes_costs_not_verdicts(self, capsys, two_pair_file, tmp_path):
-        tour_path = tmp_path / "t.tour"
-        run(capsys, "solve", two_pair_file, "--metric", "rounded", "--out", tour_path)
-        code, out, _ = run(capsys, "validate", two_pair_file, tour_path)
+    def test_solve_and_validate_read_the_same_metric(self, capsys, tmp_path):
+        # every verb reads the metric from the instance file, so both give one cost
+        inst, tour_path = tmp_path / "eil51.inst", tmp_path / "r.tour"
+        assert run(capsys, "generate", CORPUS_DIR / "eil51.tsp", "--direction", "pickups-central",
+                   "--capacity", 2, "--metric", "rounded", "--out", inst)[0] == 0
+        code, out, _ = run(capsys, "solve", inst, "--init", "depot", "--out", tour_path)
         assert code == 0
+        best = min(float(line.split()[3]) for line in out.splitlines() if "best cost:" in line)
+        assert best == int(best)  # rounded arcs
+        code, out, _ = run(capsys, "validate", inst, tour_path)
+        assert code == 0
+        assert f"cost: {best!r}" in out
 
     def test_infeasible_instance_exits_one(self, capsys, tmp_path):
         inst = Instance.from_coords(
@@ -276,18 +283,14 @@ class TestPairLimit:
 
 
 class TestBench:
-    def test_config_file_plus_flag_overrides(self, capsys, tmp_path):
+    def test_flags_set_the_sweep_and_its_outputs(self, capsys, tmp_path):
         corpus = tmp_path / "corpus"
         corpus.mkdir()
         (corpus / "eil51.tsp").write_text((CORPUS_DIR / "eil51.tsp").read_text())
-        config = tmp_path / "bench.cfg"
-        config.write_text(
-            f"corpus={corpus}\ncapacities=2,4\ninit_policy=depot\n"
-        )
         csv_path = tmp_path / "rows.csv"
         svg_path = tmp_path / "summary.svg"
-        code, out, _ = run(capsys, "bench", "--config", config, "--capacities", "2",
-                           "--csv", csv_path, "--svg", svg_path)
+        code, out, _ = run(capsys, "bench", "--corpus", corpus, "--capacities", "2",
+                           "--init-policy", "depot", "--csv", csv_path, "--svg", svg_path)
         assert code == 0
         assert "rows: 4" in out
         assert csv_path.exists() and svg_path.exists()
@@ -313,27 +316,44 @@ class TestBench:
         assert code == 2
         assert "corpus" in err
 
-    def test_unknown_config_key_is_usage_error(self, capsys, tmp_path):
-        corpus = tmp_path / "corpus"
-        corpus.mkdir()
-        (corpus / "uni031.tsp").write_text((CORPUS_DIR / "uni031.tsp").read_text())
-        config = tmp_path / "bench.cfg"
-        # typos of capacities and init_policy
-        config.write_text(f"corpus={corpus}\ncapacity=1\ninit-policy=depot\n")
-        code, out, err = run(capsys, "bench", "--config", config)
+    @pytest.mark.parametrize("corpus", [Path("/nonexistent"), CORPUS_DIR / "eil51.tsp"],
+                             ids=["missing", "a-file"])
+    def test_corpus_that_is_no_directory_is_usage_error(self, capsys, corpus):
+        code, out, err = run(capsys, "bench", "--corpus", corpus)
         assert code == 2
-        assert "line 2 has unknown key 'capacity'" in err
-        assert "rows:" not in out
+        assert f"corpus {corpus} is not a directory" in err
+        assert out == ""
 
-    def test_bad_config_metric_is_usage_error(self, capsys, tmp_path):
+    def test_all_files_skipped_names_each_reason(self, capsys):
+        # every bundled file parses; each is too large, which INFO logging hides
+        code, out, err = run(capsys, "bench", "--corpus", CORPUS_DIR, "--max-nodes", 10)
+        assert code == 2
+        assert "no instances" in err and "holds 10 .tsp files" in err
+        assert "eil51.tsp: 51 nodes exceeds max_nodes=10" in err
+        assert out == ""
+
+    def test_bad_config_metric_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(bench, "run_corpus", lambda config: pytest.fail("no sweep may run"))
         # "explicit" is no MetricMode: every instance derives its costs from coordinates
         for metric in ("fast", "explicit"):
-            config = tmp_path / "bench.cfg"
-            config.write_text(f"corpus={CORPUS_DIR}\nmetric={metric}\n")
-            code, out, err = run(capsys, "bench", "--config", config)
+            code, out, err = run(capsys, "bench", "--corpus", CORPUS_DIR, "--metric", metric)
             assert code == 2
-            assert f"'{metric}'" in err
-            assert "rows:" not in out
+            assert "argument --metric: " in err and f"'{metric}'" in err
+            assert out == ""
+
+    @pytest.mark.parametrize("flag, value", [("--capacities", "2,x"), ("--directions", "")])
+    def test_bad_list_value_is_usage_error(self, capsys, monkeypatch, flag, value):
+        monkeypatch.setattr(bench, "run_corpus", lambda config: pytest.fail("no sweep may run"))
+        code, out, err = run(capsys, "bench", "--corpus", CORPUS_DIR, flag, value)
+        assert code == 2
+        assert f"argument {flag}: " in err and repr(value) in err
+        assert out == ""
+
+    def test_max_nodes_below_three_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "bench", "--corpus", CORPUS_DIR, "--max-nodes", -5)
+        assert code == 2
+        assert "max_nodes must be at least 3, got -5" in err
+        assert out == ""
 
     @pytest.mark.parametrize("flag, value", [
         ("--capacities", "2,2"),
@@ -345,7 +365,7 @@ class TestBench:
         assert flag.lstrip("-") in err
         assert "rows:" not in out
 
-    def test_given_settings_reach_config_and_the_rest_default(self, capsys, tmp_path, monkeypatch):
+    def test_given_settings_reach_config_and_the_rest_default(self, capsys, monkeypatch):
         seen = []
 
         def fake_run_corpus(config):
@@ -353,11 +373,9 @@ class TestBench:
             return [ResultRow("a", "pickups-central", 2, h, 1.0, 0.1, 5, 0, 0) for h in ("NNH", "CIH")]
 
         monkeypatch.setattr(bench, "run_corpus", fake_run_corpus)
-        config = tmp_path / "bench.cfg"
-        config.write_text("corpus=c\ndirections=deliveries-central\ncapacities=4\n"
-                          "metric=rounded\nmax_nodes=61\n")
-        assert run(capsys, "bench", "--config", config, "--capacities", "2, 6",
-                   "--init-policy", "depot")[0] == 0
+        assert run(capsys, "bench", "--corpus", "c", "--directions", "deliveries-central",
+                   "--capacities", "2, 6", "--metric", "rounded", "--init-policy", "depot",
+                   "--max-nodes", 61)[0] == 0
         assert run(capsys, "bench", "--corpus", "c")[0] == 0
         assert seen == [
             ExperimentConfig(Path("c"), (Direction.DELIVERIES_CENTRAL,), (2, 6),
@@ -372,6 +390,14 @@ class TestUsage:
 
     def test_unknown_flag(self, capsys, one_pair_file):
         assert run(capsys, "solve", one_pair_file, "--wat")[0] == 2
+
+    def test_second_sources_of_a_setting_are_gone(self, capsys, one_pair_file):
+        # bench reads its settings from flags only, and every verb reads the
+        # metric from the instance file
+        assert run(capsys, "bench", "--corpus", CORPUS_DIR, "--config", "x")[0] == 2
+        code, out, _ = run(capsys, "solve", one_pair_file, "--metric", "rounded")
+        assert code == 2
+        assert out == ""
 
     def test_missing_file_is_usage_error(self, capsys):
         code, _, err = run(capsys, "solve", "/nonexistent/path.inst")

@@ -14,7 +14,6 @@ from mpdtsp import (
     write_sidecar,
     write_tour,
 )
-from mpdtsp.files import read_key_values
 
 
 def test_instance_text_round_trip(two_pair):
@@ -82,26 +81,4 @@ def test_tour_file_bad_line(tmp_path):
 def test_sidecar_and_key_values(tmp_path):
     path = tmp_path / "inst.meta"
     write_sidecar({"source": "eil51", "capacity_items": "10", "dropped_file_index": ""}, path)
-    assert read_key_values(path) == {
-        "source": "eil51",
-        "capacity_items": "10",
-        "dropped_file_index": "",
-    }
-
-
-def test_key_values_comments_and_errors(tmp_path):
-    path = tmp_path / "config.txt"
-    path.write_text("# comment\ncorpus=corpus\n\ncapacities=2,4\n")
-    assert read_key_values(path) == {"corpus": "corpus", "capacities": "2,4"}
-    path.write_text("not a pair\n")
-    with pytest.raises(ValueError, match="key=value"):
-        read_key_values(path)
-
-
-def test_key_values_outside_the_given_keys_rejected(tmp_path):
-    path = tmp_path / "config.txt"
-    path.write_text("corpus=corpus\n# comment\ncapacity=1\n")
-    assert read_key_values(path) == {"corpus": "corpus", "capacity": "1"}
-    assert read_key_values(path, ("corpus", "capacity")) == {"corpus": "corpus", "capacity": "1"}
-    with pytest.raises(ValueError, match="line 3 has unknown key 'capacity'"):
-        read_key_values(path, ("corpus", "capacities"))
+    assert path.read_text() == "source=eil51\ncapacity_items=10\ndropped_file_index=\n"

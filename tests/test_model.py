@@ -129,15 +129,6 @@ class TestInstance:
         with pytest.raises(TypeError):
             Instance(coords, paired_loads([1.0]), 1.0, MetricMode.EXACT, cost=np.zeros((3, 3)))
 
-    def test_with_metric_rederives_costs(self):
-        inst = make_random_instance(5, 2.0, 3)
-        rounded = inst.with_metric(MetricMode.ROUNDED)
-        direct = Instance.from_coords(inst.coords, inst.loads, inst.capacity, MetricMode.ROUNDED)
-        assert rounded.metric is MetricMode.ROUNDED
-        assert rounded.cost.tobytes() == direct.cost.tobytes()
-        assert rounded.with_metric(MetricMode.EXACT).cost.tobytes() == inst.cost.tobytes()
-        assert inst.with_metric(MetricMode.EXACT) is inst
-
     def test_oversized_item_flags_infeasible(self, two_pair):
         flagged = with_capacity(two_pair, 0.5)
         assert flagged.is_trivially_infeasible
