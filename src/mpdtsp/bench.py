@@ -1,9 +1,9 @@
 """Corpus sweep comparing the two construction heuristics.
 
 For every (file, direction, capacity) combination the harness generates the
-instance, runs both multi-start heuristics, re-validates the winning tours and
-records cost and wall time.  Rows come back in a fixed sort order, so reruns
-differ only in the timing fields.
+instance, runs both heuristics from every start node, re-validates the
+winning tours and records cost and wall time.  Rows come back in a fixed
+sort order, so reruns differ only in the timing fields.
 """
 
 from __future__ import annotations
@@ -32,18 +32,12 @@ DEFAULT_CAPACITIES = (2, 4, 6, 8, 10)
 CSV_HEADER = "instance,direction,Q,heuristic,best_cost,wall_time_s,node_count,init_of_best,dead_end_count"
 
 
-class InitPolicy:
-    ALL = "all"
-    DEPOT = "depot"
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     corpus_dir: Path
     directions: tuple[Direction, ...] = (Direction.PICKUPS_CENTRAL, Direction.DELIVERIES_CENTRAL)
     capacities: tuple[int, ...] = DEFAULT_CAPACITIES
     metric: MetricMode = MetricMode.EXACT
-    init_policy: str = InitPolicy.ALL
     max_nodes: int | None = None
 
     def __post_init__(self):
@@ -53,8 +47,6 @@ class ExperimentConfig:
             raise ValueError(f"capacities must not repeat, got {self.capacities}")
         if not self.directions or len(set(self.directions)) != len(self.directions):
             raise ValueError("directions must be a nonempty list without repeats")
-        if self.init_policy not in (InitPolicy.ALL, InitPolicy.DEPOT):
-            raise ValueError(f"unknown init policy {self.init_policy!r}")
         if self.max_nodes is not None and self.max_nodes < MIN_CLOUD_POINTS:
             raise ValueError(f"max_nodes must be at least {MIN_CLOUD_POINTS}, got {self.max_nodes}")
 
@@ -75,13 +67,11 @@ class ResultRow:
         return (self.instance, self.direction, self.capacity_items, self.heuristic)
 
 
-def _solve_rows(instance: Instance, source_name: str, direction: Direction, q: int,
-                init_policy: str) -> list[ResultRow]:
-    inits = None if init_policy == InitPolicy.ALL else [0]
+def _solve_rows(instance: Instance, source_name: str, direction: Direction, q: int) -> list[ResultRow]:
     rows = []
     for label, solver in (("NNH", nnh_best), ("CIH", cih_best)):
         t0 = time.perf_counter()
-        result = solver(instance, inits)
+        result = solver(instance)
         elapsed = time.perf_counter() - t0
         report = validate(instance, result.best_tour)
         if not report.feasible:
@@ -147,7 +137,7 @@ def run_corpus(config: ExperimentConfig) -> list[ResultRow]:
         for direction in config.directions:
             for q in config.capacities:
                 instance = generate(cloud, GenerationSpec(direction, q), config.metric)
-                rows.extend(_solve_rows(instance, cloud.name, direction, q, config.init_policy))
+                rows.extend(_solve_rows(instance, cloud.name, direction, q))
     rows.sort(key=ResultRow.sort_key)
     return rows
 

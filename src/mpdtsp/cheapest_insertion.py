@@ -27,7 +27,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .construction import Block, MultiStartResult, Outcome, lockstep, run_multistart, run_single
+from .construction import Block, MultiStartResult, run_multistart, run_single
 from .model import Instance, Tour, visit_events
 
 
@@ -141,16 +141,12 @@ def apply_insertion(state: CihBlock, choice: InsertionChoice, instance: Instance
     return state
 
 
-def _lockstep(instance: Instance, starts: list[int], rows: int) -> Outcome:
-    """Grow the tour of every start, ``rows`` starts a block: tours and stalls by start, steps and cells."""
-    return lockstep(instance, starts, rows, CihBlock.initial, best_insertion, apply_insertion)
-
-
 def cih_from(instance: Instance, init: int) -> Tour:
     """Build one cheapest-insertion tour from ``init``; :class:`DeadEndError` if it stalls."""
-    return run_single(instance, init, _lockstep)
+    return run_single(instance, init, CihBlock.initial, best_insertion, apply_insertion)
 
 
 def cih_best(instance: Instance, inits: Iterable[int] | None = None) -> MultiStartResult:
     """Cheapest insertion tour over the given starts (default: all nodes)."""
-    return run_multistart(instance, inits, _lockstep, instance.node_count**2 // 4)  # nodes x slots
+    cells_per_start = instance.node_count**2 // 4  # nodes x slots
+    return run_multistart(instance, inits, CihBlock.initial, best_insertion, apply_insertion, cells_per_start)

@@ -18,7 +18,7 @@ from .cheapest_insertion import cih_best
 from .construction import MultiStartError, MultiStartResult
 from .exact import BRUTE_FORCE_PAIR_LIMIT, HELD_KARP_PAIR_LIMIT, brute_force, held_karp
 from .generate import Direction, GenerationSpec, centroid, generate, rank_by_centroid
-from .model import InfeasibleInstanceError, Instance, tour_cost, validate
+from .model import InfeasibleInstanceError, tour_cost, validate
 from .nearest_neighbor import nnh_best
 from .tsplib import MetricMode, TsplibParseError
 
@@ -36,6 +36,16 @@ def _comma_list(parse):
         return tuple(parse(value.strip()) for value in text.split(","))
     read.__name__ = f"{parse.__name__} list"  # argparse: "invalid int list value: '2,x'"
     return read
+
+
+def _starts(text: str) -> list[int] | None:
+    """An argparse type reading ``--init``: every start (None), the depot, or one node id."""
+    if text == "all":
+        return None
+    return [0] if text == "depot" else [int(text)]
+
+
+_starts.__name__ = "start ('all', 'depot' or a node id)"
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -62,7 +72,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="run construction heuristics on an instance file")
     p.add_argument("instance")
     p.add_argument("--heuristic", choices=["nnh", "cih", "both"], default="both")
-    p.add_argument("--init", default="all",
+    p.add_argument("--init", type=_starts, default="all",
                    help="'all', 'depot', or a node id (default: all)")
     p.add_argument("--table", help="write the per-start cost table as CSV")
     p.add_argument("--out", help="write the best tour (one node id per line)")
@@ -86,7 +96,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--capacities", type=_comma_list(int),
                    help="comma list of capacities, e.g. 2,4,6,8,10")
     p.add_argument("--metric", type=MetricMode, metavar="{%s}" % ",".join(_METRIC_CHOICES))
-    p.add_argument("--init-policy", choices=[bench.InitPolicy.ALL, bench.InitPolicy.DEPOT])
     p.add_argument("--max-nodes", type=int)
     p.add_argument("--csv", help="write result rows here")
     p.add_argument("--svg", help="write summary charts here")
@@ -129,20 +138,6 @@ def _cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _parse_inits(instance: Instance, flag: str):
-    if flag == "all":
-        return None
-    if flag == "depot":
-        return [0]
-    try:
-        node = int(flag)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"--init must be 'all', 'depot' or a node id, got {flag!r}"
-        ) from None
-    return [instance.normalize_node(node)]
-
-
 def _print_result(label: str, result: MultiStartResult, table: bool = False) -> None:
     tour = result.best_tour
     print(f"{label} best cost: {tour.cost!r} (start {result.best_init}, "
@@ -171,12 +166,11 @@ def _write_table(results: dict[str, MultiStartResult], path: str) -> None:
 
 def _cmd_solve(args) -> int:
     instance = files.read_instance(args.instance)
-    inits = _parse_inits(instance, args.init)
     solvers = {"nnh": [("NNH", nnh_best)], "cih": [("CIH", cih_best)],
                "both": [("NNH", nnh_best), ("CIH", cih_best)]}[args.heuristic]
     results: dict[str, MultiStartResult] = {}
     for label, solver in solvers:
-        results[label] = solver(instance, inits)
+        results[label] = solver(instance, args.init)
         _print_result(label, results[label], table=True)
     if args.table:
         _write_table(results, args.table)
@@ -277,7 +271,7 @@ def main(argv: list[str] | None = None) -> int:
     except (InfeasibleInstanceError, MultiStartError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (TsplibParseError, ValueError, OSError, argparse.ArgumentTypeError) as exc:
+    except (TsplibParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RuntimeError as exc:

@@ -2,11 +2,14 @@
 
 Both greedy builders grow one tour per start node, a node a step, and every
 start's partial tour has the same length after every step, so all starts
-advance together, in lock step.  :func:`lockstep` is the one step loop: each
-step a builder's ``choose`` picks the next move of every row of a
-:class:`Block`, the rows that stalled leave with their :class:`DeadEndError`,
-and the builder's ``apply`` makes the moves of the rest.  The builders differ
-only in that pair: append the nearest node, or insert at the cheapest ratio.
+advance together, in lock step.  A builder is its :class:`Block`'s
+``initial`` plus a choose/apply pair, which it names at each call of
+:func:`run_multistart` or :func:`run_single`, so a wrapper set on its module
+sees every step.  :func:`lockstep` is the one step loop: each step ``choose``
+picks the next move of every row of the block, the rows that stalled leave
+with their :class:`DeadEndError`, and ``apply`` makes the moves of the rest.
+The builders differ only in that pair: append the nearest node, or insert at
+the cheapest ratio.
 :func:`check_block` checks each finished block at once: :func:`feasible_rows`
 applies the rules of :func:`~mpdtsp.model.validate` to every row in one numpy
 pass, and each cost total must be the sum of its tour's arcs.
@@ -17,7 +20,7 @@ the lowest start id so results never depend on evaluation order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, ClassVar, Iterable
+from typing import Callable, ClassVar, Iterable
 
 import numpy as np
 
@@ -88,19 +91,12 @@ class Block:
     size: int
 
 
-#: what :func:`lockstep` returns: tours and stalls by start id, then its step
-#: and cell counts
-Outcome = tuple[dict[int, Tour], dict[int, DeadEndError], int, int]
-#: a builder's lock step: (instance, start ids, rows a block) -> Outcome
-Grow = Callable[[Instance, list[int], int], Outcome]
-
-
 def lockstep(
-    instance: Instance, starts: list[int], rows: int, initial: Callable[[Instance, list[int]], Block],
-    choose: Callable[[Instance, Any], Any], apply: Callable[[Any, Any, Instance], Any],
-) -> Outcome:
+    instance: Instance, starts: list[int], rows: int, initial: Callable, choose: Callable, apply: Callable
+) -> tuple[dict[int, Tour], dict[int, DeadEndError], int, int]:
     """Grow the tour of every start, ``rows`` starts a block built by ``initial``, a node a step.
 
+    Returns the tours and stalls by start id, then the step and cell counts.
     Each step ``choice = choose(instance, block)`` picks every row's move, or
     flags the row in ``choice.stalled``, having scanned ``choice.cells``
     cells.  A stalled row leaves with its :class:`DeadEndError`, whose partial
@@ -139,9 +135,10 @@ BLOCK_CELLS = 1 << 20
 
 
 def run_multistart(
-    instance: Instance, inits: Iterable[int] | None, grow: Grow, cells_per_start: int
+    instance: Instance, inits: Iterable[int] | None, initial: Callable, choose: Callable, apply: Callable,
+    cells_per_start: int,
 ) -> MultiStartResult:
-    """Grow every start's tour with ``grow`` and keep the deterministic best.
+    """Grow every start's tour by :func:`lockstep` and keep the deterministic best.
 
     The starts are the distinct physical ids of ``inits``, ascending (default:
     all nodes).  ``cells_per_start`` bounds the cells one step lays out for a
@@ -154,7 +151,8 @@ def run_multistart(
         starts = sorted({instance.normalize_node(i) for i in inits})
         if not starts:
             raise ValueError("inits must be nonempty")
-    tours, failures, steps, cells = grow(instance, starts, max(1, BLOCK_CELLS // cells_per_start))
+    rows = max(1, BLOCK_CELLS // cells_per_start)
+    tours, failures, steps, cells = lockstep(instance, starts, rows, initial, choose, apply)
     if not tours:
         raise MultiStartError(failures)
     best_init = min(tours, key=lambda init: (tours[init].cost, init))
@@ -169,10 +167,10 @@ def run_multistart(
     )
 
 
-def run_single(instance: Instance, init: int, grow: Grow) -> Tour:
+def run_single(instance: Instance, init: int, initial: Callable, choose: Callable, apply: Callable) -> Tour:
     """One start as a one-row block: its tour, or its :class:`DeadEndError` raised."""
     init = instance.normalize_node(init)
-    tours, failures, _, _ = grow(instance, [init], 1)
+    tours, failures, _, _ = lockstep(instance, [init], 1, initial, choose, apply)
     if failures:
         raise failures[init]
     return tours[init]

@@ -43,18 +43,29 @@ def instance_to_text(instance: Instance) -> str:
 
 
 def instance_from_text(text: str, name: str = "") -> Instance:
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
+    """Read the instance format; a malformed line is a ValueError naming its line and field."""
+    lines = [(lineno, line) for lineno, raw in enumerate(text.splitlines(), 1) if (line := raw.strip())]
     if len(lines) < 4:
         raise ValueError("instance text is too short")
 
-    def header(idx: int, key: str) -> str:
-        fields = lines[idx].split()
-        if len(fields) != 2 or fields[0] != key:
-            raise ValueError(f"expected '{key} <value>' on line {idx + 1}, got {lines[idx]!r}")
-        return fields[1]
+    def number(lineno: int, field: str, token: str, kind: type):
+        try:
+            return kind(token)
+        except ValueError:
+            noun = "an integer" if kind is int else "a number"
+            raise ValueError(f"line {lineno}: {field} must be {noun}, got {token!r}") from None
 
-    n = int(header(0, "PAIRS"))
-    capacity = float(header(1, "CAPACITY"))
+    def header(idx: int, key: str, kind: type = str):
+        lineno, line = lines[idx]
+        fields = line.split()
+        if len(fields) != 2 or fields[0] != key:
+            raise ValueError(f"expected '{key} <value>' on line {lineno}, got {line!r}")
+        return number(lineno, key, fields[1], kind)
+
+    n = header(0, "PAIRS", int)
+    if n < 0:
+        raise ValueError(f"line {lines[0][0]}: PAIRS must not be negative, got {n}")
+    capacity = header(1, "CAPACITY", float)
     token = header(2, "METRIC")
     if token not in MetricMode.__members__:
         raise ValueError(f"unknown METRIC {token!r} (expected ROUNDED or EXACT)")
@@ -65,11 +76,12 @@ def instance_from_text(text: str, name: str = "") -> Instance:
         raise ValueError(f"expected {expected} node lines, got {len(node_lines)}")
     coords = np.empty((expected, 2), dtype=float)
     loads = np.empty(expected, dtype=float)
-    for i, line in enumerate(node_lines):
+    for i, (lineno, line) in enumerate(node_lines):
         fields = line.split()
         if len(fields) != 6:
-            raise ValueError(f"node line needs 6 fields, got {line!r}")
-        node_id, role_token, pair_token = int(fields[0]), fields[1], int(fields[2])
+            raise ValueError(f"line {lineno}: a node line needs 6 fields, got {line!r}")
+        node_id = number(lineno, "node id", fields[0], int)
+        role_token, pair_token = fields[1], number(lineno, "pair index", fields[2], int)
         if node_id != i:
             raise ValueError(f"node lines must be in id order; expected id {i}, got {node_id}")
         expected_role, expected_pair = _role_and_pair(i, n)
@@ -77,8 +89,8 @@ def instance_from_text(text: str, name: str = "") -> Instance:
             raise ValueError(f"node {i}: role {role_token!r} does not match id convention")
         if pair_token != expected_pair:
             raise ValueError(f"node {i}: pair index {pair_token} does not match id convention")
-        coords[i] = (float(fields[3]), float(fields[4]))
-        loads[i] = float(fields[5])
+        coords[i] = (number(lineno, "x", fields[3], float), number(lineno, "y", fields[4], float))
+        loads[i] = number(lineno, "load", fields[5], float)
     return Instance.from_coords(coords, loads, capacity, MetricMode[token], name=name)
 
 

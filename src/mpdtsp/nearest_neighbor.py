@@ -22,7 +22,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .construction import Block, MultiStartResult, Outcome, lockstep, run_multistart, run_single
+from .construction import Block, MultiStartResult, run_multistart, run_single
 from .model import Instance, Tour, visit_events
 
 
@@ -89,20 +89,15 @@ def extend(block: NnhBlock, choice: NearestChoice, instance: Instance) -> NnhBlo
     return block
 
 
-def _lockstep(instance: Instance, starts: list[int], rows: int) -> Outcome:
-    """Grow the tour of every start, ``rows`` starts a block: tours and stalls by start, steps and cells."""
-    return lockstep(instance, starts, rows, NnhBlock.initial, nearest, extend)
-
-
 def nnh_from(instance: Instance, init: int) -> Tour:
     """Build one nearest-neighbor tour from ``init``.
 
     Ties on arc cost go to the lowest node id.  Raises :class:`DeadEndError`
     when unvisited nodes remain but none passes both gates.
     """
-    return run_single(instance, init, _lockstep)
+    return run_single(instance, init, NnhBlock.initial, nearest, extend)
 
 
 def nnh_best(instance: Instance, inits: Iterable[int] | None = None) -> MultiStartResult:
     """Cheapest nearest-neighbor tour over the given starts (default: all nodes)."""
-    return run_multistart(instance, inits, _lockstep, instance.node_count)
+    return run_multistart(instance, inits, NnhBlock.initial, nearest, extend, instance.node_count)

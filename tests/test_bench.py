@@ -10,7 +10,6 @@ from mpdtsp import tsplib
 from mpdtsp.bench import (
     CSV_HEADER,
     ExperimentConfig,
-    InitPolicy,
     ResultRow,
     emit_csv,
     emit_svg_histogram,
@@ -46,17 +45,13 @@ def eil51_only(tmp_path_factory):
 
 class TestRunCorpus:
     def test_eil51_sweep_yields_twenty_ordered_rows(self, eil51_only):
-        config = ExperimentConfig(corpus_dir=eil51_only, init_policy=InitPolicy.DEPOT)
-        rows = run_corpus(config)
+        rows = run_corpus(ExperimentConfig(corpus_dir=eil51_only))
         assert len(rows) == 20  # 1 file x 2 directions x 5 capacities x 2 heuristics
         assert [r.sort_key() for r in rows] == sorted(r.sort_key() for r in rows)
         assert all(r.node_count == 51 for r in rows)
-        assert all(r.init_of_best == 0 for r in rows)
 
     def test_rerun_identical_modulo_wall_time(self, eil51_only):
-        config = ExperimentConfig(
-            corpus_dir=eil51_only, capacities=(2, 10), init_policy=InitPolicy.DEPOT
-        )
+        config = ExperimentConfig(corpus_dir=eil51_only, capacities=(2, 10))
         strip = lambda rows: [replace(r, wall_time_s=0.0) for r in rows]  # noqa: E731
         assert strip(run_corpus(config)) == strip(run_corpus(config))
 
@@ -69,9 +64,7 @@ class TestRunCorpus:
             return parse_file(path)
 
         monkeypatch.setattr(tsplib, "parse_file", counting_parse_file)
-        config = ExperimentConfig(
-            corpus_dir=eil51_only, capacities=(2, 10), init_policy=InitPolicy.DEPOT
-        )
+        config = ExperimentConfig(corpus_dir=eil51_only, capacities=(2, 10))
         assert len(run_corpus(config)) == 8
         assert len(calls) == 1
 
@@ -91,9 +84,7 @@ class TestRunCorpus:
         (corpus / "two.tsp").write_text(
             "DIMENSION: 2\nEDGE_WEIGHT_TYPE: EUC_2D\nNODE_COORD_SECTION\n1 0 0\n2 1 1\nEOF\n"
         )
-        config = ExperimentConfig(
-            corpus_dir=corpus, capacities=(2,), init_policy=InitPolicy.DEPOT
-        )
+        config = ExperimentConfig(corpus_dir=corpus, capacities=(2,))
         with caplog.at_level("WARNING"):
             rows = run_corpus(config)
         assert len(rows) == 4
@@ -108,7 +99,7 @@ class TestRunCorpus:
 
         (tmp_path / "a.tsp").write_text(cloud_text(11))
         (tmp_path / "b.tsp").write_text(cloud_text(13))
-        config = ExperimentConfig(corpus_dir=tmp_path, capacities=(2,), init_policy=InitPolicy.DEPOT)
+        config = ExperimentConfig(corpus_dir=tmp_path, capacities=(2,))
         with caplog.at_level("WARNING"):
             rows = run_corpus(config)
         assert len(rows) == 4
@@ -124,8 +115,6 @@ class TestRunCorpus:
     def test_config_validation(self, tmp_path):
         with pytest.raises(ValueError, match="capacities"):
             ExperimentConfig(corpus_dir=tmp_path, capacities=())
-        with pytest.raises(ValueError, match="init policy"):
-            ExperimentConfig(corpus_dir=tmp_path, init_policy="sometimes")
         with pytest.raises(ValueError, match="capacities"):
             ExperimentConfig(corpus_dir=tmp_path, capacities=(2, 2))
         with pytest.raises(ValueError, match="directions"):

@@ -34,11 +34,12 @@ from mpdtsp import (
 )
 from mpdtsp import cheapest_insertion, construction
 from mpdtsp.cheapest_insertion import CihBlock, apply_insertion, best_insertion
-from mpdtsp.cheapest_insertion import _lockstep as cih_lockstep
-from mpdtsp.nearest_neighbor import _lockstep as nnh_lockstep
+from mpdtsp.nearest_neighbor import NnhBlock, extend, nearest
 from mpdtsp.generate import Direction, GenerationSpec, generate
 
 SQRT2 = math.sqrt(2.0)
+#: each builder's step functions, as cih_best and nnh_best pass them to the engine
+BUILDERS = ((CihBlock.initial, best_insertion, apply_insertion), (NnhBlock.initial, nearest, extend))
 
 
 def brute_force_slots(instance, state, node):
@@ -385,23 +386,24 @@ class TestCihBest:
         assert (result.steps, result.cells) == (steps, cells)
 
     @pytest.mark.parametrize("rows", (1, 2, 3))
-    @pytest.mark.parametrize("builder", (cih_lockstep, nnh_lockstep), ids=("CIH", "NNH"))
+    @pytest.mark.parametrize("builder", BUILDERS, ids=("CIH", "NNH"))
     def test_starts_split_into_blocks_give_the_same_result(self, builder, rows):
         # blocks of 2 and 3 rows hold a row that stalls while the others go on
         inst = grid_instance(4, 1, 3, MetricMode.ROUNDED)
         starts = list(range(inst.node_count))
-        whole, split = builder(inst, starts, len(starts)), builder(inst, starts, rows)
+        whole = construction.lockstep(inst, starts, len(starts), *builder)
+        split = construction.lockstep(inst, starts, rows, *builder)
         assert split[0] == whole[0] and split[2:] == whole[2:]
         assert {i: (e.partial, e.remainder) for i, e in split[1].items()} == {
             i: (e.partial, e.remainder) for i, e in whole[1].items()}
         assert whole[0] and whole[1]  # stalls merge across blocks too
 
-    @pytest.mark.parametrize("builder", (cih_lockstep, nnh_lockstep), ids=("CIH", "NNH"))
+    @pytest.mark.parametrize("builder", BUILDERS, ids=("CIH", "NNH"))
     def test_a_block_holds_at_least_one_start(self, monkeypatch, builder):
         inst = grid_instance(4, 1, 3, MetricMode.ROUNDED)
-        whole = construction.run_multistart(inst, None, builder, 1)
+        whole = construction.run_multistart(inst, None, *builder, 1)
         monkeypatch.setattr(construction, "BLOCK_CELLS", 1)  # fewer than one start's cells
-        assert construction.run_multistart(inst, None, builder, inst.node_count) == whole
+        assert construction.run_multistart(inst, None, *builder, inst.node_count) == whole
 
     def test_cost_table_reproducible_across_capacities(self, eil51_cloud):
         for q in (2, 10):

@@ -1,4 +1,6 @@
+import argparse
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -6,7 +8,7 @@ import pytest
 from conftest import CORPUS_DIR, TWO_PAIR_COORDS
 from mpdtsp import (Direction, ExperimentConfig, Instance, MetricMode, ResultRow, bench,
                     paired_loads, write_instance)
-from mpdtsp.cli import main
+from mpdtsp.cli import _parser, main
 
 
 @pytest.fixture
@@ -24,6 +26,9 @@ def two_pair_file(tmp_path):
     write_instance(inst, path)
     return path
 
+
+#: the committed eil51 instance of demo 01: 25 pairs, ids 0..50, terminal alias 51
+DEMO_25_PAIRS = CORPUS_DIR.parent / "demos" / "out" / "eil51-pickups-central-Q10.inst"
 
 #: a TSPLIB header with two bytes that are not UTF-8
 UNDECODABLE = b"NAME: bad\n\xff\xfe DIMENSION: 3\n"
@@ -148,6 +153,25 @@ class TestSolve:
         assert code == 0
         assert "start 2" in out
 
+    def test_unreadable_init_names_the_flag(self, capsys):
+        code, out, err = run(capsys, "solve", DEMO_25_PAIRS, "--init", "x")
+        assert code == 2
+        assert "argument --init: " in err and "'x'" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("node", [99, -1])
+    def test_init_out_of_range_is_usage_error(self, capsys, node):
+        code, out, err = run(capsys, "solve", DEMO_25_PAIRS, "--init", node)
+        assert code == 2
+        assert f"node id {node} out of range" in err
+        assert out == ""
+
+    def test_terminal_alias_init_solves_from_the_depot(self, capsys):
+        code, out, _ = run(capsys, "solve", DEMO_25_PAIRS, "--init", 51)
+        assert code == 0
+        assert out.count("(start 0, 1 starts ok, 0 dead ends)") == 2
+        assert (code, out, "") == run(capsys, "solve", DEMO_25_PAIRS, "--init", "depot")
+
     def test_solve_and_validate_read_the_same_metric(self, capsys, tmp_path):
         # every verb reads the metric from the instance file, so both give one cost
         inst, tour_path = tmp_path / "eil51.inst", tmp_path / "r.tour"
@@ -260,16 +284,14 @@ class TestCompare:
 class TestPairLimit:
     """The exact solver's 12-pair limit is fixed; no flag moves it."""
 
-    DEMO_25_PAIRS = CORPUS_DIR.parent / "demos" / "out" / "eil51-pickups-central-Q10.inst"
-
     def test_compare_skips_the_exact_solver(self, capsys):
-        code, out, _ = run(capsys, "compare", self.DEMO_25_PAIRS)
+        code, out, _ = run(capsys, "compare", DEMO_25_PAIRS)
         assert code == 0
         assert "exact: skipped (25 pairs exceeds limit 12)" in out
         assert "NNH best cost" in out and "CIH best cost" in out
 
     def test_exact_refuses_with_the_limit(self, capsys):
-        code, out, err = run(capsys, "exact", self.DEMO_25_PAIRS)
+        code, out, err = run(capsys, "exact", DEMO_25_PAIRS)
         assert code == 2
         assert "limited to 12" in err
         assert "override" not in err  # the limit is fixed; nothing can raise it
@@ -290,7 +312,7 @@ class TestBench:
         csv_path = tmp_path / "rows.csv"
         svg_path = tmp_path / "summary.svg"
         code, out, _ = run(capsys, "bench", "--corpus", corpus, "--capacities", "2",
-                           "--init-policy", "depot", "--csv", csv_path, "--svg", svg_path)
+                           "--csv", csv_path, "--svg", svg_path)
         assert code == 0
         assert "rows: 4" in out
         assert csv_path.exists() and svg_path.exists()
@@ -304,7 +326,7 @@ class TestBench:
         csv_path = tmp_path / "rows.csv"
         with caplog.at_level("WARNING"):
             code, out, _ = run(capsys, "bench", "--corpus", corpus, "--capacities", "2",
-                               "--init-policy", "depot", "--csv", csv_path)
+                               "--csv", csv_path)
         assert code == 0
         assert "rows: 8" in out
         assert any("skipping zzz.tsp: cannot decode" in message for message in caplog.messages)
@@ -374,12 +396,11 @@ class TestBench:
 
         monkeypatch.setattr(bench, "run_corpus", fake_run_corpus)
         assert run(capsys, "bench", "--corpus", "c", "--directions", "deliveries-central",
-                   "--capacities", "2, 6", "--metric", "rounded", "--init-policy", "depot",
-                   "--max-nodes", 61)[0] == 0
+                   "--capacities", "2, 6", "--metric", "rounded", "--max-nodes", 61)[0] == 0
         assert run(capsys, "bench", "--corpus", "c")[0] == 0
         assert seen == [
             ExperimentConfig(Path("c"), (Direction.DELIVERIES_CENTRAL,), (2, 6),
-                             MetricMode.ROUNDED, "depot", 61),
+                             MetricMode.ROUNDED, 61),
             ExperimentConfig(Path("c")),
         ]
 
@@ -395,6 +416,8 @@ class TestUsage:
         # bench reads its settings from flags only, and every verb reads the
         # metric from the instance file
         assert run(capsys, "bench", "--corpus", CORPUS_DIR, "--config", "x")[0] == 2
+        # every sweep runs from every start, so bench has no start setting
+        assert run(capsys, "bench", "--corpus", CORPUS_DIR, "--init-policy", "depot")[0] == 2
         code, out, _ = run(capsys, "solve", one_pair_file, "--metric", "rounded")
         assert code == 2
         assert out == ""
@@ -402,3 +425,22 @@ class TestUsage:
     def test_missing_file_is_usage_error(self, capsys):
         code, _, err = run(capsys, "solve", "/nonexistent/path.inst")
         assert code == 2
+
+
+def options(parser: argparse.ArgumentParser) -> set[str]:
+    """Every option string of ``parser`` and of its verbs."""
+    found = set()
+    for action in parser._actions:
+        found.update(action.option_strings)
+        if isinstance(action, argparse._SubParsersAction):
+            for verb in action.choices.values():
+                found |= options(verb)
+    return found
+
+
+def test_every_flag_the_readme_names_exists():
+    readme = (CORPUS_DIR.parent / "README.md").read_text()
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme))
+    assert {"--init", "--corpus", "--max-nodes"} <= named  # the pattern finds flags at all
+    # pip's flag, in the install notes, is the one flag of another program
+    assert sorted(named - options(_parser()) - {"--no-build-isolation"}) == []

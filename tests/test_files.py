@@ -63,6 +63,32 @@ def test_malformed_instance_text_rejected(two_pair, mutation, message):
         instance_from_text(mutation(instance_to_text(two_pair)))
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("PAIRS 2", "PAIRS 1.5", "line 1: PAIRS must be an integer, got '1.5'"),
+        ("PAIRS 2", "PAIRS -1", "line 1: PAIRS must not be negative, got -1"),
+        ("CAPACITY 2.0", "CAPACITY x", "line 2: CAPACITY must be a number, got 'x'"),
+        ("0 DEPOT 0 0.0", "0 DEPOT 0 a", "line 4: x must be a number, got 'a'"),
+        ("1 PICKUP 1 1.0 0.0", "1 PICKUP 1 1.0 y", "line 5: y must be a number, got 'y'"),
+        ("2 PICKUP 2 2.0 0.0 1.0", "2 PICKUP 2 2.0 0.0 one", "line 6: load must be a number, got 'one'"),
+        ("3 DELIVERY", "3.0 DELIVERY", "line 7: node id must be an integer, got '3.0'"),
+        ("4 DELIVERY 2", "4 DELIVERY two", "line 8: pair index must be an integer, got 'two'"),
+        ("4 DELIVERY 2 2.0", "4 DELIVERY 2", "line 8: a node line needs 6 fields"),
+        # the count takes in blank lines: CAPACITY moves from line 2 to line 4
+        ("CAPACITY 2.0", "\n\nCAPACITY x", "line 4: CAPACITY must be a number, got 'x'"),
+    ],
+    ids=["pairs-fraction", "pairs-negative", "capacity", "x", "y", "load", "node-id", "pair-index",
+         "field-count", "after-blank-lines"],
+)
+def test_unreadable_field_names_its_line_and_field(two_pair, old, new, message):
+    text = instance_to_text(two_pair)
+    assert old in text
+    with pytest.raises(ValueError) as err:
+        instance_from_text(text.replace(old, new, 1))
+    assert str(err.value).startswith(message)
+
+
 def test_tour_file_round_trip(two_pair, tmp_path):
     tour = Tour((0, 1, 2, 4, 3, 0), tour_cost(two_pair, [0, 1, 2, 4, 3, 0]))
     path = tmp_path / "tour.txt"

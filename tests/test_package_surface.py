@@ -1,10 +1,12 @@
-"""The package root exports only names that exist, and every benchmark trace target exists.
+"""The package root exports only names that exist, and the benchmark tracer sees the library's calls.
 
 ``perfbench/tracer.py`` wraps library functions by module and attribute name;
 a target that a refactor renames or removes is only reported as a warning
-there, and the per-layer metrics that need it silently go missing.  This
-loads the tracer from its file, without putting ``perfbench/`` on the import
-path, and checks each of its targets against the package.
+there, and the per-layer metrics that need it silently go missing.  So does a
+call the library makes through a name bound before the tracer installs, such
+as a builder's step function kept in a tuple at import.  This loads the tracer
+from its file, without putting ``perfbench/`` on the import path, checks each
+of its targets against the package, and traces the builders once.
 """
 
 import importlib
@@ -14,6 +16,8 @@ from pathlib import Path
 import pytest
 
 import mpdtsp
+from conftest import CORPUS_DIR
+from mpdtsp import Direction, GenerationSpec, generate, tsplib
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -39,3 +43,22 @@ def test_trace_target_exists(module_name, attr):
         owner = getattr(owner, part)
     # the tracer looks the leaf up in the owner's own namespace
     assert vars(owner).get(leaf) is not None
+
+
+def test_tracer_sees_the_builders_own_calls():
+    cloud = tsplib.parse_file(CORPUS_DIR / "uni031.tsp")
+    instance = generate(cloud, GenerationSpec(Direction.PICKUPS_CENTRAL, 1))
+    originals = mpdtsp.cih_best, mpdtsp.nnh_best, mpdtsp.cih_from
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        tracer.active = True
+        mpdtsp.cih_best(instance)
+        mpdtsp.nnh_best(instance)
+        mpdtsp.cih_from(instance, 0)
+    finally:
+        tracer.uninstall()
+    assert (mpdtsp.cih_best, mpdtsp.nnh_best, mpdtsp.cih_from) == originals
+    calls = tracer.stats().calls
+    names = ("best_insertion", "apply_insertion", "run_multistart", "cih_best", "cih_from", "nnh_best")
+    assert [name for name in names if not calls[name]] == []  # the names that recorded no span

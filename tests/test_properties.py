@@ -37,8 +37,8 @@ from mpdtsp import (  # noqa: E402
     tour_cost,
     validate,
 )
-from mpdtsp.cheapest_insertion import _lockstep as cih_lockstep  # noqa: E402
-from mpdtsp.construction import feasible_rows  # noqa: E402
+from mpdtsp.cheapest_insertion import CihBlock, apply_insertion, best_insertion  # noqa: E402
+from mpdtsp.construction import feasible_rows, lockstep  # noqa: E402
 from mpdtsp.exact import precedence_orders  # noqa: E402
 
 PROPERTY = settings(deadline=None, derandomize=True, database=None, max_examples=120)
@@ -275,7 +275,8 @@ def test_cih_block_matches_the_per_start_reference(case):
         except DeadEndError as exc:
             stalls[init] = exc
     # two rows a block, so a row can stall while the other goes on
-    block_tours, block_stalls, steps, _ = cih_lockstep(instance, list(starts), 2)
+    cih = (CihBlock.initial, best_insertion, apply_insertion)
+    block_tours, block_stalls, steps, _ = lockstep(instance, list(starts), 2, *cih)
     assert {i: (t.sequence, t.cost.hex()) for i, t in block_tours.items()} == {
         i: (t.sequence, t.cost.hex()) for i, t in tours.items()}
     assert {i: (e.partial, e.remainder) for i, e in block_stalls.items()} == {
