@@ -13,7 +13,8 @@ import io
 import logging
 import math
 import time
-from dataclasses import dataclass
+from collections import Counter, defaultdict
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -187,7 +188,10 @@ def ratio_bucket(ratio: float) -> float:
 
 
 def summarize(rows: list[ResultRow]) -> Summary:
-    """Pair NNH/CIH rows and aggregate win fractions, ratios and timings."""
+    """Pair the NNH and CIH rows of each (instance, direction, Q), then gather in
+    one pass in key order each direction's NNH wins (ties included) and CIH/NNH
+    cost-ratio histogram, the ratios by Q, the time ratios by node count and the
+    largest (CIH - NNH) / CIH, each over the pairs whose divisor is positive."""
     by_key: dict[tuple[str, str, int], dict[str, ResultRow]] = {}
     for row in rows:
         key = (row.instance, row.direction, row.capacity_items)
@@ -195,46 +199,34 @@ def summarize(rows: list[ResultRow]) -> Summary:
         if row.heuristic in entry:
             raise ValueError(f"rows for {key} repeat {row.heuristic}")
         entry[row.heuristic] = row
-    pairs = []
+    if not by_key:
+        raise ValueError("no result rows to summarize")
+
+    nnh_won: defaultdict[str, list[bool]] = defaultdict(list)  # by direction, in key order
+    histograms: defaultdict[str, Counter[float]] = defaultdict(Counter)
+    ratios_by_q: defaultdict[int, list[float]] = defaultdict(list)
+    time_by_nodes: defaultdict[int, list[float]] = defaultdict(list)
+    max_reduction = 0.0
     for key, entry in sorted(by_key.items()):
         if set(entry) != {"NNH", "CIH"}:
             raise ValueError(f"rows for {key} are unpaired: have {sorted(entry)}")
-        pairs.append((key, entry["NNH"], entry["CIH"]))
-    if not pairs:
-        raise ValueError("no result rows to summarize")
-
-    directions: dict[str, DirectionSummary] = {}
-    total_wins = 0
-    max_reduction = 0.0
-    ratios_by_q: dict[int, list[float]] = {}
-    time_by_nodes: dict[int, list[float]] = {}
-    for direction in sorted({key[1] for key, _, _ in pairs}):
-        dir_pairs = [(k, n, c) for k, n, c in pairs if k[1] == direction]
-        wins = sum(1 for _, n, c in dir_pairs if n.best_cost <= c.best_cost)
-        total_wins += wins
-        histogram: dict[float, int] = {}
-        for _, n, c in dir_pairs:
-            if n.best_cost > 0:
-                bucket = ratio_bucket(c.best_cost / n.best_cost)
-                histogram[bucket] = histogram.get(bucket, 0) + 1
-        directions[direction] = DirectionSummary(
-            pair_count=len(dir_pairs),
-            nnh_wins=wins,
-            win_fraction=wins / len(dir_pairs),
-            ratio_histogram=tuple(sorted(histogram.items())),
-        )
-    for _, n, c in pairs:
+        n, c = entry["NNH"], entry["CIH"]
+        nnh_won[key[1]].append(n.best_cost <= c.best_cost)
+        if n.best_cost > 0:
+            ratio = c.best_cost / n.best_cost
+            histograms[key[1]][ratio_bucket(ratio)] += 1
+            ratios_by_q[n.capacity_items].append(ratio)
         if c.best_cost > 0:
             max_reduction = max(max_reduction, (c.best_cost - n.best_cost) / c.best_cost)
-        if n.best_cost > 0:
-            ratios_by_q.setdefault(n.capacity_items, []).append(c.best_cost / n.best_cost)
         if n.wall_time_s > 0:
-            time_by_nodes.setdefault(n.node_count, []).append(c.wall_time_s / n.wall_time_s)
+            time_by_nodes[n.node_count].append(c.wall_time_s / n.wall_time_s)
 
     return Summary(
-        directions=directions,
-        overall_pairs=len(pairs),
-        overall_win_fraction=total_wins / len(pairs),
+        directions={d: DirectionSummary(len(won), sum(won), sum(won) / len(won),
+                                        tuple(sorted(histograms[d].items())))
+                    for d, won in sorted(nnh_won.items())},
+        overall_pairs=len(by_key),
+        overall_win_fraction=sum(map(sum, nnh_won.values())) / len(by_key),
         max_cost_reduction=max_reduction,
         ratio_by_capacity={q: Quartiles.of(v) for q, v in sorted(ratios_by_q.items())},
         time_ratio_by_node_count={m: Quartiles.of(v) for m, v in sorted(time_by_nodes.items())},
@@ -251,14 +243,15 @@ def emit_csv(rows: list[ResultRow], path: str | Path) -> None:
     text = io.StringIO()
     writer = csv.writer(text, lineterminator="\n")
     writer.writerow(CSV_HEADER.split(","))
-    for row in sorted(rows, key=ResultRow.sort_key):
-        writer.writerow((row.instance, row.direction, row.capacity_items, row.heuristic,
-                         repr(row.best_cost), repr(row.wall_time_s), row.node_count,
-                         row.init_of_best, row.dead_end_count))
+    writer.writerows(astuple(row) for row in sorted(rows, key=ResultRow.sort_key))
+    _write(path, "CSV", text.getvalue())
+
+
+def _write(path: str | Path, kind: str, text: str) -> None:
     try:
-        Path(path).write_text(text.getvalue(), newline="\n")
+        Path(path).write_text(text, newline="\n")
     except OSError as exc:
-        raise OSError(f"cannot write CSV to {path}: {exc}") from exc
+        raise OSError(f"cannot write {kind} to {path}: {exc}") from exc
 
 
 _SVG_WIDTH = 860
@@ -278,39 +271,31 @@ def emit_svg_histogram(summary: Summary, path: str | Path) -> None:
         top = max((count for _, count in ds.ratio_histogram), default=1)
         for bucket, count in ds.ratio_histogram:
             width = max(1, round(_BAR_AREA * count / top))
-            parts.append(
-                f'<rect x="150" y="{y}" width="{width}" height="{_ROW_H - 4}" fill="#4878a8"/>'
-            )
-            parts.append(_text(20, y + _ROW_H - 7, f"[{bucket:.2f},{bucket + 0.02:.2f})"))
+            parts.append(f'<rect x="150" y="{y}" width="{width}" height="{_ROW_H - 4}" fill="#4878a8"/>')
+            parts.append(_text(20, y + _ROW_H - 7, f"[{bucket:.2f},{bucket + RATIO_BUCKET_WIDTH:.2f})"))
             parts.append(_text(155 + width, y + _ROW_H - 7, str(count)))
             y += _ROW_H
         y += 24
 
-    parts.append(_text(20, y, "cost ratio quartiles by capacity", bold=True))
-    y += 12
-    for q, quart in summary.ratio_by_capacity.items():
-        parts.extend(_box_row(f"Q={q}", quart, y))
-        y += _ROW_H
-    y += 24
-
-    parts.append(_text(20, y, "CIH/NNH time ratio quartiles by node count", bold=True))
-    y += 12
-    for m, quart in summary.time_ratio_by_node_count.items():
-        parts.extend(_box_row(f"{m} nodes", quart, y))
-        y += _ROW_H
-    y += 20
+    for title, label, boxes in (
+        ("cost ratio quartiles by capacity", "Q={}", summary.ratio_by_capacity),
+        ("CIH/NNH time ratio quartiles by node count", "{} nodes", summary.time_ratio_by_node_count),
+    ):
+        parts.append(_text(20, y, title, bold=True))
+        y += 12
+        for value, quart in boxes.items():
+            parts.extend(_box_row(label.format(value), quart, y))
+            y += _ROW_H
+        y += 24  # the chart's height keeps 20 of the last section's gap
 
     body = "\n".join(parts)
     svg = (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{_SVG_WIDTH}" height="{y}" font-family="monospace" font-size="11">\n'
+        f'width="{_SVG_WIDTH}" height="{y - 4}" font-family="monospace" font-size="11">\n'
         f"{body}\n</svg>\n"
     )
-    try:
-        Path(path).write_text(svg, newline="\n")
-    except OSError as exc:
-        raise OSError(f"cannot write SVG to {path}: {exc}") from exc
+    _write(path, "SVG", svg)
 
 
 def _text(x: int, y: int, label: str, bold: bool = False) -> str:

@@ -100,7 +100,7 @@ def write_instance(instance: Instance, path: str | Path) -> None:
 
 def read_instance(path: str | Path) -> Instance:
     path = Path(path)
-    return instance_from_text(path.read_text(), name=path.stem)
+    return instance_from_text(_read_text(path), name=path.stem)
 
 
 def write_tour(tour: Tour, path: str | Path) -> None:
@@ -110,7 +110,7 @@ def write_tour(tour: Tour, path: str | Path) -> None:
 def read_tour_sequence(path: str | Path) -> list[int]:
     """Raw visit sequence from a tour file; validation is the caller's job."""
     out = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(_read_text(Path(path)).splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -119,6 +119,13 @@ def read_tour_sequence(path: str | Path) -> list[int]:
         except ValueError:
             raise ValueError(f"{path}: line {lineno} is not a node id: {line!r}") from None
     return out
+
+
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"cannot decode {path}: {exc}") from None
 
 
 def write_sidecar(meta: Mapping[str, str], path: str | Path) -> None:

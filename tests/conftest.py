@@ -12,6 +12,15 @@ from mpdtsp.cheapest_insertion import CihBlock, InsertionChoice, apply_insertion
 
 CORPUS_DIR = Path(__file__).resolve().parents[1] / "corpus"
 
+try:  # the property tests skip themselves when hypothesis is missing
+    from hypothesis import Phase, settings
+except ImportError:
+    pass
+else:
+    # ``python tests/mutants.py`` loads this profile: killing a mutant takes one
+    # failing example, not the smallest one, and shrinking is most of a failing run
+    settings.register_profile("mutants", phases=(Phase.explicit, Phase.reuse, Phase.generate))
+
 # depot at the origin, pickups on the x axis, deliveries one unit above them
 TWO_PAIR_COORDS = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (1.0, 1.0), (2.0, 1.0)]
 

@@ -1,0 +1,132 @@
+"""Mutation check: each row's edit of the source must make its tests fail.
+
+Run from anywhere:  python tests/mutants.py
+
+For each row of MUTANTS the script copies the checkout, without .git, to a
+temporary directory, replaces the row's snippet in its file there and runs
+the row's pytest selection in that copy.  A row fails when its snippet does
+not occur exactly once in its file, or when its tests still pass (the mutant
+survived).  Every row is reported, and the exit status is 1 if any failed.
+
+A change whose tests are proven by a mutation adds that mutation here.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+CONSTRUCTION = "src/mpdtsp/construction.py"
+BENCH = "src/mpdtsp/bench.py"
+BLOCK_CHECK = ("tests/test_properties.py", "-k", "block_check")
+
+
+def bench_tests(keywords: str) -> tuple[str, ...]:
+    return ("tests/test_bench.py", "-k", keywords)
+
+
+#: (what the mutant breaks, file, exact snippet, replacement, pytest selection that must fail)
+MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
+    # construction.feasible_rows, one rule at a time
+    ("block check: id range widened by 5", CONSTRUCTION,
+     "(tour.max(axis=1) < n_nodes)", "(tour.max(axis=1) < n_nodes + 5)", BLOCK_CHECK),
+    ("block check: closure dropped", CONSTRUCTION,
+     "ok &= (first == inits) & (tour[:, -1] == inits)", "ok &= first == inits", BLOCK_CHECK),
+    ("block check: start dropped", CONSTRUCTION,
+     "ok &= (first == inits) & (tour[:, -1] == inits)", "ok &= tour[:, -1] == inits", BLOCK_CHECK),
+    ("block check: once-each dropped", CONSTRUCTION,
+     "    ok &= pos.min(axis=1) >= 0\n", "", BLOCK_CHECK),
+    ("block check: upper load bound dropped", CONSTRUCTION,
+     "    ok &= payload.max(axis=1) <= instance.load_limit\n", "", BLOCK_CHECK),
+    ("block check: upper load bound without its tolerance", CONSTRUCTION,
+     "payload.max(axis=1) <= instance.load_limit", "payload.max(axis=1) <= instance.capacity",
+     BLOCK_CHECK),
+    ("block check: lower load bound dropped", CONSTRUCTION,
+     "    ok &= payload.min(axis=1) >= -LOAD_TOLERANCE\n", "", BLOCK_CHECK),
+    ("block check: lower load bound without its tolerance", CONSTRUCTION,
+     "payload.min(axis=1) >= -LOAD_TOLERANCE", "payload.min(axis=1) >= 0", BLOCK_CHECK),
+    ("block check: final load dropped", CONSTRUCTION,
+     "    ok &= np.abs(payload[:, -1]) <= LOAD_TOLERANCE\n", "", BLOCK_CHECK),
+    ("block check: final load without its tolerance", CONSTRUCTION,
+     "np.abs(payload[:, -1]) <= LOAD_TOLERANCE", "payload[:, -1] == 0", BLOCK_CHECK),
+    ("block check: doubled start's event zeroed at the closing visit for every start",
+     CONSTRUCTION,
+     "    payload[delivery_start, 0] = 0.0\n    payload[~delivery_start, -1] = 0.0\n",
+     "    payload[:, -1] = 0.0\n", BLOCK_CHECK),
+    ("block check: precedence dropped", CONSTRUCTION,
+     "    ok &= (pos[:, 1 : n_pairs + 1] < pos[:, n_pairs + 1 :]).all(axis=1)\n", "", BLOCK_CHECK),
+    ("block check: delivery-start exemption dropped", CONSTRUCTION,
+     "    pos[delivery_start.nonzero()[0], first[delivery_start]] = n_nodes\n", "", BLOCK_CHECK),
+    # bench: the summary and its outputs
+    ("summary: a tie counted as a CIH win", BENCH,
+     "append(n.best_cost <= c.best_cost)", "append(n.best_cost < c.best_cost)",
+     bench_tests("ties_count")),
+    ("summary: histogram bucket one width off", BENCH,
+     "[ratio_bucket(ratio)] += 1", "[ratio_bucket(ratio) + RATIO_BUCKET_WIDTH] += 1",
+     bench_tests("histogram_bucketing")),
+    ("summary: time ratio inverted", BENCH,
+     "c.wall_time_s / n.wall_time_s", "n.wall_time_s / c.wall_time_s",
+     bench_tests("quartiles_per_capacity")),
+    ("csv: two ResultRow fields swapped", BENCH,
+     "    node_count: int\n    init_of_best: int\n", "    init_of_best: int\n    node_count: int\n",
+     bench_tests("csv_fixed_order")),
+    ("svg: the two quartile sections swapped", BENCH,
+     '        ("cost ratio quartiles by capacity", "Q={}", summary.ratio_by_capacity),\n'
+     '        ("CIH/NNH time ratio quartiles by node count", "{} nodes", summary.time_ratio_by_node_count),\n',
+     '        ("CIH/NNH time ratio quartiles by node count", "{} nodes", summary.time_ratio_by_node_count),\n'
+     '        ("cost ratio quartiles by capacity", "Q={}", summary.ratio_by_capacity),\n',
+     bench_tests("svg_matches_golden")),
+    # files: an undecodable instance file names itself
+    ("files: instance read without the decode check", "src/mpdtsp/files.py",
+     "instance_from_text(_read_text(path), name=path.stem)",
+     "instance_from_text(path.read_text(), name=path.stem)",
+     ("tests/test_cli.py", "-k", "undecodable_file_is_a_usage_error")),
+]
+
+
+def run_row(file: str, snippet: str, replacement: str, selection: tuple[str, ...]) -> str | None:
+    """Apply one mutant to a fresh copy and run its tests; the failure, or None when killed."""
+    found = (ROOT / file).read_text().count(snippet)
+    if found != 1:
+        return f"snippet occurs {found} times in {file}, not once"
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        copy = Path(tmp) / "checkout"
+        shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".pytest_cache", ".hypothesis"))
+        target = copy / file
+        target.write_text(target.read_text().replace(snippet, replacement))
+        # the copy's pyproject.toml puts its own src first; PYTHONPATH says the same
+        env = {**os.environ, "PYTHONPATH": str(copy / "src")}
+        result = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+             "--hypothesis-profile=mutants", *selection],
+            cwd=copy, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+    if result.returncode == 0:
+        return "survived: " + " ".join(selection) + " passed"
+    if result.returncode != 1:  # 1 is failed tests; anything else is a broken run
+        return f"pytest exited {result.returncode}:\n{result.stdout[-2000:]}"
+    return None
+
+
+def main() -> int:
+    failures = 0
+    start = time.perf_counter()
+    for label, *row in MUTANTS:
+        problem = run_row(*row)
+        failures += problem is not None
+        print(f"{'FAIL' if problem else 'killed'}  {label}" + (f"\n      {problem}" if problem else ""),
+              flush=True)
+    print(f"{len(MUTANTS) - failures} of {len(MUTANTS)} mutants killed "
+          f"in {time.perf_counter() - start:.0f} s")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -2,6 +2,7 @@ import csv
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -22,7 +23,10 @@ from mpdtsp.generate import MIN_CLOUD_POINTS, Direction
 
 def row(instance="a", direction="pickups-central", q=2, heuristic="NNH",
         cost=10.0, wall=0.5, nodes=5, init=0, dead=0):
-    return ResultRow(instance, direction, q, heuristic, cost, wall, nodes, init, dead)
+    # by keyword, so the CSV tests see the field order that emit_csv writes
+    return ResultRow(instance=instance, direction=direction, capacity_items=q, heuristic=heuristic,
+                     best_cost=cost, wall_time_s=wall, node_count=nodes, init_of_best=init,
+                     dead_end_count=dead)
 
 
 def paired_rows(spec):
@@ -34,6 +38,20 @@ def paired_rows(spec):
         rows.append(row(name, direction, q, "NNH", nnh_cost, nnh_t, nodes))
         rows.append(row(name, direction, q, "CIH", cih_cost, cih_t, nodes))
     return rows
+
+
+#: ``golden_summary.svg`` is the chart of these rows: both directions, Q=2 and 4,
+#: 11 and 21 nodes, one NNH/CIH tie and fixed wall times.  Rewrite it only for a
+#: deliberate chart change, with ``emit_svg_histogram(summarize(paired_rows(SUMMARY_SPEC)), path)``.
+SUMMARY_SPEC = [
+    ("a", "pickups-central", 2, 10.0, 11.0, 0.1, 0.2, 11),
+    ("a", "pickups-central", 4, 10.0, 10.0, 0.1, 0.3, 11),
+    ("a", "deliveries-central", 2, 10.0, 12.5, 0.1, 0.4, 11),
+    ("a", "deliveries-central", 4, 10.0, 9.0, 0.2, 0.5, 11),
+    ("b", "pickups-central", 2, 20.0, 21.0, 0.2, 0.6, 21),
+    ("b", "deliveries-central", 4, 20.0, 23.0, 0.25, 1.0, 21),
+]
+GOLDEN_SUMMARY_SVG = Path(__file__).with_name("golden_summary.svg")
 
 
 @pytest.fixture(scope="module")
@@ -222,9 +240,9 @@ class TestEmitters:
         lines = path.read_text().splitlines()
         assert lines[0] == CSV_HEADER
         assert len(lines) == 5
-        assert lines[1].startswith("a,pickups-central,2,CIH,9.5,")
-        assert lines[2].startswith("a,pickups-central,2,NNH,9.0,")
-        assert lines[3].startswith("b,pickups-central,2,CIH,")
+        assert lines[1:4] == ["a,pickups-central,2,CIH,9.5,0.5,7,0,0",
+                              "a,pickups-central,2,NNH,9.0,0.1,7,0,0",
+                              "b,pickups-central,2,CIH,11.0,0.5,7,0,0"]
 
     def test_csv_quotes_a_name_with_a_comma_or_quote(self, tmp_path):
         name = 'west,"east"'
@@ -258,6 +276,14 @@ class TestEmitters:
         assert root.tag.endswith("svg")
         assert any(child.tag.endswith("rect") for child in root.iter())
 
+    def test_svg_matches_golden(self, tmp_path):
+        emit_svg_histogram(summarize(paired_rows(SUMMARY_SPEC)), tmp_path / "summary.svg")
+        assert (tmp_path / "summary.svg").read_bytes() == GOLDEN_SUMMARY_SVG.read_bytes()
+
     def test_csv_write_error_has_path_context(self, tmp_path):
-        with pytest.raises(OSError, match="cannot write CSV"):
-            emit_csv([], tmp_path / "missing-dir" / "out.csv")
+        missing = tmp_path / "missing-dir"
+        with pytest.raises(OSError, match=f"cannot write CSV to {re.escape(str(missing))}"):
+            emit_csv([], missing / "out.csv")
+        summary = summarize(paired_rows(SUMMARY_SPEC))
+        with pytest.raises(OSError, match=f"cannot write SVG to {re.escape(str(missing))}"):
+            emit_svg_histogram(summary, missing / "out.svg")

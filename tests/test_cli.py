@@ -64,13 +64,17 @@ class TestInspect:
         assert "line 6" in err and "non-finite" in err
         assert out == ""
 
-    def test_undecodable_file_is_a_usage_error(self, capsys, tmp_path):
-        path = tmp_path / "zzz.tsp"
-        path.write_bytes(UNDECODABLE)
-        code, out, err = run(capsys, "inspect", path)
-        assert code == 2
-        assert "cannot decode" in err and "zzz.tsp" in err
-        assert out == ""
+    def test_undecodable_file_is_a_usage_error(self, capsys, tmp_path, one_pair_file):
+        cloud, inst, tour = tmp_path / "zzz.tsp", tmp_path / "zzz.inst", tmp_path / "zzz.tour"
+        cloud.write_bytes(UNDECODABLE)
+        inst.write_bytes(one_pair_file.read_bytes().replace(b"1 PICKUP", b"1 \xffPICKUP"))
+        tour.write_bytes(b"0\n\xff\n0\n")
+        for argv, bad in ((["inspect", cloud], cloud), (["solve", inst], inst),
+                          (["validate", one_pair_file, tour], tour)):
+            code, out, err = run(capsys, *argv)
+            assert code == 2, argv
+            assert f"cannot decode {bad}: " in err
+            assert out == ""
 
 
 class TestGenerate:
