@@ -9,7 +9,7 @@ heuristics over a corpus.
 
 from .bench import ExperimentConfig, ResultRow, emit_csv, emit_svg_histogram, run_corpus, summarize
 from .cheapest_insertion import cih_best, cih_from
-from .construction import DeadEndError, MultiStartError
+from .construction import MultiStartError
 from .exact import brute_force, held_karp
 from .files import (
     instance_from_text,
@@ -37,7 +37,6 @@ from .tsplib import MetricMode
 __version__ = "0.1.0"
 
 __all__ = [
-    "DeadEndError",
     "Direction",
     "ExperimentConfig",
     "GenerationSpec",

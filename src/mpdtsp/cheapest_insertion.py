@@ -16,7 +16,7 @@ in-window cells of all starts out in one flat array, computes each cell's
 ratio afresh and reduces it per start; a start with no cell stalls.
 :func:`apply_insertion` splices every start's choice in at once.  No ratio is
 kept between steps and no cell outside a window is computed.  A single start
-(:func:`cih_from`) is the same block with one row.
+(:func:`cih_from`) is :func:`cih_best` over that one start.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .construction import Block, MultiStartResult, run_multistart, run_single
+from .construction import Block, MultiStartResult, run_multistart
 from .model import Instance, Tour, visit_events
 
 
@@ -141,12 +141,13 @@ def apply_insertion(state: CihBlock, choice: InsertionChoice, instance: Instance
     return state
 
 
-def cih_from(instance: Instance, init: int) -> Tour:
-    """Build one cheapest-insertion tour from ``init``; :class:`DeadEndError` if it stalls."""
-    return run_single(instance, init, CihBlock.initial, best_insertion, apply_insertion)
-
-
 def cih_best(instance: Instance, inits: Iterable[int] | None = None) -> MultiStartResult:
     """Cheapest insertion tour over the given starts (default: all nodes)."""
     cells_per_start = instance.node_count**2 // 4  # nodes x slots
     return run_multistart(instance, inits, CihBlock.initial, best_insertion, apply_insertion, cells_per_start)
+
+
+# kept only because the benchmark's workloads (perfbench/workloads.py) call it
+def cih_from(instance: Instance, init: int) -> Tour:
+    """One cheapest-insertion tour from ``init``; :class:`MultiStartError` if it stalls."""
+    return cih_best(instance, [init]).best_tour

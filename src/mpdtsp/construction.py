@@ -4,10 +4,10 @@ Both greedy builders grow one tour per start node, a node a step, and every
 start's partial tour has the same length after every step, so all starts
 advance together, in lock step.  A builder is its :class:`Block`'s
 ``initial`` plus a choose/apply pair, which it names at each call of
-:func:`run_multistart` or :func:`run_single`, so a wrapper set on its module
-sees every step.  :func:`lockstep` is the one step loop: each step ``choose``
-picks the next move of every row of the block, the rows that stalled leave
-with their :class:`DeadEndError`, and ``apply`` makes the moves of the rest.
+:func:`run_multistart`, so a wrapper set on its module sees every step.
+:func:`lockstep` is the one step loop: each step ``choose`` picks the next
+move of every row of the block, the rows that stalled leave with their
+partial tours, and ``apply`` makes the moves of the rest.
 The builders differ only in that pair: append the nearest node, or insert at
 the cheapest ratio.
 :func:`check_block` checks each finished block at once: :func:`feasible_rows`
@@ -27,26 +27,14 @@ import numpy as np
 from .model import LOAD_TOLERANCE, Instance, InfeasibleInstanceError, Tour, validate
 
 
-class DeadEndError(Exception):
-    """Construction stalled: nodes remain but none passes both feasibility gates."""
-
-    def __init__(self, init: int, partial: list[int], remainder: Iterable[int]):
-        self.init = init
-        self.partial = tuple(partial)
-        self.remainder = tuple(sorted(remainder))
-        super().__init__(
-            f"dead end from start {init}: {len(self.remainder)} nodes unreachable "
-            f"after partial tour {list(self.partial)}"
-        )
-
-
 class MultiStartError(Exception):
-    """Every attempted start node failed to produce a tour."""
+    """Every attempted start stalled; ``stalls`` maps each to (stall step, nodes left)."""
 
-    def __init__(self, failures: dict[int, Exception]):
-        self.failures = dict(failures)
-        summary = "; ".join(f"init {i}: {e}" for i, e in sorted(failures.items())[:5])
-        more = "" if len(failures) <= 5 else f" (+{len(failures) - 5} more)"
+    def __init__(self, stalls: dict[int, tuple[int, int]]):
+        self.stalls = dict(stalls)
+        summary = "; ".join(f"start {i}: dead end at step {k}, {n} left"
+                            for i, (k, n) in sorted(stalls.items())[:5])
+        more = "" if len(stalls) <= 5 else f" (+{len(stalls) - 5} more)"
         super().__init__(f"no start produced a tour: {summary}{more}")
 
 
@@ -93,30 +81,28 @@ class Block:
 
 def lockstep(
     instance: Instance, starts: list[int], rows: int, initial: Callable, choose: Callable, apply: Callable
-) -> tuple[dict[int, Tour], dict[int, DeadEndError], int, int]:
+) -> tuple[dict[int, Tour], dict[int, tuple[int, ...]], int, int]:
     """Grow the tour of every start, ``rows`` starts a block built by ``initial``, a node a step.
 
-    Returns the tours and stalls by start id, then the step and cell counts.
-    Each step ``choice = choose(instance, block)`` picks every row's move, or
-    flags the row in ``choice.stalled``, having scanned ``choice.cells``
-    cells.  A stalled row leaves with its :class:`DeadEndError`, whose partial
-    tour is ``block.tour[r, :block.size]``; ``apply(block, choice, instance)``
+    Returns the tours and the stalled starts' partial tours by start id, then
+    the step and cell counts.  Each step ``choice = choose(instance, block)``
+    picks every row's move, or flags the row in ``choice.stalled``, having
+    scanned ``choice.cells`` cells.  A stalled row leaves with its partial
+    tour, ``block.tour[r, :block.size]``; ``apply(block, choice, instance)``
     moves the rest.  Each finished block is checked at once by :func:`check_block`.
     """
     check_carriable(instance)
-    nodes = range(instance.node_count)
     tours: dict[int, Tour] = {}
-    failures: dict[int, DeadEndError] = {}
+    stalls: dict[int, tuple[int, ...]] = {}
     steps = cells = 0
     for first in range(0, len(starts), rows):
         block = initial(instance, starts[first : first + rows])
-        for _ in nodes[1:]:
+        for _ in range(1, instance.node_count):
             choice = choose(instance, block)
             cells += choice.cells
             if np.count_nonzero(choice.stalled):
                 for r in choice.stalled.nonzero()[0]:
-                    init, partial = int(block.inits[r]), block.tour[r, : block.size].tolist()
-                    failures[init] = DeadEndError(init, partial, set(nodes).difference(partial))
+                    stalls[int(block.inits[r])] = tuple(block.tour[r, : block.size].tolist())
                 going = ~choice.stalled
                 for name in block.ROWS:
                     setattr(block, name, getattr(block, name)[going])
@@ -127,7 +113,7 @@ def lockstep(
         check_block(instance, block)
         for init, seq, cost in zip(block.inits.tolist(), block.tour.tolist(), block.total.tolist()):
             tours[init] = Tour(tuple(seq), cost)
-    return tours, failures, steps, cells
+    return tours, stalls, steps, cells
 
 
 #: cells one step of a block may lay out; at 8 bytes a cell, 8 MiB an array
@@ -143,7 +129,10 @@ def run_multistart(
     The starts are the distinct physical ids of ``inits``, ascending (default:
     all nodes).  ``cells_per_start`` bounds the cells one step lays out for a
     start, so a block holds at most ``BLOCK_CELLS / cells_per_start`` starts.
-    The best tour has the lowest cost, then the lowest start id.
+    The best tour has the lowest cost, then the lowest start id.  A stalled
+    start is reported by its stall step, the number of distinct nodes it
+    placed, and the nodes left; if every start stalls, :class:`MultiStartError`
+    is raised.
     """
     if inits is None:
         starts = list(range(instance.node_count))
@@ -152,28 +141,21 @@ def run_multistart(
         if not starts:
             raise ValueError("inits must be nonempty")
     rows = max(1, BLOCK_CELLS // cells_per_start)
-    tours, failures, steps, cells = lockstep(instance, starts, rows, initial, choose, apply)
+    tours, partials, steps, cells = lockstep(instance, starts, rows, initial, choose, apply)
+    # an open (NNH) and a closed (CIH, start doubled) partial tour count alike
+    placed = {init: len(set(partial)) for init, partial in sorted(partials.items())}
+    stalls = {init: (k, instance.node_count - k) for init, k in placed.items()}
     if not tours:
-        raise MultiStartError(failures)
+        raise MultiStartError(stalls)
     best_init = min(tours, key=lambda init: (tours[init].cost, init))
-    left = {init: len(exc.remainder) for init, exc in sorted(failures.items())}
     return MultiStartResult(
         best_tour=tours[best_init],
         best_init=best_init,
         costs={init: tours[init].cost for init in sorted(tours)},
-        stalls={init: (instance.node_count - n, n) for init, n in left.items()},
+        stalls=stalls,
         steps=steps,
         cells=cells,
     )
-
-
-def run_single(instance: Instance, init: int, initial: Callable, choose: Callable, apply: Callable) -> Tour:
-    """One start as a one-row block: its tour, or its :class:`DeadEndError` raised."""
-    init = instance.normalize_node(init)
-    tours, failures, _, _ = lockstep(instance, [init], 1, initial, choose, apply)
-    if failures:
-        raise failures[init]
-    return tours[init]
 
 
 def check_carriable(instance: Instance) -> None:

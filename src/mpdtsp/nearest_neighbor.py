@@ -12,7 +12,7 @@ blocks.  Its choice step, :func:`nearest`, gates every (start, node) pair for
 precedence and capacity at once and takes, for each start, the argmin of its
 last node's cost row with the gated nodes masked out; a start with no
 admissible node stalls.  :func:`extend` appends every start's choice.  A
-single start (:func:`nnh_from`) is the same block with one row.
+single start (:func:`nnh_from`) is :func:`nnh_best` over that one start.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .construction import Block, MultiStartResult, run_multistart, run_single
+from .construction import Block, MultiStartResult, run_multistart
 from .model import Instance, Tour, visit_events
 
 
@@ -89,15 +89,12 @@ def extend(block: NnhBlock, choice: NearestChoice, instance: Instance) -> NnhBlo
     return block
 
 
-def nnh_from(instance: Instance, init: int) -> Tour:
-    """Build one nearest-neighbor tour from ``init``.
-
-    Ties on arc cost go to the lowest node id.  Raises :class:`DeadEndError`
-    when unvisited nodes remain but none passes both gates.
-    """
-    return run_single(instance, init, NnhBlock.initial, nearest, extend)
-
-
 def nnh_best(instance: Instance, inits: Iterable[int] | None = None) -> MultiStartResult:
     """Cheapest nearest-neighbor tour over the given starts (default: all nodes)."""
     return run_multistart(instance, inits, NnhBlock.initial, nearest, extend, instance.node_count)
+
+
+# kept only because the benchmark's workloads (perfbench/workloads.py) call it
+def nnh_from(instance: Instance, init: int) -> Tour:
+    """One nearest-neighbor tour from ``init``; :class:`MultiStartError` if it stalls."""
+    return nnh_best(instance, [init]).best_tour

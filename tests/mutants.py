@@ -24,8 +24,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 CONSTRUCTION = "src/mpdtsp/construction.py"
+NNH = "src/mpdtsp/nearest_neighbor.py"
+CIH = "src/mpdtsp/cheapest_insertion.py"
 BENCH = "src/mpdtsp/bench.py"
 BLOCK_CHECK = ("tests/test_properties.py", "-k", "block_check")
+AT_LOAD_LIMIT = ("tests/test_load_unit.py", "-k", "exactly_load_limit")
+BLOCK_SIZES = ("tests/test_cheapest_insertion.py", "-k", "block_cells_allow")
 
 
 def bench_tests(keywords: str) -> tuple[str, ...]:
@@ -64,6 +68,28 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
      "    ok &= (pos[:, 1 : n_pairs + 1] < pos[:, n_pairs + 1 :]).all(axis=1)\n", "", BLOCK_CHECK),
     ("block check: delivery-start exemption dropped", CONSTRUCTION,
      "    pos[delivery_start.nonzero()[0], first[delivery_start]] = n_nodes\n", "", BLOCK_CHECK),
+    # the capacity gate at exactly load_limit
+    ("NNH: a load of exactly load_limit refused", NNH,
+     "instance.loads <= instance.load_limit", "instance.loads < instance.load_limit", AT_LOAD_LIMIT),
+    ("held_karp: a pickup to exactly load_limit refused", "src/mpdtsp/exact.py",
+     "load + item[k] <= upper", "load + item[k] < upper", AT_LOAD_LIMIT),
+    ("CIH: a slot at exactly load_limit outside the window", CIH,
+     "searchsorted(rev_cummax)", 'searchsorted(rev_cummax, side="right")', AT_LOAD_LIMIT),
+    # the engine: blocks and stalls
+    ("engine: block rows multiplied, not divided", CONSTRUCTION,
+     "BLOCK_CELLS // cells_per_start", "BLOCK_CELLS * cells_per_start", BLOCK_SIZES),
+    ("CIH: cells a start lays out overstated", CIH,
+     "instance.node_count**2 // 4", "instance.node_count**2 * 4", BLOCK_SIZES),
+    ("engine: block of at least one start dropped", CONSTRUCTION,
+     "rows = max(1, BLOCK_CELLS // cells_per_start)", "rows = BLOCK_CELLS // cells_per_start",
+     ("tests/test_cheapest_insertion.py", "-k", "at_least_one_start")),
+    ("engine: stall step counts the doubled CIH start twice", CONSTRUCTION,
+     "len(set(partial))", "len(partial)", ("tests/test_cheapest_insertion.py", "-k", "stalls_carry")),
+    ("NNH: visited kept for stalled rows", NNH,
+     'ROWS = Block.ROWS + ("visited",)', "ROWS = Block.ROWS",
+     ("tests/test_nearest_neighbor.py", "-k", "dead_ends_recorded")),
+    ("engine: a misplaced tour reported by its second node", CONSTRUCTION,
+     "it opens at {seq[0]}", "it opens at {seq[1]}", ("tests/test_nearest_neighbor.py", "-k", "another_start")),
     # bench: the summary and its outputs
     ("summary: a tie counted as a CIH win", BENCH,
      "append(n.best_cost <= c.best_cost)", "append(n.best_cost < c.best_cost)",

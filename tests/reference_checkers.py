@@ -17,7 +17,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from mpdtsp import DeadEndError, Instance, MetricMode, Tour, validate
+from mpdtsp import Instance, MetricMode, Tour, validate
 from mpdtsp.construction import check_carriable
 from mpdtsp.model import visit_events
 
@@ -173,14 +173,17 @@ def reference_best_insertion(instance: Instance, state: CihState) -> Insertion |
     return Insertion(node=int(rows[row]), slot=slot, ratio=float(ratios[row, slot]))
 
 
-def reference_cih_from(instance: Instance, init: int) -> Tour:
-    """One cheapest-insertion tour from ``init``, built one start at a time."""
+def reference_cih_from(instance: Instance, init: int) -> Tour | tuple[int, ...]:
+    """One cheapest-insertion tour from ``init``, built one start at a time.
+
+    A start that stalls gives its closed partial tour instead.
+    """
     check_carriable(instance)
     state = CihState.initial(instance, init)
     for _ in range(instance.node_count - 1):
         choice = reference_best_insertion(instance, state)
         if choice is None:
-            raise DeadEndError(int(state.tour[0]), state.partial, state.remainder)
+            return state.partial
         reference_apply_insertion(state, choice, instance)
     tour = Tour(state.partial, state.cost_so_far)
     report = validate(instance, tour)

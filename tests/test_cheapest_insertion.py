@@ -20,13 +20,13 @@ from reference_checkers import (
     reference_best_insertion,
 )
 from mpdtsp import (
-    DeadEndError,
     InfeasibleInstanceError,
     Instance,
     MetricMode,
     MultiStartError,
     cih_best,
     cih_from,
+    nnh_best,
     paired_loads,
     payload_profile,
     tour_cost,
@@ -329,10 +329,8 @@ class TestCihBest:
         assert result.dead_ends and sorted(result.stalls) == list(result.dead_ends)
         # the stall step counts the distinct nodes placed: the closed partial
         # tour, less its doubled start
-        for init, stall in result.stalls.items():
-            with pytest.raises(DeadEndError) as err:
-                cih_from(tight, init)
-            assert stall == (len(err.value.partial) - 1, len(err.value.remainder))
+        partials = construction.lockstep(tight, list(result.stalls), 1, *BUILDERS[0])[1]
+        assert partials == {3: (3, 0, 1, 3), 4: (4, 0, 2, 4)}
         assert result.stalls == {3: (3, 2), 4: (3, 2)}  # as nnh_best reports them
 
     def test_a_cost_total_off_its_arcs_is_a_bug(self, two_pair, monkeypatch):
@@ -359,13 +357,12 @@ class TestCihBest:
         with pytest.raises(RuntimeError, match="(?s)violates the constraint system.*visit-count"):
             cih_best(two_pair)
 
-    def test_dead_ends_keep_no_builder_frames(self, two_pair):
-        # a kept traceback would hold the builder's frames, and the block in
-        # them, until the cyclic garbage collector ran
+    def test_all_starts_stalling_raises_their_stalls(self, two_pair):
         with pytest.raises(MultiStartError) as err:
             cih_best(with_capacity(two_pair, 1.0), inits=[3, 4])
-        assert set(err.value.failures) == {3, 4}
-        assert all(exc.__traceback__ is None for exc in err.value.failures.values())
+        assert err.value.stalls == {3: (3, 2), 4: (3, 2)}
+        assert str(err.value) == (
+            "no start produced a tour: start 3: dead end at step 3, 2 left; start 4: dead end at step 3, 2 left")
 
     def test_steps_and_cells_count_the_block_work(self):
         # the in-window cells of every step of every start, the stalling step
@@ -393,9 +390,7 @@ class TestCihBest:
         starts = list(range(inst.node_count))
         whole = construction.lockstep(inst, starts, len(starts), *builder)
         split = construction.lockstep(inst, starts, rows, *builder)
-        assert split[0] == whole[0] and split[2:] == whole[2:]
-        assert {i: (e.partial, e.remainder) for i, e in split[1].items()} == {
-            i: (e.partial, e.remainder) for i, e in whole[1].items()}
+        assert split == whole
         assert whole[0] and whole[1]  # stalls merge across blocks too
 
     @pytest.mark.parametrize("builder", BUILDERS, ids=("CIH", "NNH"))
@@ -404,6 +399,21 @@ class TestCihBest:
         whole = construction.run_multistart(inst, None, *builder, 1)
         monkeypatch.setattr(construction, "BLOCK_CELLS", 1)  # fewer than one start's cells
         assert construction.run_multistart(inst, None, *builder, inst.node_count) == whole
+
+    def test_blocks_hold_as_many_starts_as_block_cells_allow(self, monkeypatch):
+        # 11 nodes: an NNH start lays out 11 cells a step, so 64 cells hold 5
+        # starts; a CIH start lays out 11**2 // 4 = 30, so 64 cells hold 2
+        inst = make_random_instance(5, 2, 0)
+        whole = nnh_best(inst), cih_best(inst)
+        sizes = {NnhBlock: [], CihBlock: []}
+        for block in sizes:
+            def counting(instance, starts, block=block, initial=block.initial):
+                sizes[block].append(len(starts))
+                return initial(instance, starts)
+            monkeypatch.setattr(block, "initial", staticmethod(counting))
+        monkeypatch.setattr(construction, "BLOCK_CELLS", 64)
+        assert (nnh_best(inst), cih_best(inst)) == whole
+        assert sizes == {NnhBlock: [5, 5, 1], CihBlock: [2, 2, 2, 2, 2, 1]}
 
     def test_cost_table_reproducible_across_capacities(self, eil51_cloud):
         for q in (2, 10):

@@ -199,6 +199,14 @@ class TestSolve:
         assert code == 1
         assert "infeasible" in err
 
+    def test_every_chosen_start_stalling_exits_one(self, capsys, tmp_path):
+        inst = Instance.from_coords(TWO_PAIR_COORDS, paired_loads([1.0, 1.0]), 1.0)
+        path = tmp_path / "tight.inst"
+        write_instance(inst, path)
+        code, out, err = run(capsys, "solve", path, "--init", 3)
+        assert (code, out) == (1, "")
+        assert err == "infeasible: no start produced a tour: start 3: dead end at step 3, 2 left\n"
+
 
 class TestExact:
     def test_matches_brute_force_on_tight_fixture(self, capsys, tmp_path):

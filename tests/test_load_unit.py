@@ -7,6 +7,7 @@ leaves every builder decision and every exact optimum as it is, even where
 ``1.7999999999999998``, six additions of ``0.3`` give ``1.8``).
 """
 
+import numpy as np
 import pytest
 
 from conftest import CORPUS_DIR, block_partial, cih_block, live_payload, make_random_instance
@@ -20,8 +21,10 @@ from mpdtsp import (
     payload_profile,
     tour_cost,
     tsplib,
+    validate,
 )
 from mpdtsp.cheapest_insertion import best_insertion
+from mpdtsp.construction import feasible_rows
 from mpdtsp.generate import Direction, GenerationSpec, generate
 
 SCALES = (0.3, 0.7)
@@ -84,3 +87,17 @@ def test_cih_window_admits_the_item_that_fills_the_capacity():
     assert block.total[0] == tour_cost(inst, partial)
     choice = best_insertion(inst, block)
     assert (choice.node.tolist(), choice.slot.tolist(), choice.ratio.tolist()) == ([3], [2], [2.0])
+
+
+def test_every_check_admits_a_load_of_exactly_load_limit():
+    # five collinear nodes; the second item weighs load_limit - 1.0, so the
+    # tour that carries both at once runs at exactly load_limit from 2 to 3
+    q = 2.0
+    inst = Instance.from_coords([(float(i), 0.0) for i in range(5)], paired_loads([1.0, (q + 1e-9) - 1.0]), q)
+    tour = (0, 1, 2, 3, 4, 0)
+    assert max(payload_profile(inst, tour)) == inst.load_limit
+    assert validate(inst, tour).feasible
+    assert feasible_rows(inst, np.array([0]), np.array([tour])).tolist() == [True]
+    assert nnh_best(inst, [0]).best_tour.cost == held_karp(inst).cost == 8.0
+    # from the depot the greedy splices put node 2 before node 1, a detour of 2
+    assert cih_best(inst).costs == {0: 10.0, 1: 8.0, 2: 8.0, 3: 8.0, 4: 8.0}

@@ -5,7 +5,6 @@ import pytest
 from conftest import make_random_instance, with_capacity
 from reference_checkers import NnhState, feasible_candidates
 from mpdtsp import (
-    DeadEndError,
     InfeasibleInstanceError,
     Instance,
     MetricMode,
@@ -16,7 +15,8 @@ from mpdtsp import (
 )
 from mpdtsp import nearest_neighbor
 from mpdtsp.generate import Direction, GenerationSpec, generate
-from mpdtsp.nearest_neighbor import extend
+from mpdtsp.construction import lockstep
+from mpdtsp.nearest_neighbor import NnhBlock, extend, nearest
 
 SQRT2 = math.sqrt(2.0)
 
@@ -90,11 +90,10 @@ class TestNnhFrom:
         # from D1: P1 (nearest), then the depot still fits, then nothing does:
         # P2 is blocked by the load on board and D2 by precedence
         tight = with_capacity(two_pair, 1.0)
-        with pytest.raises(DeadEndError) as err:
+        with pytest.raises(MultiStartError) as err:
             nnh_from(tight, 3)
-        assert err.value.init == 3
-        assert set(err.value.remainder) == {2, 4}
-        assert err.value.partial == (3, 1, 0)
+        assert err.value.stalls == {3: (3, 2)}
+        assert lockstep(tight, [3], 1, NnhBlock.initial, nearest, extend)[1] == {3: (3, 1, 0)}
 
     def test_flagged_instance_refused(self, two_pair):
         with pytest.raises(InfeasibleInstanceError):
@@ -143,11 +142,25 @@ class TestNnhBest:
         with pytest.raises(RuntimeError, match="(?s)violates the constraint system.*visit-count"):
             nnh_best(two_pair)
 
+    def test_a_tour_from_another_start_is_a_bug(self, two_pair, monkeypatch):
+        # start 1's row ends holding the feasible tour from the depot
+        depot_tour = nnh_from(two_pair, 0).sequence
+
+        def misplacing(block, choice, instance):
+            block = extend(block, choice, instance)
+            if block.size == instance.node_count:
+                block.tour[:] = depot_tour
+            return block
+
+        monkeypatch.setattr(nearest_neighbor, "extend", misplacing)
+        with pytest.raises(RuntimeError, match="it opens at 0, not at start 1"):
+            nnh_best(two_pair, [1])
+
     def test_all_starts_failing_raises_multistart_error(self, two_pair):
         tight = with_capacity(two_pair, 1.0)
         with pytest.raises(MultiStartError) as err:
             nnh_best(tight, inits=[3, 4])
-        assert set(err.value.failures) == {3, 4}
+        assert err.value.stalls == {3: (3, 2), 4: (3, 2)}
 
     def test_explicit_inits_subset(self, two_pair):
         result = nnh_best(two_pair, inits=[0])

@@ -22,7 +22,6 @@ from reference_checkers import (  # noqa: E402
     reference_cost_matrix,
 )
 from mpdtsp import (  # noqa: E402
-    DeadEndError,
     Instance,
     MetricMode,
     MultiStartError,
@@ -39,6 +38,7 @@ from mpdtsp import (  # noqa: E402
 )
 from mpdtsp.cheapest_insertion import CihBlock, apply_insertion, best_insertion  # noqa: E402
 from mpdtsp.construction import feasible_rows, lockstep  # noqa: E402
+from mpdtsp.nearest_neighbor import NnhBlock, extend, nearest  # noqa: E402
 from mpdtsp.exact import precedence_orders  # noqa: E402
 
 PROPERTY = settings(deadline=None, derandomize=True, database=None, max_examples=120)
@@ -88,7 +88,7 @@ def test_every_start_dead_ends_or_validates(instance):
         for init in range(instance.node_count):
             try:
                 tour = build(instance, init)
-            except DeadEndError:
+            except MultiStartError:
                 continue
             assert tour.sequence[0] == tour.sequence[-1] == init
             assert plain_checker(instance, tour.sequence)
@@ -102,7 +102,7 @@ def outcomes(instance: Instance) -> list:
         for init in range(instance.node_count):
             try:
                 out.append(build(instance, init))
-            except DeadEndError:
+            except MultiStartError:
                 out.append(None)
     return out
 
@@ -122,7 +122,7 @@ def test_held_karp_is_never_above_a_depot_start_tour(instance, data):
     for build in (nnh_from, cih_from):
         try:
             depot_tours.append(build(instance, 0))
-        except DeadEndError:
+        except MultiStartError:
             pass
     order = data.draw(st.sampled_from(list(precedence_orders(instance.n_pairs))))
     if validate(instance, (0, *order, 0)).feasible:
@@ -233,29 +233,32 @@ def test_lock_step_starts_match_single_starts(case):
     starts = range(m) if inits is None else sorted({0 if i == m else i for i in inits})
     tours, stalls = {}, {}
     for init in starts:
-        try:
-            tours[init] = nnh_from(instance, init)
-        except DeadEndError as exc:
-            stalls[init] = exc
-            assert exc.init == init
-            state = replay_nnh(instance, exc.partial)
+        one_tour, one_stall, _, _ = lockstep(instance, [init], 1, NnhBlock.initial, nearest, extend)
+        if one_stall:
+            stalls[init] = partial = one_stall[init]
+            assert partial[0] == init
+            state = replay_nnh(instance, partial)
             assert feasible_candidates(instance, state) == []
-            assert exc.remainder == tuple(sorted(state.remainder))
+            with pytest.raises(MultiStartError) as err:
+                nnh_from(instance, init)
+            assert err.value.stalls == {init: (len(partial), len(state.remainder))}
         else:
+            tours[init] = nnh_from(instance, init)
+            assert one_tour == {init: tours[init]}
             replay_nnh(instance, tours[init].sequence[:-1])
             assert tours[init].sequence[-1] == init
+    # two rows a block, so a row can stall while the other goes on
+    assert lockstep(instance, list(starts), 2, NnhBlock.initial, nearest, extend)[1] == stalls
+    expected_stalls = {init: (len(p), m - len(p)) for init, p in stalls.items()}
     if not tours:
         with pytest.raises(MultiStartError) as err:
             nnh_best(instance, inits)
-        failures = err.value.failures
-        assert sorted(failures) == sorted(stalls)
-        assert all((failures[i].partial, failures[i].remainder) == (e.partial, e.remainder)
-                   for i, e in stalls.items())
+        assert err.value.stalls == expected_stalls
         return
     result = nnh_best(instance, inits)
     assert result.costs == {init: tour.cost for init, tour in tours.items()}
     assert result.dead_ends == tuple(sorted(stalls))
-    assert result.stalls == {init: (len(e.partial), len(e.remainder)) for init, e in stalls.items()}
+    assert result.stalls == expected_stalls
     best = min(tours, key=lambda init: (tours[init].cost, init))
     assert (result.best_init, result.best_tour) == (best, tours[best])
 
@@ -270,26 +273,27 @@ def test_cih_block_matches_the_per_start_reference(case):
     starts = range(m) if inits is None else sorted({0 if i == m else i for i in inits})
     tours, stalls = {}, {}
     for init in starts:
-        try:
-            tours[init] = reference_cih_from(instance, init)
-        except DeadEndError as exc:
-            stalls[init] = exc
+        outcome = reference_cih_from(instance, init)
+        if isinstance(outcome, tuple):
+            stalls[init] = outcome
+        else:
+            tours[init] = outcome
     # two rows a block, so a row can stall while the other goes on
     cih = (CihBlock.initial, best_insertion, apply_insertion)
     block_tours, block_stalls, steps, _ = lockstep(instance, list(starts), 2, *cih)
     assert {i: (t.sequence, t.cost.hex()) for i, t in block_tours.items()} == {
         i: (t.sequence, t.cost.hex()) for i, t in tours.items()}
-    assert {i: (e.partial, e.remainder) for i, e in block_stalls.items()} == {
-        i: (e.partial, e.remainder) for i, e in stalls.items()}
-    assert steps == len(tours) * (m - 1) + sum(len(e.partial) - 2 for e in stalls.values())
+    assert block_stalls == stalls
+    assert steps == len(tours) * (m - 1) + sum(len(p) - 2 for p in stalls.values())
     # a start alone, as cih_from runs it, is the same row of a one-row block
     for init in starts:
         if init in tours:
             assert cih_from(instance, init) == tours[init]
         else:
-            with pytest.raises(DeadEndError) as err:
+            with pytest.raises(MultiStartError) as err:
                 cih_from(instance, init)
-            assert (err.value.partial, err.value.remainder) == (stalls[init].partial, stalls[init].remainder)
+            placed = len(stalls[init]) - 1  # the closed partial tour doubles its start
+            assert err.value.stalls == {init: (placed, m - placed)}
 
 
 @st.composite
