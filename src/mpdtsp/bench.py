@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import tsplib
+from . import files, tsplib
 from .cheapest_insertion import cih_best
 from .generate import MIN_CLOUD_POINTS, Direction, GenerationSpec, generate
 from .model import Instance, validate
@@ -244,14 +244,7 @@ def emit_csv(rows: list[ResultRow], path: str | Path) -> None:
     writer = csv.writer(text, lineterminator="\n")
     writer.writerow(CSV_HEADER.split(","))
     writer.writerows(astuple(row) for row in sorted(rows, key=ResultRow.sort_key))
-    _write(path, "CSV", text.getvalue())
-
-
-def _write(path: str | Path, kind: str, text: str) -> None:
-    try:
-        Path(path).write_text(text, newline="\n")
-    except OSError as exc:
-        raise OSError(f"cannot write {kind} to {path}: {exc}") from exc
+    files.write_text(path, "CSV", text.getvalue())
 
 
 _SVG_WIDTH = 860
@@ -295,7 +288,7 @@ def emit_svg_histogram(summary: Summary, path: str | Path) -> None:
         f'width="{_SVG_WIDTH}" height="{y - 4}" font-family="monospace" font-size="11">\n'
         f"{body}\n</svg>\n"
     )
-    _write(path, "SVG", svg)
+    files.write_text(path, "SVG", svg)
 
 
 def _text(x: int, y: int, label: str, bold: bool = False) -> str:

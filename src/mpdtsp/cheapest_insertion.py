@@ -22,13 +22,12 @@ kept between steps and no cell outside a window is computed.  A single start
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .construction import Block, MultiStartResult, run_multistart
-from .model import Instance, Tour, visit_events
+from .model import Instance, Tour, payload_rows
 
 
 @dataclass(eq=False)
@@ -49,7 +48,7 @@ class CihBlock(Block):
         tour = np.zeros((inits.size, instance.node_count + 1), dtype=int)
         tour[:, :2] = inits[:, None]
         payload = np.zeros(tour.shape)
-        payload[:, :2] = [list(accumulate(visit_events(instance, (i, i)))) for i in starts]
+        payload[:, :2] = payload_rows(instance, tour[:, :2])
         thresholds, level = np.unique(instance.load_limit - instance.loads, return_inverse=True)
         return cls(inits, tour, payload, np.zeros(inits.size), 2, thresholds, level)
 

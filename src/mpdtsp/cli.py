@@ -161,7 +161,7 @@ def _write_table(results: dict[str, MultiStartResult], path: str) -> None:
             lines.append(f"{label},{init},{result.costs[init]!r},,")
         for init, (step, left) in result.stalls.items():
             lines.append(f"{label},{init},dead-end,{step},{left}")
-    Path(path).write_text("\n".join(lines) + "\n", newline="\n")
+    files.write_text(path, "table", "\n".join(lines) + "\n")
 
 
 def _cmd_solve(args) -> int:

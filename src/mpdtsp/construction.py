@@ -10,9 +10,10 @@ move of every row of the block, the rows that stalled leave with their
 partial tours, and ``apply`` makes the moves of the rest.
 The builders differ only in that pair: append the nearest node, or insert at
 the cheapest ratio.
-:func:`check_block` checks each finished block at once: :func:`feasible_rows`
-applies the rules of :func:`~mpdtsp.model.validate` to every row in one numpy
-pass, and each cost total must be the sum of its tour's arcs.
+:func:`check_block` checks each finished block at once:
+:func:`~mpdtsp.model.feasible_rows` applies the rules of
+:func:`~mpdtsp.model.validate` to every row in one numpy pass, and each cost
+total must be the sum of its tour's arcs.
 :func:`run_multistart` keeps the cheapest finished tour, with ties broken by
 the lowest start id so results never depend on evaluation order.
 """
@@ -24,7 +25,7 @@ from typing import Callable, ClassVar, Iterable
 
 import numpy as np
 
-from .model import LOAD_TOLERANCE, Instance, InfeasibleInstanceError, Tour, validate
+from .model import Instance, InfeasibleInstanceError, Tour, feasible_rows, validate
 
 
 class MultiStartError(Exception):
@@ -166,52 +167,11 @@ def check_carriable(instance: Instance) -> None:
         )
 
 
-def feasible_rows(instance: Instance, inits: np.ndarray, tour: np.ndarray) -> np.ndarray:
-    """Which rows of a (rows x N+1) block of closed tours are feasible tours from their start.
-
-    Row r passes when its ids are physical nodes, it opens and closes at
-    ``inits[r]`` and visits every node once in between, its event-rule
-    payload (:func:`~mpdtsp.model.visit_events`) stays within
-    ``[-LOAD_TOLERANCE, load_limit]`` and ends within ``LOAD_TOLERANCE`` of
-    0, and each pickup comes before its delivery, except that a delivery start
-    unloads at the closing visit.  For a row that opens at ``inits[r]`` the
-    verdict is ``validate(instance, row).feasible``, which also accepts the
-    terminal alias; the builders never write it.
-    """
-    n_rows, n_nodes, n_pairs = inits.size, instance.node_count, instance.n_pairs
-    ok = (tour.min(axis=1) >= 0) & (tour.max(axis=1) < n_nodes)
-    if not ok.all():
-        tour = np.where(ok[:, None], tour, 0)  # an all-depot row, rejected below
-    first = tour[:, 0]
-    ok &= (first == inits) & (tour[:, -1] == inits)
-    delivery_start = first > n_pairs
-
-    # the running sum of the events is sequential, as ``validate``'s
-    # ``accumulate`` is, so the two agree bit for bit
-    payload = instance.loads.take(tour)
-    payload[delivery_start, 0] = 0.0
-    payload[~delivery_start, -1] = 0.0
-    np.cumsum(payload, axis=1, out=payload)
-    ok &= payload.max(axis=1) <= instance.load_limit
-    ok &= payload.min(axis=1) >= -LOAD_TOLERANCE
-    ok &= np.abs(payload[:, -1]) <= LOAD_TOLERANCE
-    del payload  # so the check holds one block-sized array at a time
-
-    # N visits cover all N nodes only if none repeats; a delivery start's
-    # visit counts at the closing position, after its pickup
-    pos = np.full((n_rows, n_nodes), -1)
-    pos[np.arange(n_rows)[:, None], tour[:, :-1]] = np.arange(n_nodes)
-    ok &= pos.min(axis=1) >= 0
-    pos[delivery_start.nonzero()[0], first[delivery_start]] = n_nodes
-    ok &= (pos[:, 1 : n_pairs + 1] < pos[:, n_pairs + 1 :]).all(axis=1)
-    return ok
-
-
 def check_block(instance: Instance, block: Block) -> None:
     """Postcondition of a finished block: every row is a feasible tour whose cost total sums its arcs.
 
-    The rows are checked at once by :func:`feasible_rows`; the first one it
-    rejects is reported by :func:`~mpdtsp.model.validate`.
+    The rows are checked at once by :func:`~mpdtsp.model.feasible_rows`; the
+    first one it rejects is reported by :func:`~mpdtsp.model.validate`.
     """
     bad = ~feasible_rows(instance, block.inits, block.tour)
     if bad.any():

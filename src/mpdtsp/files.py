@@ -94,8 +94,16 @@ def instance_from_text(text: str, name: str = "") -> Instance:
     return Instance.from_coords(coords, loads, capacity, MetricMode[token], name=name)
 
 
+def write_text(path: str | Path, kind: str, text: str) -> None:
+    """Write ``text`` with LF line endings; an OSError names the kind of file and its path."""
+    try:
+        Path(path).write_text(text, newline="\n")
+    except OSError as exc:
+        raise OSError(f"cannot write {kind} to {path}: {exc}") from exc
+
+
 def write_instance(instance: Instance, path: str | Path) -> None:
-    Path(path).write_text(instance_to_text(instance), newline="\n")
+    write_text(path, "instance", instance_to_text(instance))
 
 
 def read_instance(path: str | Path) -> Instance:
@@ -104,7 +112,7 @@ def read_instance(path: str | Path) -> Instance:
 
 
 def write_tour(tour: Tour, path: str | Path) -> None:
-    Path(path).write_text("\n".join(str(v) for v in tour.sequence) + "\n", newline="\n")
+    write_text(path, "tour", "\n".join(str(v) for v in tour.sequence) + "\n")
 
 
 def read_tour_sequence(path: str | Path) -> list[int]:
@@ -129,5 +137,4 @@ def _read_text(path: Path) -> str:
 
 
 def write_sidecar(meta: Mapping[str, str], path: str | Path) -> None:
-    body = "".join(f"{key}={meta[key]}\n" for key in meta)
-    Path(path).write_text(body, newline="\n")
+    write_text(path, "sidecar", "".join(f"{key}={meta[key]}\n" for key in meta))

@@ -18,9 +18,9 @@ its visit position.  The start node of a closed tour occurs twice; its event
 fires at the opening occurrence when it is a pickup or the depot, and at the
 closing occurrence when it is a delivery.  This is the unique convention under
 which any-start tours carry a well-defined load and end the tour empty.
-:func:`visit_events` is the one place that applies it; the payload profile,
-the validator and both builders' initial loads all take it from there, and
-:func:`construction.feasible_rows` restates it in numpy for whole blocks.
+:func:`payload_rows` is the one place that applies it, to a whole array of
+sequences at once; the payload profile, the validator, the block check
+:func:`feasible_rows` and both builders' initial loads all take it from there.
 
 Every load check reads one upper bound, :attr:`Instance.load_limit` (the
 capacity plus :data:`LOAD_TOLERANCE`), so scaling all loads and the capacity
@@ -31,8 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
-from itertools import accumulate
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -132,12 +130,6 @@ class Instance:
             raise ValueError(f"node id {node} out of range for {self.n_pairs}-pair instance")
         return node
 
-    @cached_property
-    def _load_list(self) -> list[float]:
-        # plain-list view of the loads; scalar indexing into the array is far
-        # too slow for the enumeration oracle, which validates millions of tours
-        return self.loads.tolist()
-
     # -- capacity ------------------------------------------------------------
 
     @property
@@ -214,21 +206,19 @@ def tour_cost(instance: Instance, tour: TourLike) -> float:
     return float(sum(instance.cost[a, b] for a, b in zip(nodes, nodes[1:])))
 
 
-def visit_events(instance: Instance, seq: Sequence[int]) -> list[float]:
-    """Load change at each position of a closed sequence of physical node ids.
+def payload_rows(instance: Instance, tours: np.ndarray) -> np.ndarray:
+    """Cargo on board leaving each position of every row of a (rows x len) array of closed sequences.
 
-    Every position fires its node's load, except that the doubled start node
-    fires once: at the opening visit when it is the depot or a pickup, at the
-    closing visit when it is a delivery.  The running sum of the result is the
-    cargo on board leaving each position.
+    The rows hold physical node ids.  Every position fires its node's load,
+    except that the doubled start node fires once: at the opening visit when
+    it is the depot or a pickup, at the closing visit when it is a delivery.
+    The running sum is sequential, left to right, as a plain loop adds.
     """
-    loads = instance._load_list
-    events = [loads[v] for v in seq]
-    if seq[0] > instance.n_pairs:
-        events[0] = 0.0
-    else:
-        events[-1] = 0.0
-    return events
+    payload = instance.loads.take(tours)
+    delivery_start = tours[:, 0] > instance.n_pairs
+    payload[delivery_start, 0] = 0.0
+    payload[~delivery_start, -1] = 0.0
+    return np.cumsum(payload, axis=1, out=payload)
 
 
 def payload_profile(instance: Instance, tour: TourLike) -> list[float]:
@@ -240,7 +230,7 @@ def payload_profile(instance: Instance, tour: TourLike) -> list[float]:
     seq = [instance.normalize_node(v) for v in _as_sequence(tour)]
     if len(seq) < 2 or seq[0] != seq[-1]:
         raise ValueError("payload profile requires a closed sequence")
-    return list(accumulate(visit_events(instance, seq)))
+    return payload_rows(instance, np.array([seq]))[0].tolist()
 
 
 # -- validation ----------------------------------------------------------------
@@ -348,7 +338,7 @@ def validate(instance: Instance, tour: TourLike) -> ValidationReport:
     n = instance.n_pairs
     last = len(seq) - 1
     upper = instance.load_limit
-    for pos, running in enumerate(accumulate(visit_events(instance, seq))):
+    for pos, running in enumerate(payload_rows(instance, np.array([seq]))[0].tolist()):
         if running > upper:
             violations.append(
                 Violation(
@@ -392,3 +382,38 @@ def validate(instance: Instance, tour: TourLike) -> ValidationReport:
 
     violations.sort(key=lambda v: (v.position if v.position is not None else -1))
     return ValidationReport.from_violations(violations)
+
+
+def feasible_rows(instance: Instance, inits: np.ndarray, tour: np.ndarray) -> np.ndarray:
+    """Which rows of a (rows x N+1) block of closed tours are feasible tours from their start.
+
+    Row r passes when its ids are physical nodes, it opens and closes at
+    ``inits[r]`` and visits every node once in between, its payload
+    (:func:`payload_rows`) stays within ``[-LOAD_TOLERANCE, load_limit]`` and
+    ends within ``LOAD_TOLERANCE`` of 0, and each pickup comes before its
+    delivery, except that a delivery start unloads at the closing visit.  For
+    a row that opens at ``inits[r]`` the verdict is :func:`validate`'s, which
+    also accepts the terminal alias; the builders never write it.
+    """
+    n_rows, n_nodes, n_pairs = inits.size, instance.node_count, instance.n_pairs
+    ok = (tour.min(axis=1) >= 0) & (tour.max(axis=1) < n_nodes)
+    if not ok.all():
+        tour = np.where(ok[:, None], tour, 0)  # an all-depot row, rejected below
+    first = tour[:, 0]
+    ok &= (first == inits) & (tour[:, -1] == inits)
+
+    payload = payload_rows(instance, tour)
+    ok &= payload.max(axis=1) <= instance.load_limit
+    ok &= payload.min(axis=1) >= -LOAD_TOLERANCE
+    ok &= np.abs(payload[:, -1]) <= LOAD_TOLERANCE
+    del payload  # so the check holds one block-sized array at a time
+
+    # N visits cover all N nodes only if none repeats; a delivery start's
+    # visit counts at the closing position, after its pickup
+    pos = np.full((n_rows, n_nodes), -1)
+    pos[np.arange(n_rows)[:, None], tour[:, :-1]] = np.arange(n_nodes)
+    ok &= pos.min(axis=1) >= 0
+    delivery_start = first > n_pairs
+    pos[delivery_start.nonzero()[0], first[delivery_start]] = n_nodes
+    ok &= (pos[:, 1 : n_pairs + 1] < pos[:, n_pairs + 1 :]).all(axis=1)
+    return ok

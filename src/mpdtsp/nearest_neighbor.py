@@ -23,7 +23,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .construction import Block, MultiStartResult, run_multistart
-from .model import Instance, Tour, visit_events
+from .model import Instance, Tour, payload_rows
 
 
 @dataclass(eq=False)
@@ -45,7 +45,7 @@ class NnhBlock(Block):
         # nothing: that delivery waits for the closing visit
         visited = np.zeros((inits.size, instance.node_count), dtype=bool)
         visited[np.arange(inits.size), inits] = True
-        payload = np.array([visit_events(instance, (init, init))[0] for init in starts])
+        payload = payload_rows(instance, tour[:, :2])[:, 0]
         return cls(inits, tour, payload, np.zeros(inits.size), 1, visited)
 
 

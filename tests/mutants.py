@@ -24,12 +24,16 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 CONSTRUCTION = "src/mpdtsp/construction.py"
+MODEL = "src/mpdtsp/model.py"
+EXACT = "src/mpdtsp/exact.py"
 NNH = "src/mpdtsp/nearest_neighbor.py"
 CIH = "src/mpdtsp/cheapest_insertion.py"
 BENCH = "src/mpdtsp/bench.py"
 BLOCK_CHECK = ("tests/test_properties.py", "-k", "block_check")
 AT_LOAD_LIMIT = ("tests/test_load_unit.py", "-k", "exactly_load_limit")
 BLOCK_SIZES = ("tests/test_cheapest_insertion.py", "-k", "block_cells_allow")
+PAYLOAD_RULE = ("tests/test_properties.py", "-k", "payload_rows_equal_the_plain_event_rule")
+PLAIN_ENUMERATION = ("tests/test_exact.py", "-k", "matches_the_plain_enumeration")
 
 
 def bench_tests(keywords: str) -> tuple[str, ...]:
@@ -38,40 +42,48 @@ def bench_tests(keywords: str) -> tuple[str, ...]:
 
 #: (what the mutant breaks, file, exact snippet, replacement, pytest selection that must fail)
 MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
-    # construction.feasible_rows, one rule at a time
-    ("block check: id range widened by 5", CONSTRUCTION,
+    # model.feasible_rows, one rule at a time
+    ("block check: id range widened by 5", MODEL,
      "(tour.max(axis=1) < n_nodes)", "(tour.max(axis=1) < n_nodes + 5)", BLOCK_CHECK),
-    ("block check: closure dropped", CONSTRUCTION,
+    ("block check: closure dropped", MODEL,
      "ok &= (first == inits) & (tour[:, -1] == inits)", "ok &= first == inits", BLOCK_CHECK),
-    ("block check: start dropped", CONSTRUCTION,
+    ("block check: start dropped", MODEL,
      "ok &= (first == inits) & (tour[:, -1] == inits)", "ok &= tour[:, -1] == inits", BLOCK_CHECK),
-    ("block check: once-each dropped", CONSTRUCTION,
+    ("block check: once-each dropped", MODEL,
      "    ok &= pos.min(axis=1) >= 0\n", "", BLOCK_CHECK),
-    ("block check: upper load bound dropped", CONSTRUCTION,
+    ("block check: upper load bound dropped", MODEL,
      "    ok &= payload.max(axis=1) <= instance.load_limit\n", "", BLOCK_CHECK),
-    ("block check: upper load bound without its tolerance", CONSTRUCTION,
+    ("block check: upper load bound without its tolerance", MODEL,
      "payload.max(axis=1) <= instance.load_limit", "payload.max(axis=1) <= instance.capacity",
      BLOCK_CHECK),
-    ("block check: lower load bound dropped", CONSTRUCTION,
+    ("block check: lower load bound dropped", MODEL,
      "    ok &= payload.min(axis=1) >= -LOAD_TOLERANCE\n", "", BLOCK_CHECK),
-    ("block check: lower load bound without its tolerance", CONSTRUCTION,
+    ("block check: lower load bound without its tolerance", MODEL,
      "payload.min(axis=1) >= -LOAD_TOLERANCE", "payload.min(axis=1) >= 0", BLOCK_CHECK),
-    ("block check: final load dropped", CONSTRUCTION,
+    ("block check: final load dropped", MODEL,
      "    ok &= np.abs(payload[:, -1]) <= LOAD_TOLERANCE\n", "", BLOCK_CHECK),
-    ("block check: final load without its tolerance", CONSTRUCTION,
+    ("block check: final load without its tolerance", MODEL,
      "np.abs(payload[:, -1]) <= LOAD_TOLERANCE", "payload[:, -1] == 0", BLOCK_CHECK),
-    ("block check: doubled start's event zeroed at the closing visit for every start",
-     CONSTRUCTION,
-     "    payload[delivery_start, 0] = 0.0\n    payload[~delivery_start, -1] = 0.0\n",
-     "    payload[:, -1] = 0.0\n", BLOCK_CHECK),
-    ("block check: precedence dropped", CONSTRUCTION,
+    ("block check: precedence dropped", MODEL,
      "    ok &= (pos[:, 1 : n_pairs + 1] < pos[:, n_pairs + 1 :]).all(axis=1)\n", "", BLOCK_CHECK),
-    ("block check: delivery-start exemption dropped", CONSTRUCTION,
+    ("block check: delivery-start exemption dropped", MODEL,
      "    pos[delivery_start.nonzero()[0], first[delivery_start]] = n_nodes\n", "", BLOCK_CHECK),
+    # model.payload_rows: the start-event rule, which validate and the block check share
+    ("payload rule: doubled start's event zeroed at the closing visit for every start", MODEL,
+     "    payload[delivery_start, 0] = 0.0\n    payload[~delivery_start, -1] = 0.0\n",
+     "    payload[:, -1] = 0.0\n", PAYLOAD_RULE),
+    ("payload rule: a delivery start fires at the opening visit", MODEL,
+     "tours[:, 0] > instance.n_pairs", "tours[:, 0] > instance.node_count",
+     ("tests/test_model.py", "-k", "start_event_fires_once")),
+    # exact.brute_force
+    ("brute_force leaves out the closing arc", EXACT,
+     "zip(tour.T[:-1], tour.T[1:])", "zip(tour.T[:-2], tour.T[1:-1])", PLAIN_ENUMERATION),
+    ("brute_force takes the last minimum instead of the first", EXACT,
+     "best = int(cost.argmin())", "best = len(cost) - 1 - int(cost[::-1].argmin())", PLAIN_ENUMERATION),
     # the capacity gate at exactly load_limit
     ("NNH: a load of exactly load_limit refused", NNH,
      "instance.loads <= instance.load_limit", "instance.loads < instance.load_limit", AT_LOAD_LIMIT),
-    ("held_karp: a pickup to exactly load_limit refused", "src/mpdtsp/exact.py",
+    ("held_karp: a pickup to exactly load_limit refused", EXACT,
      "load + item[k] <= upper", "load + item[k] < upper", AT_LOAD_LIMIT),
     ("CIH: a slot at exactly load_limit outside the window", CIH,
      "searchsorted(rev_cummax)", 'searchsorted(rev_cummax, side="right")', AT_LOAD_LIMIT),
@@ -85,6 +97,12 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
      ("tests/test_cheapest_insertion.py", "-k", "at_least_one_start")),
     ("engine: stall step counts the doubled CIH start twice", CONSTRUCTION,
      "len(set(partial))", "len(partial)", ("tests/test_cheapest_insertion.py", "-k", "stalls_carry")),
+    ("NNH: closing arc added one step early", NNH,
+     "if block.size == instance.node_count:", "if block.size == instance.node_count - 1:",
+     ("tests/test_nearest_neighbor.py", "-k", "hand_simulation")),
+    ("NNH: precedence gate dropped", NNH,
+     "    admissible[:, n_pairs + 1 :] &= visited[:, 1 : n_pairs + 1]\n", "",
+     ("tests/test_nearest_neighbor.py", "-k", "greedy_choice_soundness")),
     ("NNH: visited kept for stalled rows", NNH,
      'ROWS = Block.ROWS + ("visited",)', "ROWS = Block.ROWS",
      ("tests/test_nearest_neighbor.py", "-k", "dead_ends_recorded")),

@@ -1,9 +1,10 @@
-"""Reference versions of the builders' per-step rules, of one CIH start and of the cost matrix.
+"""Reference versions of the payload rule, the builders' per-step rules, one CIH start and the cost matrix.
 
 The library's builders decide each step for a whole block of starts with
 vectorised numpy code; these routines decide the same things one start at a
 time, and most of them one node and one slot at a time, so the tests can
-check every greedy choice against them.  :func:`reference_cih_from` is the
+check every greedy choice against them.  :func:`reference_payload` restates
+the start-event rule one visit at a time.  :func:`reference_cih_from` is the
 per-start cheapest-insertion builder that the lock-step block replaced, with
 its cached ratio matrix.  :func:`reference_cost_matrix` derives arc costs one
 node pair at a time.
@@ -13,13 +14,28 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate
 
 import numpy as np
 
 from mpdtsp import Instance, MetricMode, Tour, validate
 from mpdtsp.construction import check_carriable
-from mpdtsp.model import visit_events
+
+
+def reference_payload(instance: Instance, seq) -> list[float]:
+    """Cargo on board leaving each position of a closed sequence, one visit at a time.
+
+    Every visit adds its node's load, except one of the start node's two
+    visits: a depot or pickup start loads at its opening visit only, a
+    delivery start unloads at its closing visit only.
+    """
+    start_unloads_at_close = seq[0] > instance.n_pairs
+    skipped = 0 if start_unloads_at_close else len(seq) - 1
+    running, out = 0.0, []
+    for pos, node in enumerate(seq):
+        if pos != skipped:
+            running += float(instance.loads[node])
+        out.append(running)
+    return out
 
 
 @dataclass
@@ -82,7 +98,7 @@ class CihState:
         tour = np.empty(n + 1, dtype=int)
         tour[:2] = init
         payload = np.empty(n + 1)
-        payload[:2] = list(accumulate(visit_events(instance, (init, init))))
+        payload[:2] = reference_payload(instance, (init, init))
         ratios = np.empty((n, n))
         _ratios_on_arc(instance, init, init, out=ratios[0])
         in_tour = np.zeros(n, dtype=bool)

@@ -439,6 +439,31 @@ class TestUsage:
         assert code == 2
 
 
+class TestWriters:
+    @pytest.mark.parametrize("kind", ["instance", "tour", "table"])
+    def test_a_write_into_a_missing_directory_names_what_it_could_not_write(
+        self, capsys, tmp_path, one_pair_file, kind
+    ):
+        path = tmp_path / "missing" / "x.out"
+        argv = {
+            "instance": ["generate", CORPUS_DIR / "eil51.tsp", "--direction", "pickups-central",
+                         "--capacity", "2", "--out", path],
+            "tour": ["solve", one_pair_file, "--out", path],
+            "table": ["solve", one_pair_file, "--table", path],
+        }[kind]
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert f"error: cannot write {kind} to {path}: " in err
+
+    def test_an_unwritable_sidecar_names_itself(self, capsys, tmp_path):
+        out_path = tmp_path / "x.inst"
+        (tmp_path / "x.inst.meta").mkdir()  # the instance is written, its sidecar cannot be
+        code, _, err = run(capsys, "generate", CORPUS_DIR / "eil51.tsp", "--direction",
+                           "pickups-central", "--capacity", "2", "--out", out_path)
+        assert code == 2
+        assert f"error: cannot write sidecar to {out_path}.meta: " in err
+
+
 def options(parser: argparse.ArgumentParser) -> set[str]:
     """Every option string of ``parser`` and of its verbs."""
     found = set()

@@ -7,6 +7,7 @@ import pytest
 from conftest import make_random_instance, with_capacity
 from mpdtsp import exact
 from mpdtsp.exact import HELD_KARP_PAIR_LIMIT, precedence_orders
+from mpdtsp.model import feasible_rows
 from mpdtsp import (
     Instance,
     MetricMode,
@@ -118,17 +119,18 @@ class TestPrecedenceOrders:
         assert list(precedence_orders(n)) == expected
         assert len(expected) == math.factorial(2 * n) // 2**n
 
-    def test_brute_force_validates_each_order_once(self, monkeypatch):
-        calls = []
+    def test_brute_force_judges_every_order_in_one_block_check(self, monkeypatch):
+        blocks = []
 
-        def counting_validate(instance, tour):
-            calls.append(tuple(tour))
-            return validate(instance, tour)
+        def counting_feasible_rows(instance, inits, tour):
+            blocks.append(tour.copy())
+            return feasible_rows(instance, inits, tour)
 
-        monkeypatch.setattr(exact, "validate", counting_validate)
+        monkeypatch.setattr(exact, "feasible_rows", counting_feasible_rows)
         inst = make_random_instance(4, 2, 3)
         assert brute_force(inst).cost == pytest.approx(held_karp(inst).cost, abs=1e-9)
-        assert len(calls) == len(set(calls)) == 2520
+        assert len(blocks) == 1
+        assert len(blocks[0]) == len({tuple(row) for row in blocks[0].tolist()}) == 2520
 
 
 class TestLimitsAndTies:
@@ -163,30 +165,71 @@ def grid_instance(seed: int) -> Instance:
     return Instance.from_coords(coords, paired_loads([1.0] * n), float(q), MetricMode.ROUNDED)
 
 
+def plain_optima(inst: Instance) -> tuple[float | None, list[tuple[int, ...]]]:
+    """The optimal cost and every optimal interior order, in lexicographic order, by a plain loop.
+
+    Each order goes through ``validate``, and its cost is ``tour_cost``'s
+    left-to-right sum over a plain-list matrix, far faster per tour.
+    """
+    arc = inst.cost.tolist()
+    optimal = []
+    best = None
+    for order in precedence_orders(inst.n_pairs):
+        seq = (0, *order, 0)
+        if not validate(inst, seq).feasible:
+            continue
+        cost = sum(arc[a][b] for a, b in zip(seq, seq[1:]))
+        if best is None or cost < best:
+            best, optimal = cost, []
+        if cost == best:
+            optimal.append(order)
+    return best, optimal
+
+
+def real_load_instance(seed: int) -> Instance:
+    """1-4 pairs with loads in [0.1, 3] under a capacity drawn between the largest item and their sum."""
+    rng = np.random.RandomState(seed)
+    n = 1 + seed % 4
+    loads = rng.uniform(0.1, 3.0, size=n)
+    capacity = rng.uniform(loads.max(), loads.sum())
+    coords = rng.uniform(0.0, 100.0, size=(2 * n + 1, 2))
+    return Instance.from_coords(coords, paired_loads(loads), capacity)
+
+
 class TestHeldKarpTieRule:
     def test_last_visit_back_is_lexicographically_smallest(self):
         tied = 0
         for seed in range(200):
             inst = grid_instance(seed)
-            # tour_cost's left-to-right sum over a plain-list matrix, far faster per tour
-            arc = inst.cost.tolist()
-            optimal = []
-            best = None
-            for order in precedence_orders(inst.n_pairs):
-                seq = (0, *order, 0)
-                if not validate(inst, seq).feasible:
-                    continue
-                cost = sum(arc[a][b] for a, b in zip(seq, seq[1:]))
-                if best is None or cost < best:
-                    best, optimal = cost, []
-                if cost == best:
-                    optimal.append(order)
+            best, optimal = plain_optima(inst)
             tour = held_karp(inst)
             assert tour.cost == best, seed
             assert tour.sequence[1:-1] == min(optimal, key=lambda o: o[::-1]), seed
             tied += len(optimal) > 1
         # the rule is only exercised where optima tie
         assert tied >= 100
+
+
+class TestBruteForceAgainstPlainLoop:
+    @pytest.mark.parametrize("build", [grid_instance, real_load_instance], ids=["grid", "real-loads"])
+    def test_brute_force_matches_the_plain_enumeration(self, build):
+        tied = 0
+        for seed in range(60):
+            inst = build(seed)
+            best, optimal = plain_optima(inst)
+            tour = brute_force(inst)
+            # the cheapest cost, then the lexicographically smallest sequence
+            assert tour.sequence == (0, *optimal[0], 0), seed
+            assert tour.cost == best, seed
+            tied += len(optimal) > 1
+        if build is grid_instance:
+            assert tied >= 30
+
+    def test_brute_force_finds_no_tour_when_an_item_is_oversized(self):
+        for seed in range(4):
+            inst = with_capacity(real_load_instance(seed), 0.05)
+            assert plain_optima(inst) == (None, [])
+            assert brute_force(inst) is None
 
 
 class TestPairLimit:

@@ -24,8 +24,8 @@ from mpdtsp import (
     validate,
 )
 from mpdtsp.cheapest_insertion import best_insertion
-from mpdtsp.construction import feasible_rows
 from mpdtsp.generate import Direction, GenerationSpec, generate
+from mpdtsp.model import feasible_rows
 
 SCALES = (0.3, 0.7)
 

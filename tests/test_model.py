@@ -15,7 +15,7 @@ from mpdtsp import (
     validate,
 )
 from mpdtsp import model, tsplib
-from mpdtsp.model import visit_events
+from mpdtsp.model import payload_rows
 
 SQRT2 = math.sqrt(2.0)
 SQRT5 = math.sqrt(5.0)
@@ -229,10 +229,13 @@ class TestTourCost:
 class TestPayloadProfile:
     def test_start_event_fires_once_at_the_rule_end(self, one_pair):
         # depot and pickup starts fire at the opening visit, a delivery start
-        # at the closing visit
-        assert visit_events(one_pair, [0, 1, 2, 0]) == [0.0, 1.0, -1.0, 0.0]
-        assert visit_events(one_pair, [1, 2, 0, 1]) == [1.0, -1.0, 0.0, 0.0]
-        assert visit_events(one_pair, [2, 1, 0, 2]) == [0.0, 1.0, 0.0, -1.0]
+        # at the closing visit, in complete and in partial tours alike
+        complete = np.array([[0, 1, 2, 0], [1, 2, 0, 1], [2, 1, 0, 2]])
+        assert payload_rows(one_pair, complete).tolist() == [
+            [0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 1.0, 0.0],
+        ]
+        partial = np.array([[0, 0], [1, 1], [2, 2]])
+        assert payload_rows(one_pair, partial).tolist() == [[0.0, 0.0], [1.0, 1.0], [0.0, -1.0]]
 
     def test_depot_start_single_pair(self, one_pair):
         assert payload_profile(one_pair, [0, 1, 2, 0]) == [0.0, 1.0, 0.0, 0.0]

@@ -20,6 +20,7 @@ from reference_checkers import (  # noqa: E402
     feasible_candidates,
     reference_cih_from,
     reference_cost_matrix,
+    reference_payload,
 )
 from mpdtsp import (  # noqa: E402
     Instance,
@@ -37,7 +38,8 @@ from mpdtsp import (  # noqa: E402
     validate,
 )
 from mpdtsp.cheapest_insertion import CihBlock, apply_insertion, best_insertion  # noqa: E402
-from mpdtsp.construction import feasible_rows, lockstep  # noqa: E402
+from mpdtsp.construction import lockstep  # noqa: E402
+from mpdtsp.model import feasible_rows, payload_rows  # noqa: E402
 from mpdtsp.nearest_neighbor import NnhBlock, extend, nearest  # noqa: E402
 from mpdtsp.exact import precedence_orders  # noqa: E402
 
@@ -419,6 +421,31 @@ def test_the_block_check_rejects_exactly_what_validate_rejects(case):
 @pytest.mark.parametrize("case", ONE_RULE_CASES)
 def test_the_block_check_rejects_what_one_rule_alone_rejects(case):
     assert_block_check_agrees(*case)
+
+
+@st.composite
+def closed_sequence_blocks(draw):
+    """An instance and 1-8 closed rows of one length, each a start, other nodes once each, the start again.
+
+    The starts are the depot, pickups and deliveries alike; the rows hold
+    every node (complete) or only some (partial), in any order.
+    """
+    instance = draw(instances())
+    m = instance.node_count
+    between = draw(st.one_of(st.just(m - 1), st.integers(0, m - 1)))
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        start = draw(st.integers(0, m - 1))
+        others = draw(st.permutations([v for v in range(m) if v != start]))
+        rows.append([start, *others[:between], start])
+    return instance, rows
+
+
+@settings(PROPERTY, max_examples=200)
+@given(closed_sequence_blocks())
+def test_payload_rows_equal_the_plain_event_rule(case):
+    instance, rows = case
+    assert payload_rows(instance, np.array(rows)).tolist() == [reference_payload(instance, row) for row in rows]
 
 
 #: where a cloud's coordinates come from: an integer grid, the unit square,
