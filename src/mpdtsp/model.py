@@ -21,6 +21,10 @@ which any-start tours carry a well-defined load and end the tour empty.
 :func:`payload_rows` is the one place that applies it, to a whole array of
 sequences at once; the payload profile, the validator, the block check
 :func:`feasible_rows` and both builders' initial loads all take it from there.
+Likewise :func:`_rule_arrays` is the one statement of the load bounds, the
+final load and precedence, with a delivery start's own pair exempt:
+:func:`validate` reports from its first row and :func:`feasible_rows` reduces
+over every row, each keeping only its own structural checks.
 
 Every load check reads one upper bound, :attr:`Instance.load_limit` (the
 capacity plus :data:`LOAD_TOLERANCE`), so scaling all loads and the capacity
@@ -283,23 +287,14 @@ def validate(instance: Instance, tour: TourLike) -> ValidationReport:
     terminal = instance.terminal_alias
     node_count = instance.node_count
 
-    # positions in ``first_pos`` are only read when every id is known, in which
-    # case they are also positions in ``seq``
     seq: list[int] = []
-    counts = [0] * node_count
-    first_pos = [-1] * node_count
     for pos, v in enumerate(raw):
         if v == terminal:
             v = 0
         if 0 <= v < node_count:
-            if counts[v] == 0:
-                first_pos[v] = pos
-            counts[v] += 1
             seq.append(v)
         else:
-            violations.append(
-                Violation(ViolationKind.VISIT_COUNT, pos, f"unknown node id {v}")
-            )
+            violations.append(Violation(ViolationKind.VISIT_COUNT, pos, f"unknown node id {v}"))
 
     if len(raw) < 2 or not seq or seq[0] != seq[-1]:
         head = seq[0] if seq else None
@@ -314,106 +309,96 @@ def validate(instance: Instance, tour: TourLike) -> ValidationReport:
     if violations:
         return ValidationReport.from_violations(violations)
 
-    start = seq[0]
-    for v in range(node_count):
-        expected = 2 if v == start else 1
-        if counts[v] == expected:
-            continue
+    # every id is known, so a position in ``seq`` is a position in the tour
+    counts = np.bincount(seq, minlength=node_count)
+    expected = np.ones_like(counts)
+    expected[seq[0]] = 2
+    for v in np.flatnonzero(counts != expected).tolist():
         if counts[v] == 0:
-            violations.append(
-                Violation(ViolationKind.VISIT_COUNT, None, f"node {v} is never visited")
-            )
+            violations.append(Violation(ViolationKind.VISIT_COUNT, None, f"node {v} is never visited"))
         else:
-            violations.append(
-                Violation(
-                    ViolationKind.VISIT_COUNT,
-                    first_pos[v],
-                    f"node {v} visited {counts[v]} times, expected {expected}",
-                )
-            )
+            violations.append(Violation(
+                ViolationKind.VISIT_COUNT, seq.index(v),
+                f"node {v} visited {counts[v]} times, expected {expected[v]}",
+            ))
     if violations:
         return ValidationReport.from_violations(violations)
 
     # structurally sound complete tour: load and precedence checks
-    n = instance.n_pairs
-    last = len(seq) - 1
-    upper = instance.load_limit
-    for pos, running in enumerate(payload_rows(instance, np.array([seq]))[0].tolist()):
-        if running > upper:
-            violations.append(
-                Violation(
-                    ViolationKind.CAPACITY_UPPER,
-                    pos,
-                    f"load {running:g} exceeds capacity {instance.capacity:g} "
-                    f"leaving node {seq[pos]}",
-                )
-            )
-        elif running < -LOAD_TOLERANCE:
-            violations.append(
-                Violation(
-                    ViolationKind.CAPACITY_LOWER,
-                    pos,
-                    f"load {running:g} is negative leaving node {seq[pos]}",
-                )
-            )
-    if running > LOAD_TOLERANCE or running < -LOAD_TOLERANCE:
-        violations.append(
-            Violation(
-                ViolationKind.TERMINAL_LOAD,
-                last,
-                f"tour ends carrying load {running:g}",
-            )
-        )
-
-    for k in range(1, n + 1):
-        delivery = k + n
-        if delivery == start:
-            # the start delivery unloads at the closing occurrence, which is
-            # after every other visit by construction
-            continue
-        if first_pos[k] > first_pos[delivery]:
-            violations.append(
-                Violation(
-                    ViolationKind.PRECEDENCE,
-                    first_pos[delivery],
-                    f"delivery {delivery} visited before its pickup {k}",
-                )
-            )
+    rules = _rule_arrays(instance, np.array([seq]))
+    pos, payload, over, under, loaded, late = (rule[0] for rule in rules)
+    running = payload.tolist()
+    for p in np.flatnonzero(over | under).tolist():
+        if over[p]:
+            violations.append(Violation(
+                ViolationKind.CAPACITY_UPPER, p,
+                f"load {running[p]:g} exceeds capacity {instance.capacity:g} leaving node {seq[p]}",
+            ))
+        else:
+            violations.append(Violation(
+                ViolationKind.CAPACITY_LOWER, p,
+                f"load {running[p]:g} is negative leaving node {seq[p]}",
+            ))
+    if loaded:
+        violations.append(Violation(
+            ViolationKind.TERMINAL_LOAD, len(seq) - 1, f"tour ends carrying load {running[-1]:g}",
+        ))
+    for k in np.flatnonzero(late).tolist():
+        pickup, delivery = k + 1, k + 1 + instance.n_pairs
+        violations.append(Violation(
+            ViolationKind.PRECEDENCE, int(pos[delivery]),
+            f"delivery {delivery} visited before its pickup {pickup}",
+        ))
 
     violations.sort(key=lambda v: (v.position if v.position is not None else -1))
     return ValidationReport.from_violations(violations)
+
+
+def _rule_arrays(instance: Instance, tours: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The load and precedence rules applied to a (rows x len) array of closed sequences of physical ids.
+
+    Returns, per row:
+
+    - ``pos`` (rows x nodes): each node's position before the closing visit,
+      -1 for a node the row never visits;
+    - ``payload`` (rows x len): the load on board, from :func:`payload_rows`;
+    - ``over``, ``under`` (rows x len): the payload above
+      :attr:`Instance.load_limit`, below ``-LOAD_TOLERANCE``;
+    - ``loaded`` (rows,): the final payload off 0 by more than ``LOAD_TOLERANCE``;
+    - ``late`` (rows x pairs): a pair's delivery placed before its pickup,
+      except a delivery start's own pair, which unloads at the closing visit.
+
+    This is the one statement of those rules; :func:`validate` reports from
+    row 0 and :func:`feasible_rows` reduces over every row.
+    """
+    rows, length = tours.shape
+    n = instance.n_pairs
+    pos = np.full((rows, instance.node_count), -1)
+    pos[np.arange(rows)[:, None], tours[:, :-1]] = np.arange(length - 1)
+    payload = payload_rows(instance, tours)
+    late = (pos[:, 1 : n + 1] > pos[:, n + 1 :]) & (tours[:, :1] != np.arange(n + 1, 2 * n + 1))
+    return (
+        pos, payload, payload > instance.load_limit, payload < -LOAD_TOLERANCE,
+        np.abs(payload[:, -1]) > LOAD_TOLERANCE, late,
+    )
 
 
 def feasible_rows(instance: Instance, inits: np.ndarray, tour: np.ndarray) -> np.ndarray:
     """Which rows of a (rows x N+1) block of closed tours are feasible tours from their start.
 
     Row r passes when its ids are physical nodes, it opens and closes at
-    ``inits[r]`` and visits every node once in between, its payload
-    (:func:`payload_rows`) stays within ``[-LOAD_TOLERANCE, load_limit]`` and
-    ends within ``LOAD_TOLERANCE`` of 0, and each pickup comes before its
-    delivery, except that a delivery start unloads at the closing visit.  For
-    a row that opens at ``inits[r]`` the verdict is :func:`validate`'s, which
-    also accepts the terminal alias; the builders never write it.
+    ``inits[r]``, it visits every node once in between, and it breaks none of
+    the load and precedence rules of :func:`_rule_arrays`, which
+    :func:`validate` reads too.  For a row that opens at ``inits[r]`` the
+    verdict is :func:`validate`'s, which also accepts the terminal alias; the
+    builders never write it.
     """
-    n_rows, n_nodes, n_pairs = inits.size, instance.node_count, instance.n_pairs
-    ok = (tour.min(axis=1) >= 0) & (tour.max(axis=1) < n_nodes)
+    ok = (tour.min(axis=1) >= 0) & (tour.max(axis=1) < instance.node_count)
     if not ok.all():
         tour = np.where(ok[:, None], tour, 0)  # an all-depot row, rejected below
-    first = tour[:, 0]
-    ok &= (first == inits) & (tour[:, -1] == inits)
-
-    payload = payload_rows(instance, tour)
-    ok &= payload.max(axis=1) <= instance.load_limit
-    ok &= payload.min(axis=1) >= -LOAD_TOLERANCE
-    ok &= np.abs(payload[:, -1]) <= LOAD_TOLERANCE
-    del payload  # so the check holds one block-sized array at a time
-
-    # N visits cover all N nodes only if none repeats; a delivery start's
-    # visit counts at the closing position, after its pickup
-    pos = np.full((n_rows, n_nodes), -1)
-    pos[np.arange(n_rows)[:, None], tour[:, :-1]] = np.arange(n_nodes)
+    ok &= (tour[:, 0] == inits) & (tour[:, -1] == inits)
+    pos, _, over, under, loaded, late = _rule_arrays(instance, tour)
+    # N visits cover all N nodes only if none repeats
     ok &= pos.min(axis=1) >= 0
-    delivery_start = first > n_pairs
-    pos[delivery_start.nonzero()[0], first[delivery_start]] = n_nodes
-    ok &= (pos[:, 1 : n_pairs + 1] < pos[:, n_pairs + 1 :]).all(axis=1)
+    ok &= ~(over.any(axis=1) | under.any(axis=1) | loaded | late.any(axis=1))
     return ok

@@ -29,11 +29,15 @@ EXACT = "src/mpdtsp/exact.py"
 NNH = "src/mpdtsp/nearest_neighbor.py"
 CIH = "src/mpdtsp/cheapest_insertion.py"
 BENCH = "src/mpdtsp/bench.py"
+TSPLIB = "src/mpdtsp/tsplib.py"
 BLOCK_CHECK = ("tests/test_properties.py", "-k", "block_check")
 AT_LOAD_LIMIT = ("tests/test_load_unit.py", "-k", "exactly_load_limit")
 BLOCK_SIZES = ("tests/test_cheapest_insertion.py", "-k", "block_cells_allow")
 PAYLOAD_RULE = ("tests/test_properties.py", "-k", "payload_rows_equal_the_plain_event_rule")
 PLAIN_ENUMERATION = ("tests/test_exact.py", "-k", "matches_the_plain_enumeration")
+VALIDATE_REPORT = ("tests/test_model.py", "-k", "report_names_each_violation")
+HYPOT_PARITY = ("tests/test_tsplib.py", "-k", "match_math_hypot")
+CIH_REFERENCE = ("tests/test_cheapest_insertion.py", "-k", "every_step_matches_the_reference")
 
 
 def bench_tests(keywords: str) -> tuple[str, ...]:
@@ -42,32 +46,42 @@ def bench_tests(keywords: str) -> tuple[str, ...]:
 
 #: (what the mutant breaks, file, exact snippet, replacement, pytest selection that must fail)
 MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
-    # model.feasible_rows, one rule at a time
+    # model.feasible_rows, one rule at a time; its reduction of the shared rules
     ("block check: id range widened by 5", MODEL,
-     "(tour.max(axis=1) < n_nodes)", "(tour.max(axis=1) < n_nodes + 5)", BLOCK_CHECK),
+     "(tour.max(axis=1) < instance.node_count)", "(tour.max(axis=1) < instance.node_count + 5)",
+     BLOCK_CHECK),
     ("block check: closure dropped", MODEL,
-     "ok &= (first == inits) & (tour[:, -1] == inits)", "ok &= first == inits", BLOCK_CHECK),
+     "ok &= (tour[:, 0] == inits) & (tour[:, -1] == inits)", "ok &= tour[:, 0] == inits", BLOCK_CHECK),
     ("block check: start dropped", MODEL,
-     "ok &= (first == inits) & (tour[:, -1] == inits)", "ok &= tour[:, -1] == inits", BLOCK_CHECK),
+     "ok &= (tour[:, 0] == inits) & (tour[:, -1] == inits)", "ok &= tour[:, -1] == inits", BLOCK_CHECK),
     ("block check: once-each dropped", MODEL,
      "    ok &= pos.min(axis=1) >= 0\n", "", BLOCK_CHECK),
     ("block check: upper load bound dropped", MODEL,
-     "    ok &= payload.max(axis=1) <= instance.load_limit\n", "", BLOCK_CHECK),
-    ("block check: upper load bound without its tolerance", MODEL,
-     "payload.max(axis=1) <= instance.load_limit", "payload.max(axis=1) <= instance.capacity",
-     BLOCK_CHECK),
+     "~(over.any(axis=1) | under.any(axis=1)", "~(under.any(axis=1)", BLOCK_CHECK),
     ("block check: lower load bound dropped", MODEL,
-     "    ok &= payload.min(axis=1) >= -LOAD_TOLERANCE\n", "", BLOCK_CHECK),
-    ("block check: lower load bound without its tolerance", MODEL,
-     "payload.min(axis=1) >= -LOAD_TOLERANCE", "payload.min(axis=1) >= 0", BLOCK_CHECK),
+     "over.any(axis=1) | under.any(axis=1) | loaded", "over.any(axis=1) | loaded", BLOCK_CHECK),
     ("block check: final load dropped", MODEL,
-     "    ok &= np.abs(payload[:, -1]) <= LOAD_TOLERANCE\n", "", BLOCK_CHECK),
-    ("block check: final load without its tolerance", MODEL,
-     "np.abs(payload[:, -1]) <= LOAD_TOLERANCE", "payload[:, -1] == 0", BLOCK_CHECK),
+     "under.any(axis=1) | loaded | late.any(axis=1)", "under.any(axis=1) | late.any(axis=1)", BLOCK_CHECK),
     ("block check: precedence dropped", MODEL,
-     "    ok &= (pos[:, 1 : n_pairs + 1] < pos[:, n_pairs + 1 :]).all(axis=1)\n", "", BLOCK_CHECK),
-    ("block check: delivery-start exemption dropped", MODEL,
-     "    pos[delivery_start.nonzero()[0], first[delivery_start]] = n_nodes\n", "", BLOCK_CHECK),
+     "| loaded | late.any(axis=1))", "| loaded)", BLOCK_CHECK),
+    # model._rule_arrays: the load and precedence rules, which validate and the
+    # block check share; the block check's plain-checker arbiter kills these
+    ("shared rules: upper load bound without its tolerance", MODEL,
+     "payload > instance.load_limit", "payload > instance.capacity", BLOCK_CHECK),
+    ("shared rules: lower load bound without its tolerance", MODEL,
+     "payload < -LOAD_TOLERANCE", "payload < 0", BLOCK_CHECK),
+    ("shared rules: final load without its tolerance", MODEL,
+     "np.abs(payload[:, -1]) > LOAD_TOLERANCE", "payload[:, -1] != 0", BLOCK_CHECK),
+    ("shared rules: delivery-start exemption dropped", MODEL,
+     " & (tours[:, :1] != np.arange(n + 1, 2 * n + 1))", "", BLOCK_CHECK),
+    # model.validate: where and as what each violation is reported
+    ("validate: a precedence breach reported at its pickup", MODEL,
+     "ViolationKind.PRECEDENCE, int(pos[delivery])", "ViolationKind.PRECEDENCE, int(pos[pickup])",
+     VALIDATE_REPORT),
+    ("validate: a negative load reported as capacity-upper", MODEL,
+     "ViolationKind.CAPACITY_LOWER, p,", "ViolationKind.CAPACITY_UPPER, p,", VALIDATE_REPORT),
+    ("validate: the start's expected visit count set to 1", MODEL,
+     "expected[seq[0]] = 2", "expected[seq[0]] = 1", VALIDATE_REPORT),
     # model.payload_rows: the start-event rule, which validate and the block check share
     ("payload rule: doubled start's event zeroed at the closing visit for every start", MODEL,
      "    payload[delivery_start, 0] = 0.0\n    payload[~delivery_start, -1] = 0.0\n",
@@ -75,6 +89,19 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
     ("payload rule: a delivery start fires at the opening visit", MODEL,
      "tours[:, 0] > instance.n_pairs", "tours[:, 0] > instance.node_count",
      ("tests/test_model.py", "-k", "start_event_fires_once")),
+    # model.Instance: bad loads or capacity build no matrix
+    ("instance: the matrix built before the load checks", MODEL,
+     '        object.__setattr__(self, "n_pairs", n)\n',
+     '        object.__setattr__(self, "n_pairs", n)\n        cost_matrix(self.coords, self.metric)\n',
+     ("tests/test_model.py", "-k", "build_no_matrix")),
+    # tsplib.cost_matrix: the math.hypot kernel and its exotic-cell fallback
+    ("hypot: differential correction dropped", TSPLIB,
+     "    np.add(h, t0, h)\n", "", HYPOT_PARITY),
+    ("hypot: np.hypot in place of the kernel", TSPLIB,
+     "        if not exotic:\n            d = _hypot(work, n)\n",
+     "        if not exotic:\n            d = np.hypot(dx, dy)\n", HYPOT_PARITY),
+    ("hypot: exotic cells sent through the kernel", TSPLIB,
+     "exotic = bool(", "exotic = False and bool(", ("tests/test_tsplib.py", "-k", "edge")),
     # exact.brute_force
     ("brute_force leaves out the closing arc", EXACT,
      "zip(tour.T[:-1], tour.T[1:])", "zip(tour.T[:-2], tour.T[1:-1])", PLAIN_ENUMERATION),
@@ -87,6 +114,16 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
      "load + item[k] <= upper", "load + item[k] < upper", AT_LOAD_LIMIT),
     ("CIH: a slot at exactly load_limit outside the window", CIH,
      "searchsorted(rev_cummax)", 'searchsorted(rev_cummax, side="right")', AT_LOAD_LIMIT),
+    # CIH's choice and insertion step
+    ("CIH: a tie goes to the last cell", CIH,
+     "np.minimum.reduceat(np.where(ratio == np.repeat(best, per_row), cell, cells)",
+     "np.maximum.reduceat(np.where(ratio == np.repeat(best, per_row), cell, -1)", CIH_REFERENCE),
+    ("CIH: precedence gate dropped", CIH,
+     "    np.maximum(left[:, n_pairs + 1 :], first[:, 1 : n_pairs + 1], out=left[:, n_pairs + 1 :])\n",
+     "", CIH_REFERENCE),
+    ("CIH: payload not shifted by the inserted load", CIH,
+     "shifted = payload[:, :m] + instance.loads[node][:, None]", "shifted = payload[:, :m]",
+     CIH_REFERENCE),
     # the engine: blocks and stalls
     ("engine: block rows multiplied, not divided", CONSTRUCTION,
      "BLOCK_CELLS // cells_per_start", "BLOCK_CELLS * cells_per_start", BLOCK_SIZES),

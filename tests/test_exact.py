@@ -169,7 +169,9 @@ def plain_optima(inst: Instance) -> tuple[float | None, list[tuple[int, ...]]]:
     """The optimal cost and every optimal interior order, in lexicographic order, by a plain loop.
 
     Each order goes through ``validate``, and its cost is ``tour_cost``'s
-    left-to-right sum over a plain-list matrix, far faster per tour.
+    left-to-right sum over a plain-list matrix, far faster per tour.  The
+    loop adds one arc at a time: from Python 3.12 the builtin ``sum`` of
+    floats compensates its rounding, so its bits are not a left-to-right sum.
     """
     arc = inst.cost.tolist()
     optimal = []
@@ -178,7 +180,9 @@ def plain_optima(inst: Instance) -> tuple[float | None, list[tuple[int, ...]]]:
         seq = (0, *order, 0)
         if not validate(inst, seq).feasible:
             continue
-        cost = sum(arc[a][b] for a, b in zip(seq, seq[1:]))
+        cost = 0.0
+        for a, b in zip(seq, seq[1:]):
+            cost += arc[a][b]
         if best is None or cost < best:
             best, optimal = cost, []
         if cost == best:

@@ -306,6 +306,23 @@ class TestValidate:
     def test_alias_normalized_before_checks(self, two_pair):
         assert validate(two_pair, [0, 1, 2, 3, 4, 5]).feasible
 
+    def test_report_names_each_violation_where_it_happens(self, two_pair):
+        tight = with_capacity(two_pair, 1.0)
+        rounding = Instance.from_coords([(float(i), 0.0) for i in range(5)], paired_loads([0.1, 1e9]), 2e9)
+        cases = [
+            # a lower-bound breach and a precedence breach at one position, in that order
+            (tight, [0, 3, 1, 2, 4, 0], "capacity-lower at position 1: load -1 is negative leaving node 3\n"
+                                        "  precedence at position 1: delivery 3 visited before its pickup 1"),
+            (tight, [0, 1, 2, 3, 4, 0], "capacity-upper at position 2: load 2 exceeds capacity 1 leaving node 2"),
+            # the delivery start's own pair is exempt; pair 2's breach is at its delivery
+            (two_pair, [3, 1, 4, 2, 0, 3], "precedence at position 2: delivery 4 visited before its pickup 2"),
+            (two_pair, [1, 1, 2, 4, 0, 1], "visit-count at position 0: node 1 visited 3 times, expected 2\n"
+                                           "  visit-count: node 3 is never visited"),
+            (rounding, [0, 1, 2, 4, 3, 0], "terminal-load at position 5: tour ends carrying load 2.38419e-08"),
+        ]
+        for inst, seq, expected in cases:
+            assert str(validate(inst, seq)) == "infeasible:\n  " + expected, seq
+
     def test_walker_agrees_on_named_fixtures(self, one_pair, two_pair):
         cases = [
             (one_pair, [0, 1, 2, 0]),

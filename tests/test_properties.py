@@ -405,11 +405,17 @@ ONE_RULE_CASES = [
 
 
 def assert_block_check_agrees(instance: Instance, inits: np.ndarray, tour: np.ndarray) -> None:
-    expected = [
-        validate(instance, row).feasible and row[0] == init
-        for init, row in zip(inits.tolist(), tour.tolist())
-    ]
-    assert feasible_rows(instance, inits, tour).tolist() == expected
+    """The block check's verdicts equal the plain checker's, and ``validate``'s.
+
+    ``validate`` and the block check read the same load and precedence
+    arrays, so the plain checker is the arbiter that a fault there cannot
+    move; their structural checks are separate code, so ``validate`` still
+    has to agree.
+    """
+    verdicts = feasible_rows(instance, inits, tour).tolist()
+    rows = list(zip(inits.tolist(), tour.tolist()))
+    assert verdicts == [plain_checker(instance, row) and row[0] == init for init, row in rows]
+    assert verdicts == [validate(instance, row).feasible and row[0] == init for init, row in rows]
 
 
 @settings(PROPERTY, max_examples=400)
