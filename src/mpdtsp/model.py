@@ -11,7 +11,9 @@ constructor derives the pair count and, once the loads and capacity have
 passed their checks, the cost matrix from the coordinates:
 :func:`tsplib.cost_matrix` gives the TSPLIB distance of each node pair under
 the instance's metric, exact or rounded Euclidean.  No instance can carry a
-hand-written matrix, and costs are symmetric with a zero diagonal.
+hand-written matrix, and costs are symmetric with a zero diagonal.  The
+matrix is read-only: instances on the same live coordinate array share one
+EXACT matrix, and a ROUNDED matrix is derived from it.
 
 Payload semantics are event based: every node contributes its load ``q`` at
 its visit position.  The start node of a closed tour occurs twice; its event

@@ -13,6 +13,7 @@ costs, under either :class:`MetricMode` convention.
 from __future__ import annotations
 
 import math
+import weakref
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -145,15 +146,44 @@ def _hypot(work: np.ndarray, n: int) -> np.ndarray:
     return h
 
 
+# (coordinate bytes, weak reference) of the last EXACT matrix built: one
+# tuple, so that no reader pairs one build's key with another's matrix
+_last = (b"", lambda: None)
+
+
 def cost_matrix(coords: np.ndarray, mode: MetricMode) -> np.ndarray:
     """The (m, m) TSPLIB distances among the points of an (m, 2) coordinate array.
 
     A cell is ``math.hypot`` of its two float coordinate differences, bit
-    for bit, so the EXACT golden tables stay put: :func:`_hypot` computes
-    it, except where some coordinate is nonzero and below 2**-969 or at
-    least 2**1020 in magnitude.  Then the cells whose larger difference is
-    subnormal, at least 2**1022 or inf go through ``math.hypot`` one by one.
-    ROUNDED follows the TSPLIB nearest-integer rule with halves rounded up.
+    for bit, so the EXACT golden tables stay put; a ROUNDED cell is the
+    EXACT ``d`` rounded half up, ``floor(d + 0.5)``.  The matrix is
+    read-only: while the last EXACT matrix built is alive, the same float64
+    coordinates, bit for bit, get that matrix back, or their ROUNDED one
+    derived from it, without :func:`_distances`.  It is held weakly, so no
+    matrix outlives the instances that hold it.
+    """
+    global _last
+    key = np.asarray(coords, dtype=float).tobytes()
+    last_key, last_ref = _last
+    exact = last_ref() if last_key == key else None
+    if exact is None:
+        exact = _distances(coords)
+        exact.flags.writeable = False
+        _last = key, weakref.ref(exact)
+    if mode is MetricMode.EXACT:
+        return exact
+    rounded = exact + 0.5
+    np.floor(rounded, out=rounded)
+    rounded.flags.writeable = False
+    return rounded
+
+
+def _distances(coords: np.ndarray) -> np.ndarray:
+    """The EXACT matrix of :func:`cost_matrix`, built afresh: :func:`_hypot`
+    computes each cell, except where some coordinate is nonzero and below
+    2**-969 or at least 2**1020 in magnitude.  Then the cells whose larger
+    difference is subnormal, at least 2**1022 or inf go through
+    ``math.hypot`` one by one.
 
     The upper triangle is filled in row blocks of at most
     :data:`DISTANCE_BLOCK` cells, or one row where a row is longer, each
@@ -189,9 +219,6 @@ def cost_matrix(coords: np.ndarray, mode: MetricMode) -> np.ndarray:
             dx[slow] = dy[slow] = 0.0
             d = _hypot(work, n)
             d[slow] = hypots
-        if mode is MetricMode.ROUNDED:
-            d += 0.5
-            np.floor(d, out=d)
         block = d.reshape(shape)
         cost[i0:i1, i0:] = block
         cost[i0:, i0:i1] = block.T

@@ -35,6 +35,20 @@ def two_pair() -> Instance:
     return Instance.from_coords(TWO_PAIR_COORDS, paired_loads([1.0, 1.0]), 2.0)
 
 
+@pytest.fixture
+def kernel_runs(monkeypatch) -> list[int]:
+    """The point count of each run of the distance kernel, ``tsplib._distances``, from here on."""
+    runs: list[int] = []
+    kernel = tsplib._distances
+
+    def counted(coords):
+        runs.append(len(coords))
+        return kernel(coords)
+
+    monkeypatch.setattr(tsplib, "_distances", counted)
+    return runs
+
+
 @pytest.fixture(scope="session")
 def eil51_cloud() -> tsplib.PointCloud:
     return tsplib.parse_file(CORPUS_DIR / "eil51.tsp")

@@ -38,6 +38,7 @@ PLAIN_ENUMERATION = ("tests/test_exact.py", "-k", "matches_the_plain_enumeration
 VALIDATE_REPORT = ("tests/test_model.py", "-k", "report_names_each_violation")
 HYPOT_PARITY = ("tests/test_tsplib.py", "-k", "match_math_hypot")
 CIH_REFERENCE = ("tests/test_cheapest_insertion.py", "-k", "every_step_matches_the_reference")
+SHARED_MATRIX = ("tests/test_model.py", "-k", "SharedMatrix")
 
 
 def bench_tests(keywords: str) -> tuple[str, ...]:
@@ -102,6 +103,19 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
      "        if not exotic:\n            d = np.hypot(dx, dy)\n", HYPOT_PARITY),
     ("hypot: exotic cells sent through the kernel", TSPLIB,
      "exotic = bool(", "exotic = False and bool(", ("tests/test_tsplib.py", "-k", "edge")),
+    ("hypot: scalar fallback skipped past the first block", TSPLIB,
+     "        if not exotic:\n", "        if not exotic or i0 > 0:\n",
+     ("tests/test_tsplib.py", "-k", "edge_points_across_blocks")),
+    # tsplib.cost_matrix: one read-only EXACT matrix per live coordinate array
+    ("shared matrix: the cache key ignored", TSPLIB,
+     "last_ref() if last_key == key else None", "last_ref() if True else None", SHARED_MATRIX),
+    ("shared matrix: the read-only flag dropped", TSPLIB,
+     "        exact.flags.writeable = False\n", "", SHARED_MATRIX),
+    ("shared matrix: ROUNDED's + 0.5 dropped", TSPLIB,
+     "rounded = exact + 0.5", "rounded = exact + 0.0", SHARED_MATRIX),
+    ("shared matrix: the weak reference made strong", TSPLIB,
+     "_last = key, weakref.ref(exact)", "_last = key, lambda: exact",
+     ("tests/test_model.py", "-k", "outlives_its_last_holder")),
     # exact.brute_force
     ("brute_force leaves out the closing arc", EXACT,
      "zip(tour.T[:-1], tour.T[1:])", "zip(tour.T[:-2], tour.T[1:-1])", PLAIN_ENUMERATION),

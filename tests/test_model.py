@@ -1,16 +1,21 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from conftest import TWO_PAIR_COORDS, make_random_instance, plain_checker, with_capacity
+from conftest import CORPUS_DIR, TWO_PAIR_COORDS, make_random_instance, plain_checker, with_capacity
 from reference_checkers import reference_cost_matrix
 from mpdtsp import (
+    ExperimentConfig,
     Instance,
     MetricMode,
     ViolationKind,
+    instance_from_text,
+    instance_to_text,
     paired_loads,
     payload_profile,
+    run_corpus,
     tour_cost,
     validate,
 )
@@ -165,10 +170,11 @@ class TestArcCost:
             assert inst.cost.tobytes() == reference_cost_matrix(coords, metric).tobytes()
 
     @pytest.mark.parametrize("budget", [1, 16, 40])
-    def test_rows_longer_than_the_block_budget(self, monkeypatch, budget):
+    def test_rows_longer_than_the_block_budget(self, monkeypatch, kernel_runs, budget):
         monkeypatch.setattr(tsplib, "DISTANCE_BLOCK", budget)
         coords = COST_CLOUDS["wide-range"](np.random.default_rng(budget), 31)
         inst = Instance.from_coords(coords, paired_loads([1.0] * 15), 1.0)
+        assert kernel_runs == [31]    # the blocks were built here, not shared
         assert inst.cost.tobytes() == reference_cost_matrix(coords, MetricMode.EXACT).tobytes()
 
     def test_exact_halves_round_up(self):
@@ -194,6 +200,60 @@ class TestArcCost:
             for mode in (MetricMode.EXACT, MetricMode.ROUNDED):
                 inst = make_random_instance(4, 2, seed, mode)
                 assert np.array_equal(inst.cost, inst.cost.T)
+
+
+def cloud_instance(coords, metric=MetricMode.EXACT, capacity=1.0):
+    return Instance.from_coords(coords, paired_loads([1.0] * (len(coords) // 2)), capacity, metric)
+
+
+class TestSharedMatrix:
+    """One read-only EXACT matrix per live coordinate array, with ROUNDED derived from it."""
+
+    def test_equal_points_share_one_read_only_matrix(self, kernel_runs):
+        coords = COST_CLOUDS["unit-square"](np.random.default_rng(101), 21)
+        first = cloud_instance(coords)
+        second = cloud_instance(coords.copy(), capacity=2.0)
+        assert second.cost is first.cost
+        assert kernel_runs == [21]
+        with pytest.raises(ValueError, match="read-only"):
+            first.cost[0, 1] = 0.0
+
+    @pytest.mark.parametrize("kind", sorted(COST_CLOUDS))
+    def test_rounded_is_derived_from_a_live_exact_matrix(self, kernel_runs, kind):
+        coords = COST_CLOUDS[kind](np.random.default_rng(102), 61)
+        exact = cloud_instance(coords)
+        rounded = cloud_instance(coords, MetricMode.ROUNDED)
+        assert kernel_runs == [61]
+        assert rounded.cost.tobytes() == reference_cost_matrix(coords, MetricMode.ROUNDED).tobytes()
+        assert not rounded.cost.flags.writeable
+        assert exact.cost.tobytes() == reference_cost_matrix(coords, MetricMode.EXACT).tobytes()
+
+    def test_no_matrix_outlives_its_last_holder(self, kernel_runs):
+        coords = COST_CLOUDS["integer-grid"](np.random.default_rng(103), 11)
+        holder = cloud_instance(coords)
+        matrix = weakref.ref(holder.cost)
+        del holder
+        assert matrix() is None
+        cloud_instance(coords)
+        assert kernel_runs == [11, 11]
+
+    def test_signed_zeros_never_share_a_matrix(self, kernel_runs):
+        # the distances are equal; the float64 coordinates are not, bit for bit
+        positive = cloud_instance([(0.0, 2.0), (5.0, 7.0), (1.0, 3.0)])
+        negative = cloud_instance([(-0.0, 2.0), (5.0, 7.0), (1.0, 3.0)])
+        assert negative.cost is not positive.cost
+        assert kernel_runs == [3, 3]
+        assert negative.cost.tobytes() == positive.cost.tobytes()
+
+    def test_kernel_runs_once_per_point_set(self, kernel_runs, tmp_path):
+        source = make_random_instance(7, 3.0, seed=104)
+        assert instance_from_text(instance_to_text(source)).cost is source.cost
+        assert kernel_runs == [15]
+        # one cloud: each direction orders the points its own way, and its
+        # five capacities share that order's matrix
+        (tmp_path / "uni031.tsp").write_text((CORPUS_DIR / "uni031.tsp").read_text())
+        run_corpus(ExperimentConfig(tmp_path, capacities=(2, 4, 6, 8, 10)))
+        assert kernel_runs == [15, 31, 31]
 
 
 class TestTourCost:

@@ -227,20 +227,22 @@ class TestDistanceParity:
     """Every distance is ``math.hypot`` of the coordinate differences, bit for bit."""
 
     @pytest.mark.parametrize("source", sorted(PARITY_SOURCES))
-    def test_matrix_cells_match_math_hypot(self, source):
+    def test_matrix_cells_match_math_hypot(self, kernel_runs, source):
         # 709 points: 250,986 distinct pairs a source, over a million in all
         coords = PARITY_SOURCES[source](np.random.default_rng(12), 709)
         inst = Instance.from_coords(coords, paired_loads([1.0] * 354), 1.0)
+        assert kernel_runs == [709]
         assert inst.cost.tobytes() == reference_cost_matrix(coords, MetricMode.EXACT).tobytes()
 
     @pytest.mark.parametrize("mode", list(MetricMode))
     @pytest.mark.parametrize("a, b", EDGE_PAIRS)
-    def test_edge_cells_match_math_hypot(self, a, b, mode):
+    def test_edge_cells_match_math_hypot(self, kernel_runs, a, b, mode):
         expected = math.hypot(a[0] - b[0], a[1] - b[1])
         if mode is MetricMode.ROUNDED:
             expected = math.floor(expected + 0.5) if math.isfinite(expected) else expected
         assert distance(a, b, mode).hex() == float(expected).hex()
         assert distance(b, a, mode).hex() == float(expected).hex()
+        assert kernel_runs == [2, 2]    # no matrix outlived its distance
 
     def test_cloud_of_edge_points_matches_reference(self):
         # every edge point in one block, next to ordinary ones
@@ -252,4 +254,4 @@ class TestDistanceParity:
         # one-row blocks where a row is longer than the budget; EXACT only,
         # since the reference cannot round an infinite distance
         monkeypatch.setattr(tsplib, "DISTANCE_BLOCK", budget)
-        assert cost_matrix(EDGE_CLOUD, MetricMode.EXACT).tobytes() == EDGE_REFERENCE.tobytes()
+        assert tsplib._distances(EDGE_CLOUD).tobytes() == EDGE_REFERENCE.tobytes()
