@@ -146,9 +146,9 @@ def _hypot(work: np.ndarray, n: int) -> np.ndarray:
     return h
 
 
-# (coordinate bytes, weak reference) of the last EXACT matrix built: one
-# tuple, so that no reader pairs one build's key with another's matrix
-_last = (b"", lambda: None)
+# per metric, (coordinate bytes, weak reference) of the last matrix built:
+# one tuple, so that no reader pairs one build's key with another's matrix
+_last = {mode: (b"", lambda: None) for mode in MetricMode}
 
 
 def cost_matrix(coords: np.ndarray, mode: MetricMode) -> np.ndarray:
@@ -157,25 +157,24 @@ def cost_matrix(coords: np.ndarray, mode: MetricMode) -> np.ndarray:
     A cell is ``math.hypot`` of its two float coordinate differences, bit
     for bit, so the EXACT golden tables stay put; a ROUNDED cell is the
     EXACT ``d`` rounded half up, ``floor(d + 0.5)``.  The matrix is
-    read-only: while the last EXACT matrix built is alive, the same float64
-    coordinates, bit for bit, get that matrix back, or their ROUNDED one
-    derived from it, without :func:`_distances`.  It is held weakly, so no
-    matrix outlives the instances that hold it.
+    read-only: while the last matrix built under a metric is alive, the same
+    float64 coordinates, bit for bit, get that matrix back.  A ROUNDED
+    matrix is derived from the EXACT one, got the same way, so a ROUNDED
+    request runs :func:`_distances` only when neither matrix is alive.  They
+    are held weakly, so no matrix outlives the instances that hold it.
     """
-    global _last
     key = np.asarray(coords, dtype=float).tobytes()
-    last_key, last_ref = _last
-    exact = last_ref() if last_key == key else None
-    if exact is None:
-        exact = _distances(coords)
-        exact.flags.writeable = False
-        _last = key, weakref.ref(exact)
-    if mode is MetricMode.EXACT:
-        return exact
-    rounded = exact + 0.5
-    np.floor(rounded, out=rounded)
-    rounded.flags.writeable = False
-    return rounded
+    last_key, last_ref = _last[mode]
+    matrix = last_ref() if last_key == key else None
+    if matrix is None:
+        if mode is MetricMode.EXACT:
+            matrix = _distances(coords)
+        else:
+            matrix = cost_matrix(coords, MetricMode.EXACT) + 0.5
+            np.floor(matrix, out=matrix)
+        matrix.flags.writeable = False
+        _last[mode] = key, weakref.ref(matrix)
+    return matrix
 
 
 def _distances(coords: np.ndarray) -> np.ndarray:

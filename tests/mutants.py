@@ -30,6 +30,7 @@ NNH = "src/mpdtsp/nearest_neighbor.py"
 CIH = "src/mpdtsp/cheapest_insertion.py"
 BENCH = "src/mpdtsp/bench.py"
 TSPLIB = "src/mpdtsp/tsplib.py"
+GENERATE = "src/mpdtsp/generate.py"
 BLOCK_CHECK = ("tests/test_properties.py", "-k", "block_check")
 AT_LOAD_LIMIT = ("tests/test_load_unit.py", "-k", "exactly_load_limit")
 BLOCK_SIZES = ("tests/test_cheapest_insertion.py", "-k", "block_cells_allow")
@@ -39,6 +40,7 @@ VALIDATE_REPORT = ("tests/test_model.py", "-k", "report_names_each_violation")
 HYPOT_PARITY = ("tests/test_tsplib.py", "-k", "match_math_hypot")
 CIH_REFERENCE = ("tests/test_cheapest_insertion.py", "-k", "every_step_matches_the_reference")
 SHARED_MATRIX = ("tests/test_model.py", "-k", "SharedMatrix")
+GENERATE_TESTS = ("tests/test_generate.py",)
 
 
 def bench_tests(keywords: str) -> tuple[str, ...]:
@@ -110,22 +112,46 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
     ("shared matrix: the cache key ignored", TSPLIB,
      "last_ref() if last_key == key else None", "last_ref() if True else None", SHARED_MATRIX),
     ("shared matrix: the read-only flag dropped", TSPLIB,
-     "        exact.flags.writeable = False\n", "", SHARED_MATRIX),
+     "        matrix.flags.writeable = False\n", "", SHARED_MATRIX),
     ("shared matrix: ROUNDED's + 0.5 dropped", TSPLIB,
-     "rounded = exact + 0.5", "rounded = exact + 0.0", SHARED_MATRIX),
+     "cost_matrix(coords, MetricMode.EXACT) + 0.5", "cost_matrix(coords, MetricMode.EXACT) + 0.0",
+     SHARED_MATRIX),
     ("shared matrix: the weak reference made strong", TSPLIB,
-     "_last = key, weakref.ref(exact)", "_last = key, lambda: exact",
+     "_last[mode] = key, weakref.ref(matrix)", "_last[mode] = key, lambda: matrix",
      ("tests/test_model.py", "-k", "outlives_its_last_holder")),
+    ("shared matrix: a live ROUNDED matrix not handed back", TSPLIB,
+     "last_ref() if last_key == key else None",
+     "last_ref() if last_key == key and mode is MetricMode.EXACT else None", SHARED_MATRIX),
+    ("shared matrix: one entry for both metrics", TSPLIB,
+     "_last[mode] = key, weakref.ref(matrix)",
+     "_last[MetricMode.EXACT] = _last[MetricMode.ROUNDED] = key, weakref.ref(matrix)", SHARED_MATRIX),
+    # generate: the ranking's tie rule and the pairing of ranks
+    ("generate: ties ranked by numpy's default, unstable sort", GENERATE,
+     'np.argsort(d2, kind="stable")', "np.argsort(d2)", GENERATE_TESTS),
+    ("generate: the rank after the middle one dropped", GENERATE,
+     "rest.pop(len(rest) // 2)", "rest.pop(len(rest) // 2 + 1)", GENERATE_TESTS),
+    ("generate: the outer ranks paired without reversal", GENERATE,
+     "outer = rest[n:][::-1]", "outer = rest[n:]", GENERATE_TESTS),
     # exact.brute_force
     ("brute_force leaves out the closing arc", EXACT,
      "zip(tour.T[:-1], tour.T[1:])", "zip(tour.T[:-2], tour.T[1:-1])", PLAIN_ENUMERATION),
     ("brute_force takes the last minimum instead of the first", EXACT,
      "best = int(cost.argmin())", "best = len(cost) - 1 - int(cost[::-1].argmin())", PLAIN_ENUMERATION),
+    ("precedence orders: the precedence mask dropped", EXACT,
+     "        free[:, n_pairs:] &= placed[:, :n_pairs]  # a delivery waits for its pickup\n", "",
+     ("tests/test_exact.py", "-k", "PrecedenceOrders")),
+    # exact.held_karp: the layer chunks
+    ("held_karp: each layer chunk one move short", EXACT,
+     "hi = lo + per_chunk", "hi = lo + per_chunk - 1",
+     ("tests/test_golden_exact.py", "-k", "chunks")),
+    ("held_karp: the chunk cap multiplied, not divided: a layer in one chunk", EXACT,
+     "LAYER_CHUNK_CELLS // width", "LAYER_CHUNK_CELLS * width",
+     ("tests/test_exact.py", "-k", "peak")),
     # the capacity gate at exactly load_limit
     ("NNH: a load of exactly load_limit refused", NNH,
      "instance.loads <= instance.load_limit", "instance.loads < instance.load_limit", AT_LOAD_LIMIT),
     ("held_karp: a pickup to exactly load_limit refused", EXACT,
-     "load + item[k] <= upper", "load + item[k] < upper", AT_LOAD_LIMIT),
+     "load + item <= upper", "load + item < upper", AT_LOAD_LIMIT),
     ("CIH: a slot at exactly load_limit outside the window", CIH,
      "searchsorted(rev_cummax)", 'searchsorted(rev_cummax, side="right")', AT_LOAD_LIMIT),
     # CIH's choice and insertion step

@@ -41,6 +41,19 @@ class TestRanking:
         cloud = cloud_of([(0, 0), (2, 0), (0, 2), (2, 2)])
         assert rank_by_centroid(cloud) == [1, 2, 3, 4]
 
+    def test_ties_on_two_integer_circles_rank_by_file_index(self):
+        # the 20 integer points at distance 25 from the origin and the 36 at
+        # 65, in shuffled file order; the origin is their centroid, and an
+        # unstable sort of 56 keys with this many ties scrambles them
+        circles = [(x, y) for r in (25, 65) for x in range(-r, r + 1) for y in range(-r, r + 1)
+                   if x * x + y * y == r * r]
+        coords = np.array(circles, dtype=float)[np.random.default_rng(25).permutation(len(circles))]
+        cloud = cloud_of(coords)
+        assert len(cloud) == 56 and centroid(cloud) == (0.0, 0.0)
+        square = coords[:, 0] ** 2 + coords[:, 1] ** 2
+        ranked = rank_by_centroid(cloud)
+        assert ranked == [*np.flatnonzero(square == 25**2) + 1, *np.flatnonzero(square == 65**2) + 1]
+
 
 class TestGenerate:
     def spec(self, direction=Direction.PICKUPS_CENTRAL, q=2):

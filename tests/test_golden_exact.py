@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mpdtsp import Instance, MetricMode, held_karp, paired_loads
+from mpdtsp import Instance, MetricMode, exact, held_karp, paired_loads
 
 GOLDEN = Path(__file__).with_name("golden_exact.json")
 
@@ -75,6 +75,17 @@ def test_table_covers_every_case(golden):
 @pytest.mark.parametrize("metric,kind,n,q", CASES, ids=[case_key(*case) for case in CASES])
 def test_optimum_matches_golden(golden, metric, kind, n, q):
     assert entry(metric, kind, n, q) == golden[case_key(metric, kind, n, q)]
+
+
+def test_small_layer_chunks_change_no_optimum(monkeypatch):
+    # 256 cells hold 12 moves of a 10-pair layer, so the middle layers at 10
+    # pairs split into thousands of chunks; no 2-pair layer splits
+    instances = [golden_instance(*case) for case in CASES]
+    default = [held_karp(instance) for instance in instances]
+    monkeypatch.setattr(exact, "LAYER_CHUNK_CELLS", 256)
+    for case, instance, tour in zip(CASES, instances, default):
+        chunked = held_karp(instance)
+        assert (chunked.sequence, chunked.cost.hex()) == (tour.sequence, tour.cost.hex()), case
 
 
 def record() -> None:

@@ -228,6 +228,15 @@ class TestSharedMatrix:
         assert not rounded.cost.flags.writeable
         assert exact.cost.tobytes() == reference_cost_matrix(coords, MetricMode.EXACT).tobytes()
 
+    def test_a_live_rounded_matrix_is_handed_back(self, kernel_runs):
+        coords = COST_CLOUDS["integer-grid"](np.random.default_rng(105), 21)
+        first = cloud_instance(coords, MetricMode.ROUNDED)
+        second = cloud_instance(coords.copy(), MetricMode.ROUNDED, capacity=2.0)
+        assert second.cost is first.cost
+        # the EXACT matrix it was derived from is gone, so EXACT runs the kernel again
+        assert cloud_instance(coords).cost is not first.cost
+        assert kernel_runs == [21, 21]
+
     def test_no_matrix_outlives_its_last_holder(self, kernel_runs):
         coords = COST_CLOUDS["integer-grid"](np.random.default_rng(103), 11)
         holder = cloud_instance(coords)
@@ -235,6 +244,15 @@ class TestSharedMatrix:
         del holder
         assert matrix() is None
         cloud_instance(coords)
+        assert kernel_runs == [11, 11]
+
+    def test_no_rounded_matrix_outlives_its_last_holder(self, kernel_runs):
+        coords = COST_CLOUDS["integer-grid"](np.random.default_rng(103), 11)
+        holder = cloud_instance(coords, MetricMode.ROUNDED)
+        matrix = weakref.ref(holder.cost)
+        del holder
+        assert matrix() is None
+        cloud_instance(coords, MetricMode.ROUNDED)
         assert kernel_runs == [11, 11]
 
     def test_signed_zeros_never_share_a_matrix(self, kernel_runs):
@@ -254,6 +272,9 @@ class TestSharedMatrix:
         (tmp_path / "uni031.tsp").write_text((CORPUS_DIR / "uni031.tsp").read_text())
         run_corpus(ExperimentConfig(tmp_path, capacities=(2, 4, 6, 8, 10)))
         assert kernel_runs == [15, 31, 31]
+        # ROUNDED: each direction's first capacity derives the matrix the other four share
+        run_corpus(ExperimentConfig(tmp_path, capacities=(2, 4, 6, 8, 10), metric=MetricMode.ROUNDED))
+        assert kernel_runs == [15, 31, 31, 31, 31]
 
 
 class TestTourCost:

@@ -126,7 +126,7 @@ def test_held_karp_is_never_above_a_depot_start_tour(instance, data):
             depot_tours.append(build(instance, 0))
         except MultiStartError:
             pass
-    order = data.draw(st.sampled_from(list(precedence_orders(instance.n_pairs))))
+    order = data.draw(st.sampled_from(precedence_orders(instance.n_pairs).tolist()))
     if validate(instance, (0, *order, 0)).feasible:
         depot_tours.append((0, *order, 0))
     for tour in filter(None, depot_tours):
