@@ -8,9 +8,11 @@ what is on board.  Layer t holds the codes of t visited nodes whose load fits,
 and each layer is expanded into the next by a fixed handful of numpy calls:
 one ``nonzero`` over a (node x code) gate finds every move, a sort gives the
 next layer's codes, and the moves' costs are gathered, added and
-``argmin``-ed in chunks of at most :data:`LAYER_CHUNK_CELLS` cells.  Only two
-layers of costs are kept, plus a small parent table per layer for reading the
-tour back.  It is the ground truth up to :data:`HELD_KARP_PAIR_LIMIT` pairs.
+``argmin``-ed in chunks of at most :data:`LAYER_CHUNK_CELLS` cells.  The
+chunks' scratch is allocated once per call, and every chunk of every layer
+writes a prefix of it.  Only two layers of costs are kept, plus a small parent
+table per layer for reading the tour back.  It is the ground truth up to
+:data:`HELD_KARP_PAIR_LIMIT` pairs.
 
 ``brute_force`` enumerates every interior order in which each pickup precedes
 its delivery, a position at a time, and judges all of them in one block check,
@@ -27,15 +29,16 @@ import numpy as np
 
 from .model import Instance, Tour, feasible_rows
 
-#: 12 pairs took 0.11-0.13 s and 11 MiB of peak RSS at Q=2, and 1.3-1.4 s and
-#: 56 MiB at Q=12, where all 531,441 codes fit (2-core Xeon VM, BENCH_25.json)
+#: 12 pairs took 0.07-0.08 s and a traced peak of 11 MiB at Q=2, and 0.8-0.9 s
+#: and 56 MiB at Q=12, where all 531,441 codes fit (2-core Xeon VM, BENCH_26.json)
 HELD_KARP_PAIR_LIMIT = 12
 
 #: factorial growth caps the enumeration oracle much earlier
 BRUTE_FORCE_PAIR_LIMIT = 4
 
 #: (move x node) cells one chunk of a held_karp layer lays out; its two
-#: float64 gathers, of path costs and of arc costs, take 128 KiB each
+#: float64 gathers, of path costs and of arc costs, write into a scratch of
+#: 128 KiB each that is allocated once per call, not once per layer
 LAYER_CHUNK_CELLS = 1 << 14
 
 
@@ -68,6 +71,8 @@ def held_karp(instance: Instance) -> Tour | None:
     row = np.empty(3**n, dtype=np.int32)  # row[code]: its row in the layer just built
     per_chunk = max(1, LAYER_CHUNK_CELLS // width)
     first = np.arange(0, per_chunk * width, width)  # flat index of each chunk row's cell 0
+    # one chunk's path costs and arc costs, for every chunk of every layer
+    paths, arcs = np.empty((2, per_chunk, width))
 
     # acc[i, u]: cheapest path from the depot through the visits of codes[i]
     # that stands at node u (inf where it cannot); layer 0 stands at the depot
@@ -96,9 +101,8 @@ def held_karp(instance: Instance) -> Tour | None:
         del node, new
         nxt = np.full((len(codes), width), np.inf)
         parent = np.zeros((len(codes), width), dtype=np.int8)
-        # one chunk's path costs and arc costs; "clip" only spares np.take a
-        # buffer, as every index is in range
-        paths, arcs = np.empty((2, min(per_chunk, len(src)), width))
+        # each chunk writes a prefix of the scratch; "clip" only spares
+        # np.take a buffer, as every index is in range
         for lo in range(0, len(src), per_chunk):
             hi = lo + per_chunk
             u, v, at = src[lo:hi], target[lo:hi], cell[lo:hi]

@@ -147,6 +147,9 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
     ("held_karp: the chunk cap multiplied, not divided: a layer in one chunk", EXACT,
      "LAYER_CHUNK_CELLS // width", "LAYER_CHUNK_CELLS * width",
      ("tests/test_exact.py", "-k", "peak")),
+    ("held_karp: path costs and arc costs gathered into one shared buffer", EXACT,
+     "paths, arcs = np.empty((2, per_chunk, width))", "paths = arcs = np.empty((per_chunk, width))",
+     ("tests/test_golden_exact.py",)),
     # the capacity gate at exactly load_limit
     ("NNH: a load of exactly load_limit refused", NNH,
      "instance.loads <= instance.load_limit", "instance.loads < instance.load_limit", AT_LOAD_LIMIT),
@@ -158,6 +161,9 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
     ("CIH: a tie goes to the last cell", CIH,
      "np.minimum.reduceat(np.where(ratio == np.repeat(best, per_row), cell, cells)",
      "np.maximum.reduceat(np.where(ratio == np.repeat(best, per_row), cell, -1)", CIH_REFERENCE),
+    ("CIH: every row's start offset by the first row's width, not its own", CIH,
+     "row_start = per_row.cumsum() - per_row", "row_start = per_row.cumsum() - per_row[0]",
+     CIH_REFERENCE),
     ("CIH: precedence gate dropped", CIH,
      "    np.maximum(left[:, n_pairs + 1 :], first[:, 1 : n_pairs + 1], out=left[:, n_pairs + 1 :])\n",
      "", CIH_REFERENCE),

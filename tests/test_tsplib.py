@@ -1,4 +1,9 @@
 import math
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -255,3 +260,57 @@ class TestDistanceParity:
         # since the reference cannot round an infinite distance
         monkeypatch.setattr(tsplib, "DISTANCE_BLOCK", budget)
         assert tsplib._distances(EDGE_CLOUD).tobytes() == EDGE_REFERENCE.tobytes()
+
+
+#: from the oldest Python pyproject.toml admits to the newest checked; the
+#: running one is checked in-process above
+PYTHON_VERSIONS = ("3.10", "3.11", "3.12", "3.13")
+RUNNING_VERSION = "{}.{}".format(*sys.version_info)
+
+#: stdlib-only: math.hypot of every (row, column) coordinate difference of
+#: each cloud, the clouds' point counts in argv and their coordinates on stdin
+HYPOT_CHILD = """\
+import math, sys
+from array import array
+xy, out, start = array("d", sys.stdin.buffer.read()), array("d"), 0
+for m in map(int, sys.argv[1:]):
+    x, y = xy[start : start + 2 * m : 2], xy[start + 1 : start + 2 * m : 2]
+    out.extend(math.hypot(a - b, c - d) for a, c in zip(x, y) for b, d in zip(x, y))
+    start += 2 * m
+sys.stdout.buffer.write(out.tobytes())
+"""
+
+
+def installed_python(version: str) -> str | None:
+    """An interpreter of this version from pyenv's versions directory, else from PATH."""
+    versions = Path(os.environ.get("PYENV_ROOT", Path.home() / ".pyenv")) / "versions"
+    for home in sorted(versions.glob(f"{version}.*"), reverse=True):
+        if (home / "bin" / "python3").is_file():
+            return str(home / "bin" / "python3")
+    found = shutil.which(f"python{version}")
+    # a pyenv shim runs whichever version pyenv selects, or fails
+    return None if found is None or Path(found).parent.name == "shims" else found
+
+
+def hypot_parity_clouds() -> list[np.ndarray]:
+    """25,600 cells of each kind: integer, unit-square, and 25 clouds of 32
+    points at scales 1e-300, 1e-275, ..., 1e300, so differences span them all."""
+    rng = np.random.default_rng(26)
+    wide = [rng.uniform(-1, 1, (32, 2)) * 10.0**e for e in np.linspace(-300, 300, 25).astype(int)]
+    return [rng.integers(-1000, 1000, (160, 2)).astype(float), rng.random((160, 2)), *wide]
+
+
+@pytest.mark.parametrize("version", [v for v in PYTHON_VERSIONS if v != RUNNING_VERSION])
+def test_kernel_matches_other_interpreters_math_hypot(version):
+    python = installed_python(version)
+    if python is None:
+        pytest.skip(f"no Python {version} found")
+    clouds = hypot_parity_clouds()
+    result = subprocess.run(
+        [python, "-I", "-c", HYPOT_CHILD, *(str(len(c)) for c in clouds)],
+        input=np.concatenate(clouds).tobytes(), capture_output=True, check=True)
+    theirs = np.frombuffer(result.stdout, dtype=np.float64)
+    ours = np.concatenate([cost_matrix(c, MetricMode.EXACT).ravel() for c in clouds])
+    assert theirs.size == ours.size == 3 * 25_600
+    mismatched = np.flatnonzero(theirs.view(np.uint64) != ours.view(np.uint64))
+    assert mismatched.size == 0, f"{mismatched.size} cells differ, first at flat index {mismatched[:1]}"
