@@ -2,7 +2,7 @@
 
 Verbs: inspect, generate, solve, exact, validate, bench, compare.
 Exit codes: 0 success, 1 domain infeasibility, 2 usage error, 3 internal
-invariant failure.
+error (a broken invariant or any other unexpected exception).
 """
 
 from __future__ import annotations
@@ -261,6 +261,8 @@ def _cmd_compare(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(message)s")
+    if hasattr(sys.stdout, "reconfigure"):  # a console that lacks a character shows an escape
+        sys.stdout.reconfigure(errors="backslashreplace")
     parser = _parser()
     try:
         args = parser.parse_args(argv)
@@ -274,8 +276,8 @@ def main(argv: list[str] | None = None) -> int:
     except (TsplibParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except RuntimeError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception as exc:  # a bug, which must not exit 1 as infeasibility does
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -13,7 +13,7 @@ the cheapest ratio.
 :func:`check_block` checks each finished block at once:
 :func:`~mpdtsp.model.feasible_rows` applies the rules of
 :func:`~mpdtsp.model.validate` to every row in one numpy pass, and each cost
-total must be the sum of its tour's arcs.
+total must match :func:`~mpdtsp.model.arc_sums`, the one sum of a tour's arcs.
 :func:`run_multistart` keeps the cheapest finished tour, with ties broken by
 the lowest start id so results never depend on evaluation order.
 """
@@ -25,7 +25,7 @@ from typing import Callable, ClassVar, Iterable
 
 import numpy as np
 
-from .model import Instance, InfeasibleInstanceError, Tour, feasible_rows, validate
+from .model import Instance, InfeasibleInstanceError, Tour, arc_sums, feasible_rows, validate
 
 
 class MultiStartError(Exception):
@@ -67,8 +67,8 @@ class Block:
     """The partial tours of every live start, one row each, all of one length.
 
     Row r is start ``inits[r]``: tour ``tour[r, :size]``, load on board
-    ``payload[r]``, cost so far ``total[r]``.  ``ROWS`` names the arrays that
-    hold one row per start, which a stalled row leaves.
+    ``payload[r]``, cost ``total[r]`` (NNH's is set once closed).  ``ROWS``
+    names the arrays that hold one row per start, which a stalled row leaves.
     """
 
     ROWS: ClassVar[tuple[str, ...]] = ("inits", "tour", "payload", "total")
@@ -183,10 +183,9 @@ def check_block(instance: Instance, block: Block) -> None:
             f"constructed tour violates the constraint system ({detail}); "
             "this is an implementation bug, not a data problem"
         )
-    arcs = instance.cost[block.tour[:, :-1], block.tour[:, 1:]].sum(axis=1)
-    # the builder adds the same arcs in another order (CIH also subtracts the
-    # arcs it splices), so the two agree to rounding, not bit for bit: within
-    # 1e-9 of the arc sum, which lets an all-zero tour through exactly
+    arcs = arc_sums(instance, block.tour)
+    # NNH's total is this sum; CIH's, added and subtracted splice by splice,
+    # agrees to rounding: within 1e-9 of it, which lets an all-zero tour through
     off = np.abs(block.total - arcs) > 1e-9 * arcs
     if off.any():
         r = off.argmax()

@@ -15,10 +15,10 @@ table per layer for reading the tour back.  It is the ground truth up to
 :data:`HELD_KARP_PAIR_LIMIT` pairs.
 
 ``brute_force`` enumerates every interior order in which each pickup precedes
-its delivery, a position at a time, and judges all of them in one block check,
-:func:`~mpdtsp.model.feasible_rows`; it is deliberately independent of the
-dynamic program so the two can check each other.  It stops at
-:data:`BRUTE_FORCE_PAIR_LIMIT` pairs.
+its delivery, a position at a time, then judges and costs them all at once
+(:func:`~mpdtsp.model.feasible_rows`, :func:`~mpdtsp.model.arc_sums`); it is
+deliberately independent of the dynamic program so the two can check each
+other.  It stops at :data:`BRUTE_FORCE_PAIR_LIMIT` pairs.
 
 Both return ``None`` when the instance provably admits no tour.
 """
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import Instance, Tour, feasible_rows
+from .model import Instance, Tour, arc_sums, feasible_rows
 
 #: 12 pairs took 0.07-0.08 s and a traced peak of 11 MiB at Q=2, and 0.8-0.9 s
 #: and 56 MiB at Q=12, where all 531,441 codes fit (2-core Xeon VM, BENCH_26.json)
@@ -152,11 +152,10 @@ def brute_force(instance: Instance) -> Tour | None:
     """Optimal depot-rooted tour by full enumeration through the block check.
 
     Every precedence-respecting order, closed at the depot, is one row of a
-    block that :func:`feasible_rows` judges at once.  The arcs are summed
-    position by position, left to right, so each cost has the bits of
-    :func:`~mpdtsp.model.tour_cost`.  Ties on cost resolve to the
-    lexicographically smallest sequence: the orders come in lexicographic
-    order and numpy's ``argmin`` returns the first minimum.
+    block that :func:`feasible_rows` judges and :func:`arc_sums` costs at
+    once, with the bits of :func:`~mpdtsp.model.tour_cost`.  Ties on cost go
+    to the lexicographically smallest sequence: the orders come in
+    lexicographic order and numpy's ``argmin`` returns the first minimum.
     """
     n = instance.n_pairs
     if n > BRUTE_FORCE_PAIR_LIMIT:
@@ -169,8 +168,6 @@ def brute_force(instance: Instance) -> Tour | None:
     tour = tour[feasible_rows(instance, tour[:, 0], tour)]
     if not tour.size:
         return None
-    cost = np.zeros(len(tour))
-    for a, b in zip(tour.T[:-1], tour.T[1:]):
-        cost += instance.cost[a, b]
+    cost = arc_sums(instance, tour)
     best = int(cost.argmin())
     return Tour(tuple(tour[best].tolist()), float(cost[best]))

@@ -19,7 +19,7 @@ from typing import Mapping
 import numpy as np
 
 from .model import Instance, Tour
-from .tsplib import MetricMode
+from .tsplib import MetricMode, read_utf8
 
 
 def _role_and_pair(node: int, n: int) -> tuple[str, int]:
@@ -95,9 +95,9 @@ def instance_from_text(text: str, name: str = "") -> Instance:
 
 
 def write_text(path: str | Path, kind: str, text: str) -> None:
-    """Write ``text`` with LF line endings; an OSError names the kind of file and its path."""
+    """Write ``text`` as UTF-8 with LF line endings; an OSError names the kind of file and its path."""
     try:
-        Path(path).write_text(text, newline="\n")
+        Path(path).write_text(text, encoding="utf-8", newline="\n")
     except OSError as exc:
         raise OSError(f"cannot write {kind} to {path}: {exc}") from exc
 
@@ -108,7 +108,7 @@ def write_instance(instance: Instance, path: str | Path) -> None:
 
 def read_instance(path: str | Path) -> Instance:
     path = Path(path)
-    return instance_from_text(_read_text(path), name=path.stem)
+    return instance_from_text(read_utf8(path), name=path.stem)
 
 
 def write_tour(tour: Tour, path: str | Path) -> None:
@@ -118,7 +118,7 @@ def write_tour(tour: Tour, path: str | Path) -> None:
 def read_tour_sequence(path: str | Path) -> list[int]:
     """Raw visit sequence from a tour file; validation is the caller's job."""
     out = []
-    for lineno, raw in enumerate(_read_text(Path(path)).splitlines(), start=1):
+    for lineno, raw in enumerate(read_utf8(Path(path)).splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -127,13 +127,6 @@ def read_tour_sequence(path: str | Path) -> list[int]:
         except ValueError:
             raise ValueError(f"{path}: line {lineno} is not a node id: {line!r}") from None
     return out
-
-
-def _read_text(path: Path) -> str:
-    try:
-        return path.read_text()
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"cannot decode {path}: {exc}") from None
 
 
 def write_sidecar(meta: Mapping[str, str], path: str | Path) -> None:

@@ -11,8 +11,9 @@ The starts grow in :func:`construction.lockstep <mpdtsp.construction.lockstep>`
 blocks.  Its choice step, :func:`nearest`, gates every (start, node) pair for
 precedence and capacity at once and takes, for each start, the argmin of its
 last node's cost row with the gated nodes masked out; a start with no
-admissible node stalls.  :func:`extend` appends every start's choice.  A
-single start (:func:`nnh_from`) is :func:`nnh_best` over that one start.
+admissible node stalls.  :func:`extend` appends every start's choice and
+costs each closed tour by :func:`~mpdtsp.model.arc_sums`.  A single start
+(:func:`nnh_from`) is :func:`nnh_best` over that one start.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .construction import Block, MultiStartResult, run_multistart
-from .model import Instance, Tour, payload_rows
+from .model import Instance, Tour, arc_sums, payload_rows
 
 
 @dataclass(eq=False)
@@ -50,10 +51,9 @@ class NnhBlock(Block):
 
 
 class NearestChoice(NamedTuple):
-    """Each row not ``stalled`` appends ``node`` over an arc costing ``arc``; ``cells`` were scanned."""
+    """Each row not ``stalled`` appends ``node``; ``cells`` were scanned."""
 
     node: np.ndarray
-    arc: np.ndarray
     stalled: np.ndarray
     cells: int
 
@@ -69,23 +69,21 @@ def nearest(instance: Instance, block: NnhBlock) -> NearestChoice:
     admissible[:, n_pairs + 1 :] &= visited[:, 1 : n_pairs + 1]
     arcs = np.where(admissible, instance.cost[block.tour[:, block.size - 1]], np.inf)
     node = arcs.argmin(axis=1)
-    arc = arcs[np.arange(node.size), node]
-    stalled = arc == np.inf
+    stalled = arcs[np.arange(node.size), node] == np.inf
     if np.count_nonzero(stalled):
-        node, arc = node[~stalled], arc[~stalled]
-    return NearestChoice(node, arc, stalled, arcs.size)
+        node = node[~stalled]
+    return NearestChoice(node, stalled, arcs.size)
 
 
 def extend(block: NnhBlock, choice: NearestChoice, instance: Instance) -> NnhBlock:
     """Append every row's chosen node; the block, updated in place, holds no stalled row."""
     node = choice.node
-    block.total += choice.arc
     block.payload += instance.loads[node]
     block.visited[np.arange(node.size), node] = True
     block.tour[:, block.size] = node
     block.size += 1
-    if block.size == instance.node_count:  # close the tour after its last arc
-        block.total += instance.cost[node, block.inits]
+    if block.size == instance.node_count:  # closed, as the closing visit is in place
+        block.total = arc_sums(instance, block.tour)
     return block
 
 

@@ -41,6 +41,7 @@ HYPOT_PARITY = ("tests/test_tsplib.py", "-k", "match_math_hypot")
 CIH_REFERENCE = ("tests/test_cheapest_insertion.py", "-k", "every_step_matches_the_reference")
 SHARED_MATRIX = ("tests/test_model.py", "-k", "SharedMatrix")
 GENERATE_TESTS = ("tests/test_generate.py",)
+C_LOCALE = ("tests/test_cli.py", "-k", "CLocale")
 
 
 def bench_tests(keywords: str) -> tuple[str, ...]:
@@ -132,9 +133,13 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
      "rest.pop(len(rest) // 2)", "rest.pop(len(rest) // 2 + 1)", GENERATE_TESTS),
     ("generate: the outer ranks paired without reversal", GENERATE,
      "outer = rest[n:][::-1]", "outer = rest[n:]", GENERATE_TESTS),
+    # model.arc_sums: the one left-to-right sum of a tour's arcs
+    ("arc sums: the closing arc left out", MODEL,
+     "instance.cost[tours[:, :-1], tours[:, 1:]]", "instance.cost[tours[:, :-2], tours[:, 1:-1]]",
+     PLAIN_ENUMERATION),
+    ("arc sums: added pairwise, not left to right", MODEL,
+     "np.add.accumulate(arcs, axis=1, out=arcs)[:, -1]", "arcs.sum(axis=1)", ("tests/test_arc_sums.py",)),
     # exact.brute_force
-    ("brute_force leaves out the closing arc", EXACT,
-     "zip(tour.T[:-1], tour.T[1:])", "zip(tour.T[:-2], tour.T[1:-1])", PLAIN_ENUMERATION),
     ("brute_force takes the last minimum instead of the first", EXACT,
      "best = int(cost.argmin())", "best = len(cost) - 1 - int(cost[::-1].argmin())", PLAIN_ENUMERATION),
     ("precedence orders: the precedence mask dropped", EXACT,
@@ -210,11 +215,19 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
      '        ("CIH/NNH time ratio quartiles by node count", "{} nodes", summary.time_ratio_by_node_count),\n'
      '        ("cost ratio quartiles by capacity", "Q={}", summary.ratio_by_capacity),\n',
      bench_tests("svg_matches_golden")),
-    # files: an undecodable instance file names itself
-    ("files: instance read without the decode check", "src/mpdtsp/files.py",
-     "instance_from_text(_read_text(path), name=path.stem)",
-     "instance_from_text(path.read_text(), name=path.stem)",
+    # tsplib.read_utf8, every reader's decoding, and files.write_text
+    ("reader: a decode error not named by its file", TSPLIB,
+     "except UnicodeDecodeError as exc:", "except UnicodeEncodeError as exc:",
      ("tests/test_cli.py", "-k", "undecodable_file_is_a_usage_error")),
+    ("reader: the locale's encoding in place of UTF-8", TSPLIB,
+     'path.read_text(encoding="utf-8")', "path.read_text()", C_LOCALE),
+    ("writer: the locale's encoding in place of UTF-8", "src/mpdtsp/files.py",
+     'encoding="utf-8", newline=', "newline=", C_LOCALE),
+    # cli.main: every exception has its exit code
+    ("cli: an unexpected exception escapes main", "src/mpdtsp/cli.py",
+     "except Exception as exc:", "except RuntimeError as exc:", ("tests/test_cli.py", "-k", "InternalError")),
+    ("cli: a character the console lacks fails the print", "src/mpdtsp/cli.py",
+     'sys.stdout.reconfigure(errors="backslashreplace")', "pass", C_LOCALE),
 ]
 
 

@@ -7,7 +7,8 @@ check every greedy choice against them.  :func:`reference_payload` restates
 the start-event rule one visit at a time.  :func:`reference_cih_from` is the
 per-start cheapest-insertion builder that the lock-step block replaced, with
 its cached ratio matrix.  :func:`reference_cost_matrix` derives arc costs one
-node pair at a time.
+node pair at a time, and :func:`reference_tour_cost` adds a tour's arcs one at
+a time.
 """
 
 from __future__ import annotations
@@ -269,4 +270,16 @@ def reference_cost_matrix(coords, metric: MetricMode) -> np.ndarray:
                 d = float(math.floor(d + 0.5))
             cost[i, j] = d
             cost[j, i] = d
+    return cost
+
+
+def reference_tour_cost(instance: Instance, seq) -> float:
+    """The cost of a closed sequence of physical ids, one arc at a time, left to right.
+
+    The builtin ``sum`` would not do: from Python 3.12 it compensates the
+    rounding of floats, so its bits are not a left-to-right sum.
+    """
+    cost = 0.0
+    for a, b in zip(seq, seq[1:]):
+        cost += float(instance.cost[a, b])
     return cost

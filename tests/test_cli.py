@@ -1,6 +1,9 @@
 import argparse
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,6 +11,8 @@ import pytest
 from conftest import CORPUS_DIR, TWO_PAIR_COORDS
 from mpdtsp import (Direction, ExperimentConfig, Instance, MetricMode, ResultRow, bench,
                     paired_loads, write_instance)
+import mpdtsp
+from mpdtsp import cli
 from mpdtsp.cli import _parser, main
 
 
@@ -75,6 +80,41 @@ class TestInspect:
             assert code == 2, argv
             assert f"cannot decode {bad}: " in err
             assert out == ""
+
+
+class TestCLocale:
+    """Every file is read and written as UTF-8, whatever the locale says."""
+
+    #: a C locale with neither of Python's UTF-8 overrides: the locale encoding is ASCII
+    ENV = {"PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}
+
+    def run_module(self, *argv) -> subprocess.CompletedProcess:
+        env = {**os.environ, **self.ENV, "PYTHONPATH": str(Path(mpdtsp.__file__).parents[1])}
+        env.pop("PYTHONIOENCODING", None)
+        return subprocess.run([sys.executable, "-m", "mpdtsp", *map(str, argv)], env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+    def cloud(self, name: bytes) -> bytes:
+        return (b"NAME: " + name + b"\nDIMENSION: 5\nEDGE_WEIGHT_TYPE: EUC_2D\nNODE_COORD_SECTION\n"
+                b"1 0 0\n2 1 0\n3 2 0\n4 3 0\n5 4 1\nEOF\n")
+
+    def test_generate_reads_and_writes_utf8(self, tmp_path):
+        source, out_path = tmp_path / "cafe.tsp", tmp_path / "cafe.inst"
+        source.write_bytes(self.cloud("café".encode()))
+        done = self.run_module("generate", source, "--direction", "pickups-central",
+                               "--capacity", "1", "--out", out_path)
+        assert (done.returncode, done.stderr) == (0, b"")
+        # the console cannot show the name, so it prints an escape instead
+        assert done.stdout.startswith(b"caf\\xe9-pickups-central-Q1: 2 pairs")
+        meta = (tmp_path / "cafe.inst.meta").read_bytes().decode("utf-8")
+        assert "source=café\n" in meta
+
+    def test_a_latin1_byte_is_a_usage_error_naming_the_file(self, tmp_path):
+        source = tmp_path / "latin1.tsp"
+        source.write_bytes(self.cloud("café".encode("latin-1")))
+        done = self.run_module("inspect", source)
+        assert (done.returncode, done.stdout) == (2, b"")
+        assert done.stderr.startswith(f"error: cannot decode {source}: 'utf-8' codec".encode())
 
 
 class TestGenerate:
@@ -226,6 +266,26 @@ class TestExact:
         code, out, _ = run(capsys, "exact", path)
         assert code == 1
         assert "infeasible" in out
+
+
+class TestInternalError:
+    """An exception no other exit code covers is a bug: exit 3, never 1 with a traceback."""
+
+    def test_a_broken_invariant_exits_three(self, capsys, monkeypatch, one_pair_file):
+        def broken(instance):
+            raise RuntimeError("constructed tour violates the constraint system")
+        monkeypatch.setattr(cli, "held_karp", broken)
+        code, out, err = run(capsys, "exact", one_pair_file)
+        assert (code, out) == (3, "")
+        assert err == "internal error: RuntimeError: constructed tour violates the constraint system\n"
+
+    def test_any_other_exception_exits_three(self, capsys, monkeypatch, one_pair_file):
+        def broken(path):
+            raise KeyError("PAIRS")
+        monkeypatch.setattr(cli.files, "read_instance", broken)
+        code, out, err = run(capsys, "exact", one_pair_file)
+        assert (code, out) == (3, "")
+        assert err == "internal error: KeyError: 'PAIRS'\n"
 
 
 class TestNonFiniteInput:
