@@ -261,7 +261,7 @@ def _cmd_compare(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(message)s")
-    if hasattr(sys.stdout, "reconfigure"):  # a console that lacks a character shows an escape
+    if hasattr(sys.stdout, "reconfigure"):  # process-wide, kept after main: a lacking console shows an escape
         sys.stdout.reconfigure(errors="backslashreplace")
     parser = _parser()
     try:

@@ -184,8 +184,8 @@ def check_block(instance: Instance, block: Block) -> None:
             "this is an implementation bug, not a data problem"
         )
     arcs = arc_sums(instance, block.tour)
-    # NNH's total is this sum; CIH's, added and subtracted splice by splice,
-    # agrees to rounding: within 1e-9 of it, which lets an all-zero tour through
+    # NNH's total is this very sum, so this checks only CIH's, added splice by splice:
+    # it agrees to rounding, within 1e-9 (an all-zero tour passes); test_arc_sums.py holds NNH's
     off = np.abs(block.total - arcs) > 1e-9 * arcs
     if off.any():
         r = off.argmax()

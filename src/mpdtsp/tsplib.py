@@ -330,15 +330,15 @@ def parse(text: str) -> PointCloud:
 def parse_file(path: str | Path) -> PointCloud:
     """Parse a TSPLIB file, named by its stem when it has no NAME."""
     path = Path(path)
-    cloud = parse(read_utf8(path, TsplibParseError))
+    cloud = parse(read_utf8(path))
     if not cloud.name:
         cloud = replace(cloud, name=path.stem)
     return cloud
 
 
-def read_utf8(path: Path, error: type[ValueError] = ValueError) -> str:
-    """The text of any file the package reads, as UTF-8 in any locale; ``error`` if it does not decode."""
+def read_utf8(path: Path) -> str:
+    """The text of any file the package reads, as UTF-8 in any locale."""
     try:
         return path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise error(f"cannot decode {path}: {exc}") from None
+        raise TsplibParseError(f"cannot decode {path}: {exc}") from None
