@@ -10,13 +10,15 @@ replaced arc, or over 1 when that arc costs nothing, as in the opening move)
 wins; ties go to the lowest node id, then the earliest slot.
 
 The starts grow in :func:`construction.lockstep <mpdtsp.construction.lockstep>`
-blocks of closed partial tours (:class:`CihBlock`).  Its choice step,
-:func:`best_insertion`, derives every (start, node) window at once, lays the
-in-window cells of all starts out in one flat array, computes each cell's
-ratio afresh and reduces it per start; a start with no cell stalls.
-:func:`apply_insertion` splices every start's choice in at once.  No ratio is
-kept between steps and no cell outside a window is computed.  A single start
-(:func:`cih_from`) is :func:`cih_best` over that one start.
+blocks of closed partial tours (:class:`CihBlock`), which also carry each
+(start, node) precedence floor, the first slot precedence leaves the node.
+The choice step, :func:`best_insertion`, derives every capacity window at
+once, raises it to its floor, lays the in-window cells of all starts out in
+one flat array, computes each cell's ratio afresh and reduces it per start;
+a start with no cell stalls.  :func:`apply_insertion` splices every start's
+choice in at once, adds the cost delta the choice hands over and moves the
+floors past the slot up by one.  No ratio is kept between steps and no cell
+outside a window is computed.  One start (:func:`cih_from`) is a one-row block.
 """
 
 from __future__ import annotations
@@ -35,30 +37,47 @@ class CihBlock(Block):
     """The closed partial tours of every live start (start node doubled).
 
     ``payload[r, :size]`` is the load on board leaving each position of row
-    r.  ``thresholds`` holds the distinct ``load_limit - loads`` ascending,
-    ``level[u]`` node u's index.
+    r.  ``floor[r, u]`` is node u's first slot: its pickup's position for a
+    delivery, 0 for any other node, or ``SHUT`` while u is in the tour or its
+    pickup out.  ``thresholds`` holds the distinct ``load_limit - loads``
+    ascending, ``level[u]`` node u's index; ``opens[u]`` is the delivery a
+    pickup u opens, and u itself for any other node.
     """
+
+    ROWS = Block.ROWS + ("floor",)
+    SHUT = 1 << 40  # past every slot of any tour, and a splice only raises it
 
     thresholds: np.ndarray = field(repr=False)
     level: np.ndarray = field(repr=False)
+    floor: np.ndarray = field(repr=False)
+    opens: np.ndarray = field(repr=False)
 
     @classmethod
     def initial(cls, instance: Instance, starts: list[int]) -> "CihBlock":
-        inits = np.array(starts)
-        tour = np.zeros((inits.size, instance.node_count + 1), dtype=int)
+        n_nodes, n_pairs = instance.node_count, instance.n_pairs
+        inits, row = np.array(starts), np.arange(len(starts))
+        tour = np.zeros((inits.size, n_nodes + 1), dtype=int)
         tour[:, :2] = inits[:, None]
         payload = np.zeros(tour.shape)
         payload[:, :2] = payload_rows(instance, tour[:, :2])
         thresholds, level = np.unique(instance.load_limit - instance.loads, return_inverse=True)
-        return cls(inits, tour, payload, np.zeros(inits.size), 2, thresholds, level)
+        opens = np.arange(n_nodes)
+        opens[1 : n_pairs + 1] += n_pairs
+        # the start stands at position 0; a delivery start opens nothing, as opens[u] = u
+        floor = np.zeros((inits.size, n_nodes), dtype=int)
+        floor[:, n_pairs + 1 :] = cls.SHUT
+        floor[row, opens[inits]] = 0
+        floor[row, inits] = cls.SHUT
+        return cls(inits, tour, payload, np.zeros(inits.size), 2, thresholds, level, floor, opens)
 
 
 class InsertionChoice(NamedTuple):
-    """Each row not ``stalled`` inserts ``node`` after ``slot`` at ``ratio``; ``cells`` were scanned."""
+    """Unless ``stalled``, a row inserts ``node`` after ``slot`` at ``ratio`` for ``delta``; ``cells`` scanned."""
 
     node: np.ndarray
     slot: np.ndarray
     ratio: np.ndarray
+    delta: np.ndarray
     stalled: np.ndarray
     cells: int
 
@@ -69,8 +88,7 @@ def best_insertion(instance: Instance, state: CihBlock) -> InsertionChoice:
     Ties go to the lowest node id, then the earliest slot.
     """
     m, n_rows = state.size, state.inits.size
-    n_nodes, n_pairs = instance.node_count, instance.n_pairs
-    tour = state.tour[:, :m]
+    n_nodes, stride = instance.node_count, state.tour.shape[1]
     row = np.arange(n_rows)[:, None]
 
     # capacity window: node u fits from the first slot after which the payload
@@ -82,40 +100,36 @@ def best_insertion(instance: Instance, state: CihBlock) -> InsertionChoice:
     rank = state.thresholds.searchsorted(rev_cummax) + row * n_levels
     fits = np.bincount(rank.ravel(), minlength=n_rows * n_levels).reshape(n_rows, -1)
     left = m - fits.cumsum(axis=1).take(state.level, axis=1)
+    # precedence, and nodes already in the tour
+    np.maximum(left, state.floor, out=left)
+    width = np.maximum(m - 1 - left, 0).ravel()
 
-    # position of every node (the start at its opening visit), m if absent
-    first = np.full((n_rows, n_nodes), m)
-    first[row, tour[:, :-1]] = np.arange(m - 1)
-    # precedence: a delivery goes strictly after its pickup's position
-    np.maximum(left[:, n_pairs + 1 :], first[:, 1 : n_pairs + 1], out=left[:, n_pairs + 1 :])
-    # nodes already in the tour have no window at all
-    left[row, tour[:, :-1]] = m
-    width = np.maximum(m - 1 - left, 0)
-
-    # the in-window cells in (row, node, slot) order, by arc id r * (m - 1) + slot
-    per_row = width.sum(axis=1)
+    # the in-window cells in (row, node, slot) order; a window ends at the
+    # row's last slot, so its cells are arcs r * stride + slot of the flat tour
+    per_row = width.reshape(n_rows, -1).sum(axis=1)
     stalled = per_row == 0
-    windows = width.ravel().nonzero()[0]
-    counts = width.ravel()[windows]
-    cells = int(per_row.sum())
+    windows = width.nonzero()[0]
+    counts = width[windows]
+    ends = counts.cumsum()
+    cells = int(ends[-1]) if ends.size else 0
     cell = np.arange(cells)
     window_row, window_node = np.divmod(windows, n_nodes)
-    offset = window_row * (m - 1) + left.ravel()[windows] - (counts.cumsum() - counts)
-    arc = cell + np.repeat(offset, counts)
+    arc = cell + np.repeat(window_row * stride + m - 1 - ends, counts)
     node_row = np.repeat(window_node * n_nodes, counts)  # the node's row of the flat matrix
-    a, b = tour[:, :-1].ravel(), tour[:, 1:].ravel()
-    cost = instance.cost.ravel()
+    tour, cost = state.tour.ravel(), instance.cost.ravel()
+    a, b = tour[arc], tour[arc + 1]
     # (c[a,u] + c[u,b]) / c[a,b], or over 1 if c[a,b] is 0; c is symmetric, c[a,u] = c[u,a]
     replaced = cost[a * n_nodes + b]
-    divisor = np.where(replaced > 0.0, replaced, 1.0)
-    ratio = (cost[node_row + a[arc]] + cost[node_row + b[arc]]) / divisor[arc]
+    added = cost[node_row + a] + cost[node_row + b]
+    ratio = added / np.where(replaced > 0.0, replaced, 1.0)
 
     # per row: the lowest ratio, then the first cell that reaches it
     per_row = per_row[~stalled]
     row_start = per_row.cumsum() - per_row
     best = np.minimum.reduceat(ratio, row_start)
     pick = np.minimum.reduceat(np.where(ratio == np.repeat(best, per_row), cell, cells), row_start)
-    return InsertionChoice(node_row[pick] // n_nodes, arc[pick] % (m - 1), best, stalled, cells)
+    delta = added[pick] - replaced[pick]
+    return InsertionChoice(node_row[pick] // n_nodes, arc[pick] % stride, best, delta, stalled, cells)
 
 
 def apply_insertion(state: CihBlock, choice: InsertionChoice, instance: Instance) -> CihBlock:
@@ -126,16 +140,20 @@ def apply_insertion(state: CihBlock, choice: InsertionChoice, instance: Instance
     m = state.size
     row = np.arange(state.inits.size)
     node, slot = choice.node, choice.slot
-    tour, payload, cost = state.tour, state.payload, instance.cost
-    a, b = tour[row, slot], tour[row, slot + 1]
-    state.total += cost[a, node] + cost[node, b] - cost[a, b]
+    tour, payload, floor = state.tour, state.payload, state.floor
+    state.total += choice.delta
 
     # new position j (from 1 on) keeps old position j, or takes j - 1 past the slot
     later = np.arange(1, m + 1) > slot[:, None]
-    tour[:, 1 : m + 1] = np.where(later, tour[:, :m], tour[:, 1 : m + 1])
+    np.copyto(tour[:, 1 : m + 1], tour[:, :m], where=later)
     tour[row, slot + 1] = node
-    shifted = payload[:, :m] + instance.loads[node][:, None]
-    payload[:, 1 : m + 1] = np.where(later, shifted, payload[:, 1 : m + 1])
+    np.copyto(payload[:, 1 : m + 1], payload[:, :m] + instance.loads[node][:, None], where=later)
+    # floors past the slot move with their positions; an inserted pickup opens
+    # its delivery from its own position, unless that delivery is the start
+    floor += floor > slot[:, None]
+    opened = state.opens[node]
+    floor[row, np.where(opened == state.inits, node, opened)] = slot + 1
+    floor[row, node] = state.SHUT
     state.size = m + 1
     return state
 

@@ -81,7 +81,9 @@ def cih_state(instance: Instance, partial) -> CihState:
 
 def splice(block: CihBlock, node: int, slot: int, instance: Instance) -> CihBlock:
     """Insert ``node`` after position ``slot`` in the one row of a lock-step block."""
-    choice = InsertionChoice(np.array([node]), np.array([slot]), np.zeros(1), np.zeros(1, bool), 0)
+    a, b, cost = block.tour[0, slot], block.tour[0, slot + 1], instance.cost
+    delta = np.array([cost[a, node] + cost[node, b] - cost[a, b]])
+    choice = InsertionChoice(np.array([node]), np.array([slot]), np.zeros(1), delta, np.zeros(1, bool), 0)
     return apply_insertion(block, choice, instance)
 
 

@@ -39,6 +39,7 @@ PLAIN_ENUMERATION = ("tests/test_exact.py", "-k", "matches_the_plain_enumeration
 VALIDATE_REPORT = ("tests/test_model.py", "-k", "report_names_each_violation")
 HYPOT_PARITY = ("tests/test_tsplib.py", "-k", "match_math_hypot")
 CIH_REFERENCE = ("tests/test_cheapest_insertion.py", "-k", "every_step_matches_the_reference")
+CIH_FLOOR = ("tests/test_cheapest_insertion.py", "-k", "floor_and_delta")
 SHARED_MATRIX = ("tests/test_model.py", "-k", "SharedMatrix")
 GENERATE_TESTS = ("tests/test_generate.py",)
 C_LOCALE = ("tests/test_cli.py", "-k", "CLocale")
@@ -170,11 +171,15 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
      "row_start = per_row.cumsum() - per_row", "row_start = per_row.cumsum() - per_row[0]",
      CIH_REFERENCE),
     ("CIH: precedence gate dropped", CIH,
-     "    np.maximum(left[:, n_pairs + 1 :], first[:, 1 : n_pairs + 1], out=left[:, n_pairs + 1 :])\n",
-     "", CIH_REFERENCE),
+     "        floor[:, n_pairs + 1 :] = cls.SHUT\n", "", CIH_REFERENCE),
     ("CIH: payload not shifted by the inserted load", CIH,
-     "shifted = payload[:, :m] + instance.loads[node][:, None]", "shifted = payload[:, :m]",
-     CIH_REFERENCE),
+     "payload[:, :m] + instance.loads[node][:, None]", "payload[:, :m]", CIH_REFERENCE),
+    ("CIH: floors past the slot not shifted", CIH,
+     "    floor += floor > slot[:, None]\n", "", CIH_FLOOR),
+    ("CIH: a delivery start reopened by its own pickup", CIH,
+     "np.where(opened == state.inits, node, opened)", "opened", CIH_FLOOR),
+    ("CIH: the splice delta's sign flipped", CIH,
+     "delta = added[pick] - replaced[pick]", "delta = replaced[pick] - added[pick]", CIH_FLOOR),
     # the engine: blocks and stalls
     ("engine: block rows multiplied, not divided", CONSTRUCTION,
      "BLOCK_CELLS // cells_per_start", "BLOCK_CELLS * cells_per_start", BLOCK_SIZES),

@@ -267,6 +267,63 @@ class TestCachedRatios:
             reference_apply_insertion(state, Insertion(0, 0, 0.0), two_pair)
 
 
+def fresh_floors(instance, block):
+    """Each row's precedence floors derived from its tour alone; None marks a shut node."""
+    n = instance.n_pairs
+    floors = []
+    for r in range(block.inits.size):
+        partial = block_partial(block, r)[:-1]  # a start counts at its opening visit
+        row = []
+        for u in range(instance.node_count):
+            if u in partial:
+                row.append(None)  # a delivery start is in its tour, so its pickup opens nothing
+            elif u > n:
+                row.append(partial.index(u - n) if u - n in partial else None)
+            else:
+                row.append(0)
+        floors.append(row)
+    return floors
+
+
+FLOOR_CASES = [(q, metric) for q in (1, 2) for metric in (MetricMode.EXACT, MetricMode.ROUNDED)]
+
+
+class TestCarriedFloor:
+    @pytest.mark.parametrize("q,metric", FLOOR_CASES, ids=[f"Q{q}-{m.value}" for q, m in FLOOR_CASES])
+    def test_floor_and_delta_match_a_fresh_derivation(self, q, metric):
+        # every start of the block (depot, pickups and deliveries) at every step:
+        # the carried floors are the tour's own, and the delta is the splice's
+        inst = grid_instance(5, q, 4, metric)
+        shut = 2 * inst.node_count + 2  # past every slot of a full tour
+        cost = inst.cost.tolist()
+
+        def check_floors(block):
+            floors = fresh_floors(inst, block)
+            for r, row in enumerate(floors):
+                for u, expected in enumerate(row):
+                    carried = int(block.floor[r, u])
+                    assert carried >= shut if expected is None else carried == expected, (block.inits[r], u)
+
+        def choose(instance, block):
+            check_floors(block)
+            choice = best_insertion(instance, block)
+            going = (~choice.stalled).nonzero()[0]
+            for r, u, k, delta in zip(going, choice.node, choice.slot, choice.delta):
+                a, b = block.tour[r, k], block.tour[r, k + 1]
+                assert delta == cost[a][u] + cost[u][b] - cost[a][b]
+            return choice
+
+        def apply(block, choice, instance):
+            check_floors(apply_insertion(block, choice, instance))
+            return block
+
+        tours, stalls, _, _ = construction.lockstep(
+            inst, list(range(inst.node_count)), inst.node_count, CihBlock.initial, choose, apply)
+        assert tours
+        if q == 1:
+            assert any(s > inst.n_pairs for s in stalls)  # stalled rows leave with their floors
+
+
 class TestCihFrom:
     def test_single_pair_forced_order(self, one_pair):
         assert cih_from(one_pair, 0).sequence == (0, 1, 2, 0)
