@@ -11,7 +11,8 @@ wins; ties go to the lowest node id, then the earliest slot.
 
 The starts grow in :func:`construction.lockstep <mpdtsp.construction.lockstep>`
 blocks of closed partial tours (:class:`CihBlock`), which also carry each
-(start, node) precedence floor, the first slot precedence leaves the node.
+(start, node) precedence floor, the first slot precedence leaves the node,
+and the row and node index bases every step reads, built once a block.
 The choice step, :func:`best_insertion`, derives every capacity window at
 once, raises it to its floor, lays the in-window cells of all starts out in
 one flat array, computes each cell's ratio afresh and reduces it per start;
@@ -39,18 +40,26 @@ class CihBlock(Block):
     ``payload[r, :size]`` is the load on board leaving each position of row
     r.  ``floor[r, u]`` is node u's first slot: its pickup's position for a
     delivery, 0 for any other node, or ``SHUT`` while u is in the tour or its
-    pickup out.  ``thresholds`` holds the distinct ``load_limit - loads``
-    ascending, ``level[u]`` node u's index; ``opens[u]`` is the delivery a
-    pickup u opens, and u itself for any other node.
+    pickup out.  ``opens[r, u]`` is the delivery a pickup u opens, or u itself
+    (any other node, and a delivery start's own pickup).  ``thresholds`` holds
+    the distinct ``load_limit - loads`` ascending; ``level[u]`` counts those
+    above node u's.  The index bases, built once, go by a row's position, not
+    its start, so they stay out of ``ROWS`` and hold after a stall compacts
+    the rows: row r bins its ranks down from ``bins[r]``; entry r * N + u of
+    ``arc_base`` is r * stride, r's first cell of the flat tour, and of
+    ``node_base`` u * N, u's row of the flat cost matrix.
     """
 
-    ROWS = Block.ROWS + ("floor",)
+    ROWS = Block.ROWS + ("floor", "opens")
     SHUT = 1 << 40  # past every slot of any tour, and a splice only raises it
 
     thresholds: np.ndarray = field(repr=False)
     level: np.ndarray = field(repr=False)
     floor: np.ndarray = field(repr=False)
     opens: np.ndarray = field(repr=False)
+    bins: np.ndarray = field(repr=False)
+    arc_base: np.ndarray = field(repr=False)
+    node_base: np.ndarray = field(repr=False)
 
     @classmethod
     def initial(cls, instance: Instance, starts: list[int]) -> "CihBlock":
@@ -61,14 +70,20 @@ class CihBlock(Block):
         payload = np.zeros(tour.shape)
         payload[:, :2] = payload_rows(instance, tour[:, :2])
         thresholds, level = np.unique(instance.load_limit - instance.loads, return_inverse=True)
-        opens = np.arange(n_nodes)
-        opens[1 : n_pairs + 1] += n_pairs
-        # the start stands at position 0; a delivery start opens nothing, as opens[u] = u
+        nodes = np.arange(n_nodes)
+        opens = np.tile(nodes, (inits.size, 1))
+        opens[:, 1 : n_pairs + 1] += n_pairs
+        np.copyto(opens, nodes, where=opens == inits[:, None])  # a delivery start's own pickup
+        # the start stands at position 0
         floor = np.zeros((inits.size, n_nodes), dtype=int)
         floor[:, n_pairs + 1 :] = cls.SHUT
-        floor[row, opens[inits]] = 0
+        floor[row, opens[row, inits]] = 0
         floor[row, inits] = cls.SHUT
-        return cls(inits, tour, payload, np.zeros(inits.size), 2, thresholds, level, floor, opens)
+        bins = row[:, None] * (thresholds.size + 1) + thresholds.size
+        arc_base = (row * tour.shape[1]).repeat(n_nodes)
+        node_base = np.tile(nodes * n_nodes, inits.size)
+        return cls(inits, tour, payload, np.zeros(inits.size), 2, thresholds, thresholds.size - 1 - level,
+                   floor, opens, bins, arc_base, node_base)
 
 
 class InsertionChoice(NamedTuple):
@@ -89,45 +104,47 @@ def best_insertion(instance: Instance, state: CihBlock) -> InsertionChoice:
     """
     m, n_rows = state.size, state.inits.size
     n_nodes, stride = instance.node_count, state.tour.shape[1]
-    row = np.arange(n_rows)[:, None]
 
     # capacity window: node u fits from the first slot after which the payload
     # stays within its threshold.  The reversed running maximum of a row is
-    # non-decreasing: its ranks among the thresholds, counted and summed up
-    # per row, give the trailing positions that fit each threshold.
+    # non-decreasing: its ranks among the thresholds, binned per row from the
+    # top rank down and summed, give the leading positions that break each one.
     rev_cummax = np.maximum.accumulate(state.payload[:, m - 1 :: -1], axis=1)
-    n_levels = state.thresholds.size + 1
-    rank = state.thresholds.searchsorted(rev_cummax) + row * n_levels
-    fits = np.bincount(rank.ravel(), minlength=n_rows * n_levels).reshape(n_rows, -1)
-    left = m - fits.cumsum(axis=1).take(state.level, axis=1)
+    rank = state.thresholds.searchsorted(rev_cummax)
+    np.subtract(state.bins[:n_rows], rank, out=rank)
+    fits = np.bincount(rank.ravel(), minlength=n_rows * (state.thresholds.size + 1))
+    left = np.add.accumulate(fits.reshape(n_rows, -1), axis=1).take(state.level, axis=1)
     # precedence, and nodes already in the tour
     np.maximum(left, state.floor, out=left)
-    width = np.maximum(m - 1 - left, 0).ravel()
+    width = np.subtract(m - 1, left, out=left)
+    np.maximum(width, 0, out=width)
 
     # the in-window cells in (row, node, slot) order; a window ends at the
     # row's last slot, so its cells are arcs r * stride + slot of the flat tour
-    per_row = width.reshape(n_rows, -1).sum(axis=1)
+    per_row = width.sum(axis=1)
     stalled = per_row == 0
+    width = width.ravel()
     windows = width.nonzero()[0]
     counts = width[windows]
-    ends = counts.cumsum()
+    ends = np.add.accumulate(counts)
     cells = int(ends[-1]) if ends.size else 0
     cell = np.arange(cells)
-    window_row, window_node = np.divmod(windows, n_nodes)
-    arc = cell + np.repeat(window_row * stride + m - 1 - ends, counts)
-    node_row = np.repeat(window_node * n_nodes, counts)  # the node's row of the flat matrix
+    arc = cell + (state.arc_base[windows] - ends + (m - 1)).repeat(counts)
+    node_row = state.node_base[windows].repeat(counts)  # the node's row of the flat matrix
     tour, cost = state.tour.ravel(), instance.cost.ravel()
-    a, b = tour[arc], tour[arc + 1]
+    a, b = tour[arc], tour[1:][arc]
     # (c[a,u] + c[u,b]) / c[a,b], or over 1 if c[a,b] is 0; c is symmetric, c[a,u] = c[u,a]
     replaced = cost[a * n_nodes + b]
-    added = cost[node_row + a] + cost[node_row + b]
+    added = cost[node_row + a]
+    added += cost[node_row + b]
     ratio = added / np.where(replaced > 0.0, replaced, 1.0)
 
     # per row: the lowest ratio, then the first cell that reaches it
-    per_row = per_row[~stalled]
-    row_start = per_row.cumsum() - per_row
+    if np.count_nonzero(stalled):
+        per_row = per_row[~stalled]
+    row_start = np.add.accumulate(per_row) - per_row
     best = np.minimum.reduceat(ratio, row_start)
-    pick = np.minimum.reduceat(np.where(ratio == np.repeat(best, per_row), cell, cells), row_start)
+    pick = np.minimum.reduceat(np.where(ratio == best.repeat(per_row), cell, cells), row_start)
     delta = added[pick] - replaced[pick]
     return InsertionChoice(node_row[pick] // n_nodes, arc[pick] % stride, best, delta, stalled, cells)
 
@@ -144,15 +161,15 @@ def apply_insertion(state: CihBlock, choice: InsertionChoice, instance: Instance
     state.total += choice.delta
 
     # new position j (from 1 on) keeps old position j, or takes j - 1 past the slot
+    at = slot + 1
     later = np.arange(1, m + 1) > slot[:, None]
     np.copyto(tour[:, 1 : m + 1], tour[:, :m], where=later)
-    tour[row, slot + 1] = node
+    tour[row, at] = node
     np.copyto(payload[:, 1 : m + 1], payload[:, :m] + instance.loads[node][:, None], where=later)
     # floors past the slot move with their positions; an inserted pickup opens
     # its delivery from its own position, unless that delivery is the start
     floor += floor > slot[:, None]
-    opened = state.opens[node]
-    floor[row, np.where(opened == state.inits, node, opened)] = slot + 1
+    floor[row, state.opens[row, node]] = at
     floor[row, node] = state.SHUT
     state.size = m + 1
     return state

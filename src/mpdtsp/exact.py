@@ -5,14 +5,15 @@
 board or delivered, so its state is a ternary code with one digit per pair
 plus the node it stands at; the code fixes how many nodes were visited and
 what is on board.  Layer t holds the codes of t visited nodes whose load fits,
-and each layer is expanded into the next by a fixed handful of numpy calls:
-one ``nonzero`` over a (node x code) gate finds every move, a sort gives the
-next layer's codes, and the moves' costs are gathered, added and
-``argmin``-ed in chunks of at most :data:`LAYER_CHUNK_CELLS` cells.  The
-chunks' scratch is allocated once per call, and every chunk of every layer
-writes a prefix of it.  Only two layers of costs are kept, plus a small parent
-table per layer for reading the tour back.  It is the ground truth up to
-:data:`HELD_KARP_PAIR_LIMIT` pairs.
+and each layer is expanded into the next by about forty numpy calls, most in
+method or in-place form: one flat ``nonzero`` over a (node x code) gate finds
+every move, a sort gives the next layer's codes, and the moves' costs are
+gathered, added and ``argmin``-ed in chunks of at most
+:data:`LAYER_CHUNK_CELLS` cells.  The digit powers, the move steps, the
+code-to-row table and the chunks' scratch are built once per call, and every
+chunk of every layer writes a prefix of the scratch.  Only two layers of costs
+are kept, plus a small parent table per layer for reading the tour back.  It
+is the ground truth up to :data:`HELD_KARP_PAIR_LIMIT` pairs.
 
 ``brute_force`` enumerates every interior order in which each pickup precedes
 its delivery, a position at a time, then judges and costs them all at once
@@ -67,7 +68,8 @@ def held_karp(instance: Instance) -> Tour | None:
     # digit k of a code is pair k+1's state: 0 untouched, 1 on board, 2
     # delivered; the 3**12 codes fit in int32
     power = 3 ** np.arange(n, dtype=np.int32)
-    step = np.concatenate([power, power])  # a visit to node v raises digit (v - 1) % n
+    # a visit to node v raises digit (v - 1) % n; no move goes to the depot, node 0
+    step = np.concatenate([[0], power, power], dtype=np.int32)
     row = np.empty(3**n, dtype=np.int32)  # row[code]: its row in the layer just built
     per_chunk = max(1, LAYER_CHUNK_CELLS // width)
     first = np.arange(0, per_chunk * width, width)  # flat index of each chunk row's cell 0
@@ -82,35 +84,39 @@ def held_karp(instance: Instance) -> Tour | None:
     layers: list[tuple[np.ndarray, np.ndarray]] = []
     for _ in range(size):
         digits = codes // power[:, None] % 3  # (pair, code)
-        load = np.where(digits == 1, item, 0.0).sum(axis=0)  # added pair by pair
-        # gate[v - 1, i]: codes[i] may move to node v, picking up an untouched
-        # item that fits or delivering one on board
-        gate = np.concatenate([(digits == 0) & (load + item <= upper), digits == 1])
-        node, src = np.nonzero(gate)  # every move, grouped by target node
-        new = codes[src] + step[node]
+        # gate[v, i]: codes[i] may move to node v, picking up an untouched
+        # item that fits or delivering one on board; row 0, the depot, stays shut
+        gate = np.zeros((width, len(codes)), dtype=bool)
+        on = np.equal(digits, 1, out=gate[n + 1 :])
+        load = (on * item).sum(axis=0)  # added pair by pair
+        np.equal(digits, 0, out=gate[1 : n + 1])
+        gate[1 : n + 1] &= load + item <= upper
+        move = gate.ravel().nonzero()[0].astype(np.int32)  # every move, grouped by target node
+        target, src = np.divmod(move, len(codes))  # far faster than a 2-d nonzero
+        new = codes[src] + step[target]
         # serving the pairs one at a time always fits, so no layer is empty;
         # a plain sort is far faster here than np.unique
         codes = np.sort(new)
-        codes = codes[np.r_[True, codes[1:] != codes[:-1]]]
+        codes = codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
         row[codes] = np.arange(len(codes), dtype=np.int32)
         # narrow the moves before the next layer's tables exist, and find the
         # flat (code, node) cell each writes: no two moves write the same one
-        src = src.astype(np.int32)
-        target = (node + 1).astype(np.int8)
+        target = target.astype(np.int8)
         cell = row[new] * width + target
-        del node, new
-        nxt = np.full((len(codes), width), np.inf)
+        del new
+        nxt = np.empty((len(codes), width))
+        nxt.fill(np.inf)
         parent = np.zeros((len(codes), width), dtype=np.int8)
         # each chunk writes a prefix of the scratch; "clip" only spares
-        # np.take a buffer, as every index is in range
+        # take a buffer, as every index is in range
         for lo in range(0, len(src), per_chunk):
             hi = lo + per_chunk
             u, v, at = src[lo:hi], target[lo:hi], cell[lo:hi]
-            block = np.take(acc, u, axis=0, out=paths[: len(u)], mode="clip")
-            block += np.take(into, v, axis=0, out=arcs[: len(u)], mode="clip")
+            block = acc.take(u, axis=0, out=paths[: len(u)], mode="clip")
+            block += into.take(v, axis=0, out=arcs[: len(u)], mode="clip")
             best = block.argmin(axis=1)
-            nxt.reshape(-1)[at] = block.reshape(-1)[first[: len(u)] + best]
-            parent.reshape(-1)[at] = best
+            nxt.put(at, block.take(first[: len(u)] + best))
+            parent.put(at, best)
         acc = nxt
         layers.append((codes, parent))
 
@@ -121,7 +127,7 @@ def held_karp(instance: Instance) -> Tour | None:
     code, v = int(codes[0]), last
     for layer_codes, layer_parent in reversed(layers):
         sequence.append(v)
-        u = int(layer_parent[np.searchsorted(layer_codes, code), v])
+        u = int(layer_parent[layer_codes.searchsorted(code), v])
         code -= int(power[(v - 1) % n])  # v's pair digit drops back by one
         v = u
     return Tour((0, *reversed(sequence), 0), float(closing[last]))

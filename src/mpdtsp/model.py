@@ -151,7 +151,7 @@ class Instance:
     @property
     def is_trivially_infeasible(self) -> bool:
         """True when some single item cannot be carried at all."""
-        return bool(self.oversized_items)
+        return bool(self.loads.max() > self.load_limit)  # the largest pickup
 
     # -- constructors --------------------------------------------------------
 
@@ -230,9 +230,9 @@ def payload_rows(instance: Instance, tours: np.ndarray) -> np.ndarray:
     """
     payload = instance.loads.take(tours)
     delivery_start = tours[:, 0] > instance.n_pairs
-    payload[delivery_start, 0] = 0.0
-    payload[~delivery_start, -1] = 0.0
-    return np.cumsum(payload, axis=1, out=payload)
+    payload[:, 0][delivery_start] = 0.0
+    payload[:, -1][~delivery_start] = 0.0
+    return np.add.accumulate(payload, axis=1, out=payload)
 
 
 def payload_profile(instance: Instance, tour: TourLike) -> list[float]:
@@ -403,12 +403,13 @@ def feasible_rows(instance: Instance, inits: np.ndarray, tour: np.ndarray) -> np
     verdict is :func:`validate`'s, which also accepts the terminal alias; the
     builders never write it.
     """
-    ok = (tour.min(axis=1) >= 0) & (tour.max(axis=1) < instance.node_count)
-    if not ok.all():
-        tour = np.where(ok[:, None], tour, 0)  # an all-depot row, rejected below
-    ok &= (tour[:, 0] == inits) & (tour[:, -1] == inits)
+    ok = (tour[:, 0] == inits) & (tour[:, -1] == inits)
+    if tour.min(initial=0) < 0 or tour.max(initial=0) >= instance.node_count:
+        known = ((tour >= 0) & (tour < instance.node_count)).all(axis=1)
+        ok &= known
+        tour = np.where(known[:, None], tour, 0)  # an all-depot row, rejected below
     pos, _, over, under, loaded, late = _rule_arrays(instance, tour)
     # N visits cover all N nodes only if none repeats
     ok &= pos.min(axis=1) >= 0
-    ok &= ~(over.any(axis=1) | under.any(axis=1) | loaded | late.any(axis=1))
+    ok &= ~((over | under).any(axis=1) | loaded | late.any(axis=1))
     return ok

@@ -40,6 +40,8 @@ VALIDATE_REPORT = ("tests/test_model.py", "-k", "report_names_each_violation")
 HYPOT_PARITY = ("tests/test_tsplib.py", "-k", "match_math_hypot")
 CIH_REFERENCE = ("tests/test_cheapest_insertion.py", "-k", "every_step_matches_the_reference")
 CIH_FLOOR = ("tests/test_cheapest_insertion.py", "-k", "floor_and_delta")
+CIH_BLOCKS = ("tests/test_cheapest_insertion.py", "-k", "split_into_blocks or ratio_rule_soundness")
+CIH_STALLS = ("tests/test_cheapest_insertion.py", "-k", "split_into_blocks or floor_and_delta")
 SHARED_MATRIX = ("tests/test_model.py", "-k", "SharedMatrix")
 GENERATE_TESTS = ("tests/test_generate.py",)
 C_LOCALE = ("tests/test_cli.py", "-k", "CLocale")
@@ -53,20 +55,22 @@ def bench_tests(keywords: str) -> tuple[str, ...]:
 MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
     # model.feasible_rows, one rule at a time; its reduction of the shared rules
     ("block check: id range widened by 5", MODEL,
-     "(tour.max(axis=1) < instance.node_count)", "(tour.max(axis=1) < instance.node_count + 5)",
+     "tour.max(initial=0) >= instance.node_count", "tour.max(initial=0) >= instance.node_count + 5",
      BLOCK_CHECK),
+    ("block check: a negative id let through", MODEL,
+     "tour.min(initial=0) < 0", "tour.min(initial=0) < -5", BLOCK_CHECK),
     ("block check: closure dropped", MODEL,
-     "ok &= (tour[:, 0] == inits) & (tour[:, -1] == inits)", "ok &= tour[:, 0] == inits", BLOCK_CHECK),
+     "ok = (tour[:, 0] == inits) & (tour[:, -1] == inits)", "ok = tour[:, 0] == inits", BLOCK_CHECK),
     ("block check: start dropped", MODEL,
-     "ok &= (tour[:, 0] == inits) & (tour[:, -1] == inits)", "ok &= tour[:, -1] == inits", BLOCK_CHECK),
+     "ok = (tour[:, 0] == inits) & (tour[:, -1] == inits)", "ok = tour[:, -1] == inits", BLOCK_CHECK),
     ("block check: once-each dropped", MODEL,
      "    ok &= pos.min(axis=1) >= 0\n", "", BLOCK_CHECK),
     ("block check: upper load bound dropped", MODEL,
-     "~(over.any(axis=1) | under.any(axis=1)", "~(under.any(axis=1)", BLOCK_CHECK),
+     "~((over | under).any(axis=1)", "~(under.any(axis=1)", BLOCK_CHECK),
     ("block check: lower load bound dropped", MODEL,
-     "over.any(axis=1) | under.any(axis=1) | loaded", "over.any(axis=1) | loaded", BLOCK_CHECK),
+     "(over | under).any(axis=1) | loaded", "over.any(axis=1) | loaded", BLOCK_CHECK),
     ("block check: final load dropped", MODEL,
-     "under.any(axis=1) | loaded | late.any(axis=1)", "under.any(axis=1) | late.any(axis=1)", BLOCK_CHECK),
+     "under).any(axis=1) | loaded | late.any(axis=1)", "under).any(axis=1) | late.any(axis=1)", BLOCK_CHECK),
     ("block check: precedence dropped", MODEL,
      "| loaded | late.any(axis=1))", "| loaded)", BLOCK_CHECK),
     # model._rule_arrays: the load and precedence rules, which validate and the
@@ -89,7 +93,7 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
      "expected[seq[0]] = 2", "expected[seq[0]] = 1", VALIDATE_REPORT),
     # model.payload_rows: the start-event rule, which validate and the block check share
     ("payload rule: doubled start's event zeroed at the closing visit for every start", MODEL,
-     "    payload[delivery_start, 0] = 0.0\n    payload[~delivery_start, -1] = 0.0\n",
+     "    payload[:, 0][delivery_start] = 0.0\n    payload[:, -1][~delivery_start] = 0.0\n",
      "    payload[:, -1] = 0.0\n", PAYLOAD_RULE),
     ("payload rule: a delivery start fires at the opening visit", MODEL,
      "tours[:, 0] > instance.n_pairs", "tours[:, 0] > instance.node_count",
@@ -156,6 +160,9 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
     ("held_karp: path costs and arc costs gathered into one shared buffer", EXACT,
      "paths, arcs = np.empty((2, per_chunk, width))", "paths = arcs = np.empty((per_chunk, width))",
      ("tests/test_golden_exact.py",)),
+    ("held_karp: the dedupe drops each layer's first code", EXACT,
+     "np.concatenate(([True], codes[1:] != codes[:-1]))", "np.concatenate(([False], codes[1:] != codes[:-1]))",
+     ("tests/test_golden_exact.py",)),
     # the capacity gate at exactly load_limit
     ("NNH: a load of exactly load_limit refused", NNH,
      "instance.loads <= instance.load_limit", "instance.loads < instance.load_limit", AT_LOAD_LIMIT),
@@ -165,10 +172,10 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
      "searchsorted(rev_cummax)", 'searchsorted(rev_cummax, side="right")', AT_LOAD_LIMIT),
     # CIH's choice and insertion step
     ("CIH: a tie goes to the last cell", CIH,
-     "np.minimum.reduceat(np.where(ratio == np.repeat(best, per_row), cell, cells)",
-     "np.maximum.reduceat(np.where(ratio == np.repeat(best, per_row), cell, -1)", CIH_REFERENCE),
+     "np.minimum.reduceat(np.where(ratio == best.repeat(per_row), cell, cells)",
+     "np.maximum.reduceat(np.where(ratio == best.repeat(per_row), cell, -1)", CIH_REFERENCE),
     ("CIH: every row's start offset by the first row's width, not its own", CIH,
-     "row_start = per_row.cumsum() - per_row", "row_start = per_row.cumsum() - per_row[0]",
+     "row_start = np.add.accumulate(per_row) - per_row", "row_start = np.add.accumulate(per_row) - per_row[0]",
      CIH_REFERENCE),
     ("CIH: precedence gate dropped", CIH,
      "        floor[:, n_pairs + 1 :] = cls.SHUT\n", "", CIH_REFERENCE),
@@ -177,9 +184,23 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
     ("CIH: floors past the slot not shifted", CIH,
      "    floor += floor > slot[:, None]\n", "", CIH_FLOOR),
     ("CIH: a delivery start reopened by its own pickup", CIH,
-     "np.where(opened == state.inits, node, opened)", "opened", CIH_FLOOR),
+     "np.copyto(opens, nodes, where=opens == inits[:, None])", "pass", CIH_FLOOR),
     ("CIH: the splice delta's sign flipped", CIH,
      "delta = added[pick] - replaced[pick]", "delta = replaced[pick] - added[pick]", CIH_FLOOR),
+    # CIH's index bases, built once a block and read by a row's position in it
+    ("CIH: every row given one bincount offset", CIH,
+     "bins = row[:, None] * (thresholds.size + 1) + thresholds.size",
+     "bins = row[:, None] * 0 + thresholds.size", CIH_BLOCKS),
+    ("CIH: the arc base built with stride - 1", CIH,
+     "arc_base = (row * tour.shape[1]).repeat(n_nodes)",
+     "arc_base = (row * (tour.shape[1] - 1)).repeat(n_nodes)", CIH_BLOCKS),
+    ("CIH: the node base of the wrong row", CIH,
+     "node_base = np.tile(nodes * n_nodes, inits.size)",
+     "node_base = (nodes * n_nodes).repeat(inits.size)", CIH_BLOCKS),
+    ("CIH: the bins read from the block's last rows after a stall", CIH,
+     "state.bins[:n_rows]", "state.bins[-n_rows:]", CIH_STALLS),
+    ("CIH: opens kept for stalled rows", CIH,
+     'ROWS = Block.ROWS + ("floor", "opens")', 'ROWS = Block.ROWS + ("floor",)', CIH_STALLS),
     # the engine: blocks and stalls
     ("engine: block rows multiplied, not divided", CONSTRUCTION,
      "BLOCK_CELLS // cells_per_start", "BLOCK_CELLS * cells_per_start", BLOCK_SIZES),

@@ -392,8 +392,9 @@ def block_case(item_loads: list[float], capacity: float, rows: list[list[int]]):
 
 #: rows that one rule alone decides, which random real loads in [0.1, 3]
 #: seldom draw: running sums that overshoot the capacity, dip below 0 or end
-#: off 0 by a rounding, within the tolerance or beyond it (large loads), and a
-#: pickup written over another of the same load
+#: off 0 by a rounding, within the tolerance or beyond it (large loads), a
+#: pickup written over another of the same load, and an id of -1 in place of
+#: the one node missing, which numpy's indexing would wrap onto it
 ROUNDING_ROWS = [[0, 1, 2, 3, 4, 0], [0, 1, 2, 4, 3, 0], [3, 2, 1, 4, 0, 3]]
 ONE_RULE_CASES = [
     block_case([0.1, 0.2], 0.3, ROUNDING_ROWS),
@@ -401,6 +402,7 @@ ONE_RULE_CASES = [
     block_case([1.0, 1.0], 2.0, [[0, 1, 1, 3, 4, 0]]),
     block_case([0.1, 1e9], 2e9, [[0, 1, 2, 4, 3, 0]]),
     block_case([0.3, 123456789.0, 1e9], 2e9, [[0, 1, 2, 5, 4, 3, 6, 0]]),
+    block_case([1.0, 1.0], 2.0, [[0, 1, 2, 3, -1, 0]]),
 ]
 
 
