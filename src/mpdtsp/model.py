@@ -103,8 +103,10 @@ class Instance:
             raise ValueError("capacity must be nonnegative")
         # checked last, so bad loads or capacity build no matrix
         object.__setattr__(self, "cost", cost_matrix(self.coords, self.metric))
-        if not np.isfinite(self.cost).all():
-            # finite points can still be too far apart for a float distance
+        # finite points can still be too far apart for a float distance, but
+        # only when some |c| >= 2**1022: below it every distance is at most
+        # 2*sqrt(2) * max|c| < 2**1024, so the O(m^2) scan is skipped
+        if np.abs(self.coords).max() >= 2.0**1022 and not np.isfinite(self.cost).all():
             raise ValueError("cost matrix entries must be finite")
 
     # -- structure ---------------------------------------------------------

@@ -6,7 +6,8 @@ For each row of MUTANTS the script copies the checkout, without .git, to a
 temporary directory, replaces the row's snippet in its file there and runs
 the row's pytest selection in that copy.  A row fails when its snippet does
 not occur exactly once in its file, or when its tests still pass (the mutant
-survived).  Every row is reported, and the exit status is 1 if any failed.
+survived).  Rows run in parallel, one per CPU the process may use, and are
+reported in table order; the exit status is 1 if any failed.
 
 A change whose tests are proven by a mutation adds that mutation here.
 """
@@ -19,6 +20,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -38,6 +40,7 @@ PAYLOAD_RULE = ("tests/test_properties.py", "-k", "payload_rows_equal_the_plain_
 PLAIN_ENUMERATION = ("tests/test_exact.py", "-k", "matches_the_plain_enumeration")
 VALIDATE_REPORT = ("tests/test_model.py", "-k", "report_names_each_violation")
 HYPOT_PARITY = ("tests/test_tsplib.py", "-k", "match_math_hypot")
+INTEGER_CLOUD = ("tests/test_tsplib.py", "-k", "IntegerCloud")
 CIH_REFERENCE = ("tests/test_cheapest_insertion.py", "-k", "every_step_matches_the_reference")
 CIH_FLOOR = ("tests/test_cheapest_insertion.py", "-k", "floor_and_delta")
 CIH_BLOCKS = ("tests/test_cheapest_insertion.py", "-k", "split_into_blocks or ratio_rule_soundness")
@@ -107,13 +110,24 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
     ("hypot: differential correction dropped", TSPLIB,
      "    np.add(h, t0, h)\n", "", HYPOT_PARITY),
     ("hypot: np.hypot in place of the kernel", TSPLIB,
-     "        if not exotic:\n            d = _hypot(work, n)\n",
-     "        if not exotic:\n            d = np.hypot(dx, dy)\n", HYPOT_PARITY),
+     "        elif not exotic:\n            d = _hypot(work, n)\n",
+     "        elif not exotic:\n            d = np.hypot(dx, dy)\n", HYPOT_PARITY),
     ("hypot: exotic cells sent through the kernel", TSPLIB,
      "exotic = bool(", "exotic = False and bool(", ("tests/test_tsplib.py", "-k", "edge")),
     ("hypot: scalar fallback skipped past the first block", TSPLIB,
-     "        if not exotic:\n", "        if not exotic or i0 > 0:\n",
+     "        elif not exotic:\n", "        elif not exotic or i0 > 0:\n",
      ("tests/test_tsplib.py", "-k", "edge_points_across_blocks")),
+    # tsplib._distances: the exact-square branch for integer clouds
+    ("exact squares: the integrality test dropped", TSPLIB,
+     " and (xy == np.floor(xy)).all()", "", HYPOT_PARITY),
+    ("exact squares: the bound raised to 2**27", TSPLIB,
+     "_GRID_BOUND = 2.0**25", "_GRID_BOUND = 2.0**27", INTEGER_CLOUD),
+    ("exact squares: dy's square dropped from the sum", TSPLIB,
+     "            np.multiply(dy, dy, dy)\n", "", INTEGER_CLOUD),
+    # model.Instance: the overflow scan, run only where a distance can overflow
+    ("instance: the finite-cost guard's bound raised past any float", MODEL,
+     "np.abs(self.coords).max() >= 2.0**1022", "np.abs(self.coords).max() >= np.inf",
+     ("tests/test_model.py", "-k", "overflowing_distance")),
     # tsplib.cost_matrix: one read-only EXACT matrix per live coordinate array
     ("shared matrix: the cache key ignored", TSPLIB,
      "last_ref() if last_key == key else None", "last_ref() if True else None", SHARED_MATRIX),
@@ -284,11 +298,14 @@ def run_row(file: str, snippet: str, replacement: str, selection: tuple[str, ...
 def main() -> int:
     failures = 0
     start = time.perf_counter()
-    for label, *row in MUTANTS:
-        problem = run_row(*row)
-        failures += problem is not None
-        print(f"{'FAIL' if problem else 'killed'}  {label}" + (f"\n      {problem}" if problem else ""),
-              flush=True)
+    # a row is mostly a pytest process starting up, so rows run side by side,
+    # one per available CPU; map hands the results back in table order
+    with ThreadPoolExecutor(len(os.sched_getaffinity(0))) as pool:
+        problems = pool.map(lambda row: run_row(*row[1:]), MUTANTS)
+        for (label, *_), problem in zip(MUTANTS, problems):
+            failures += problem is not None
+            print(f"{'FAIL' if problem else 'killed'}  {label}" + (f"\n      {problem}" if problem else ""),
+                  flush=True)
     print(f"{len(MUTANTS) - failures} of {len(MUTANTS)} mutants killed "
           f"in {time.perf_counter() - start:.0f} s")
     return 1 if failures else 0

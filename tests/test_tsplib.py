@@ -262,6 +262,66 @@ class TestDistanceParity:
         assert tsplib._distances(EDGE_CLOUD).tobytes() == EDGE_REFERENCE.tobytes()
 
 
+@pytest.fixture
+def hypot_runs(monkeypatch) -> list[int]:
+    """The cell count of each run of the ``math.hypot`` kernel, ``tsplib._hypot``, from here on."""
+    runs: list[int] = []
+    kernel = tsplib._hypot
+
+    def counted(work, n):
+        runs.append(n)
+        return kernel(work, n)
+
+    monkeypatch.setattr(tsplib, "_hypot", counted)
+    return runs
+
+
+def integer_cloud(seed: int, bound: int, m: int = 240) -> np.ndarray:
+    """``m`` integer points of magnitude below ``bound``, two opposite corners among them."""
+    coords = np.random.default_rng(seed).integers(1 - bound, bound, (m, 2))
+    coords[:2] = [[1 - bound, bound - 1], [bound - 1, 1 - bound]]
+    return coords.astype(float)
+
+
+class TestIntegerCloud:
+    """A cloud of integers below 2**25 is built as ``sqrt(dx*dx + dy*dy)``,
+    which is ``math.hypot`` bit for bit there."""
+
+    def test_every_small_difference_matches_math_hypot(self, hypot_runs):
+        # x-axis points 0..1024 against y-axis points -1..-1024: every
+        # |dx|, |dy| <= 1024 (the sign squares away) in one 4.2 M-cell matrix
+        ticks = np.arange(1025.0)
+        cloud = np.concatenate([np.column_stack([ticks, 0 * ticks]), np.column_stack([0 * ticks, -ticks])[1:]])
+        d = cost_matrix(cloud, MetricMode.EXACT)
+        expected = np.array([[math.hypot(a, b) for b in range(1025)] for a in range(1025)])
+        assert d[:1025, 0].tobytes() == expected[:, 0].tobytes()
+        assert d[:1025, 1025:].tobytes() == expected[:, 1:].tobytes()
+        assert hypot_runs == []
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_clouds_at_the_bound_match_math_hypot(self, hypot_runs, seed):
+        # differences up to 2**26 - 2, whose squares sum to just under 2**53
+        coords = integer_cloud(seed, 2**25)
+        for mode in MetricMode:
+            assert cost_matrix(coords, mode).tobytes() == reference_cost_matrix(coords, mode).tobytes()
+        assert hypot_runs == []
+
+    def test_a_half_coordinate_takes_the_kernel(self, hypot_runs):
+        coords = integer_cloud(4, 1000, m=31)
+        tsplib._distances(coords)
+        assert hypot_runs == []
+        coords[17, 1] += 0.5
+        assert tsplib._distances(coords).tobytes() == reference_cost_matrix(coords, MetricMode.EXACT).tobytes()
+        assert hypot_runs == [31 * 31]
+
+    def test_a_cloud_past_the_bound_matches_math_hypot(self, hypot_runs):
+        # differences up to 2**27 - 2: squares that round, where only the
+        # kernel matches math.hypot
+        coords = integer_cloud(5, 2**26)
+        assert tsplib._distances(coords).tobytes() == reference_cost_matrix(coords, MetricMode.EXACT).tobytes()
+        assert hypot_runs
+
+
 #: from the oldest Python pyproject.toml admits to the newest checked; the
 #: running one is checked in-process above
 PYTHON_VERSIONS = ("3.10", "3.11", "3.12", "3.13")
@@ -293,11 +353,13 @@ def installed_python(version: str) -> str | None:
 
 
 def hypot_parity_clouds() -> list[np.ndarray]:
-    """25,600 cells of each kind: integer, unit-square, and 25 clouds of 32
-    points at scales 1e-300, 1e-275, ..., 1e300, so differences span them all."""
+    """25,600 cells of each kind: integer, unit-square, 25 clouds of 32
+    points at scales 1e-300, 1e-275, ..., 1e300, so differences span them
+    all, and integers of magnitude below 2**25, the exact-square bound."""
     rng = np.random.default_rng(26)
     wide = [rng.uniform(-1, 1, (32, 2)) * 10.0**e for e in np.linspace(-300, 300, 25).astype(int)]
-    return [rng.integers(-1000, 1000, (160, 2)).astype(float), rng.random((160, 2)), *wide]
+    return [rng.integers(-1000, 1000, (160, 2)).astype(float), rng.random((160, 2)), *wide,
+            rng.integers(1 - 2**25, 2**25, (160, 2)).astype(float)]
 
 
 @pytest.mark.parametrize("version", [v for v in PYTHON_VERSIONS if v != RUNNING_VERSION])
@@ -311,6 +373,6 @@ def test_kernel_matches_other_interpreters_math_hypot(version):
         input=np.concatenate(clouds).tobytes(), capture_output=True, check=True)
     theirs = np.frombuffer(result.stdout, dtype=np.float64)
     ours = np.concatenate([cost_matrix(c, MetricMode.EXACT).ravel() for c in clouds])
-    assert theirs.size == ours.size == 3 * 25_600
+    assert theirs.size == ours.size == 4 * 25_600
     mismatched = np.flatnonzero(theirs.view(np.uint64) != ours.view(np.uint64))
     assert mismatched.size == 0, f"{mismatched.size} cells differ, first at flat index {mismatched[:1]}"
