@@ -14,12 +14,13 @@ blocks of closed partial tours (:class:`CihBlock`), which also carry each
 (start, node) precedence floor, the first slot precedence leaves the node,
 and the row and node index bases every step reads, built once a block.
 The choice step, :func:`best_insertion`, derives every capacity window at
-once, raises it to its floor, lays the in-window cells of all starts out in
-one flat array, computes each cell's ratio afresh and reduces it per start;
-a start with no cell stalls.  :func:`apply_insertion` splices every start's
-choice in at once, adds the cost delta the choice hands over and moves the
-floors past the slot up by one.  No ratio is kept between steps and no cell
-outside a window is computed.  One start (:func:`cih_from`) is a one-row block.
+once from the live load levels, raises it to its floor, lays the in-window
+cells of all starts out in one flat array, computes each cell's ratio afresh
+and reduces it per start; a start with no cell stalls.  :func:`apply_insertion`
+splices every start's choice in at once, adds the cost delta the choice hands
+over and moves the floors past the slot up by one.  No ratio is kept between
+steps and no cell outside a window is computed.  One start (:func:`cih_from`)
+is a one-row block.
 """
 
 from __future__ import annotations
@@ -42,22 +43,25 @@ class CihBlock(Block):
     delivery, 0 for any other node, or ``SHUT`` while u is in the tour or its
     pickup out.  ``opens[r, u]`` is the delivery a pickup u opens, or u itself
     (any other node, and a delivery start's own pickup).  ``thresholds`` holds
-    the distinct ``load_limit - loads`` ascending; ``level[u]`` counts those
-    above node u's.  The index bases, built once, go by a row's position, not
-    its start, so they stay out of ``ROWS`` and hold after a stall compacts
-    the rows: row r bins its ranks down from ``bins[r]``; entry r * N + u of
-    ``arc_base`` is r * stride, r's first cell of the flat tour, and of
-    ``node_base`` u * N, u's row of the flat cost matrix.
+    the distinct ``load_limit - loads`` ascending; node u's level is the index
+    of its own.  ``spread[k, u]`` is 1 + u's level if that is one of the k
+    lowest, else 0.  ``breaks[r, 1 + k, 1 + j]`` compares row r's payload at
+    position j with level k, behind a True column 0 and a level row 0 that stay
+    as built; it has rows for every level a payload can exceed.  The buffers
+    and index bases, built once, go by a row's position, not its start, so
+    they stay out of ``ROWS`` and hold after a stall compacts the rows: entry
+    r * N + u of ``arc_base`` is r * stride, r's first cell of the flat tour,
+    and of ``node_base`` u * N, u's row of the flat cost matrix.
     """
 
     ROWS = Block.ROWS + ("floor", "opens")
     SHUT = 1 << 40  # past every slot of any tour, and a splice only raises it
 
     thresholds: np.ndarray = field(repr=False)
-    level: np.ndarray = field(repr=False)
+    spread: np.ndarray = field(repr=False)
     floor: np.ndarray = field(repr=False)
     opens: np.ndarray = field(repr=False)
-    bins: np.ndarray = field(repr=False)
+    breaks: np.ndarray = field(repr=False)
     arc_base: np.ndarray = field(repr=False)
     node_base: np.ndarray = field(repr=False)
 
@@ -69,7 +73,10 @@ class CihBlock(Block):
         tour[:, :2] = inits[:, None]
         payload = np.zeros(tour.shape)
         payload[:, :2] = payload_rows(instance, tour[:, :2])
-        thresholds, level = np.unique(instance.load_limit - instance.loads, return_inverse=True)
+        limits = instance.load_limit - instance.loads
+        thresholds, level = np.unique(limits, return_inverse=True)
+        # no load on board exceeds the most a splice can leave, fl(fl(L - l) + l)
+        levels = thresholds.searchsorted((limits + instance.loads).max())
         nodes = np.arange(n_nodes)
         opens = np.tile(nodes, (inits.size, 1))
         opens[:, 1 : n_pairs + 1] += n_pairs
@@ -79,11 +86,13 @@ class CihBlock(Block):
         floor[:, n_pairs + 1 :] = cls.SHUT
         floor[row, opens[row, inits]] = 0
         floor[row, inits] = cls.SHUT
-        bins = row[:, None] * (thresholds.size + 1) + thresholds.size
+        spread = np.where(level < np.arange(levels + 1)[:, None], level + 1, 0)
+        breaks = np.zeros((inits.size, levels + 1, n_nodes), dtype=bool)
+        breaks[:, :, 0] = True
         arc_base = (row * tour.shape[1]).repeat(n_nodes)
         node_base = np.tile(nodes * n_nodes, inits.size)
-        return cls(inits, tour, payload, np.zeros(inits.size), 2, thresholds, thresholds.size - 1 - level,
-                   floor, opens, bins, arc_base, node_base)
+        return cls(inits, tour, payload, np.zeros(inits.size), 2, thresholds, spread, floor, opens, breaks,
+                   arc_base, node_base)
 
 
 class InsertionChoice(NamedTuple):
@@ -105,18 +114,19 @@ def best_insertion(instance: Instance, state: CihBlock) -> InsertionChoice:
     m, n_rows = state.size, state.inits.size
     n_nodes, stride = instance.node_count, state.tour.shape[1]
 
-    # capacity window: node u fits from the first slot after which the payload
-    # stays within its threshold.  The reversed running maximum of a row is
-    # non-decreasing: its ranks among the thresholds, binned per row from the
-    # top rank down and summed, give the leading positions that break each one.
-    rev_cummax = np.maximum.accumulate(state.payload[:, m - 1 :: -1], axis=1)
-    rank = state.thresholds.searchsorted(rev_cummax)
-    np.subtract(state.bins[:n_rows], rank, out=rank)
-    fits = np.bincount(rank.ravel(), minlength=n_rows * (state.thresholds.size + 1))
-    left = np.add.accumulate(fits.reshape(n_rows, -1), axis=1).take(state.level, axis=1)
-    # precedence, and nodes already in the tour
-    np.maximum(left, state.floor, out=left)
-    width = np.subtract(m - 1, left, out=left)
+    # capacity window: node u fits the slots after the last position whose
+    # payload exceeds u's threshold; the closing position, which carries no
+    # more than the one before it, is left out.  Only the live levels, those
+    # below the block's top payload, are compared; read backwards, a level's
+    # compare first turns True after as many slots as fit, so level row 0,
+    # never written, fits them all
+    live = state.thresholds.searchsorted(state.payload[:, :m].max())
+    width = np.subtract(m - 1, state.floor)  # precedence, and nodes already in the tour
+    if live:
+        breaks = state.breaks[:n_rows, : live + 1, :m]
+        np.greater(state.payload[:, None, : m - 1], state.thresholds[:live, None], out=breaks[:, 1:, 1:])
+        fit = breaks[:, :, ::-1].argmax(axis=2)
+        np.minimum(width, fit.take(state.spread[live], axis=1), out=width)
     np.maximum(width, 0, out=width)
 
     # the in-window cells in (row, node, slot) order; a window ends at the
@@ -124,7 +134,7 @@ def best_insertion(instance: Instance, state: CihBlock) -> InsertionChoice:
     per_row = width.sum(axis=1)
     stalled = per_row == 0
     width = width.ravel()
-    windows = width.nonzero()[0]
+    windows = (width > 0).nonzero()[0]
     counts = width[windows]
     ends = np.add.accumulate(counts)
     cells = int(ends[-1]) if ends.size else 0

@@ -65,6 +65,12 @@ def make_random_instance(
     )
 
 
+def at_load_limit() -> Instance:
+    """Five collinear nodes; the second item weighs ``load_limit - 1.0``, so carrying both is exactly load_limit."""
+    q = 2.0
+    return Instance.from_coords([(float(i), 0.0) for i in range(5)], paired_loads([1.0, (q + 1e-9) - 1.0]), q)
+
+
 def with_capacity(instance: Instance, capacity: float) -> Instance:
     """The same points, loads and metric under another capacity."""
     return Instance.from_coords(instance.coords, instance.loads, capacity, instance.metric,

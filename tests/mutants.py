@@ -182,8 +182,21 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
      "instance.loads <= instance.load_limit", "instance.loads < instance.load_limit", AT_LOAD_LIMIT),
     ("held_karp: a pickup to exactly load_limit refused", EXACT,
      "load + item <= upper", "load + item < upper", AT_LOAD_LIMIT),
-    ("CIH: a slot at exactly load_limit outside the window", CIH,
-     "searchsorted(rev_cummax)", 'searchsorted(rev_cummax, side="right")', AT_LOAD_LIMIT),
+    ("CIH: a payload of exactly a threshold taken to exceed it", CIH,
+     "np.greater(state.payload", "np.greater_equal(state.payload", AT_LOAD_LIMIT),
+    ("CIH: a threshold the top payload only reaches counted live", CIH,
+     "searchsorted(state.payload[:, :m].max())", 'searchsorted(state.payload[:, :m].max(), side="right")',
+     AT_LOAD_LIMIT),
+    # CIH's capacity window, from the live levels only
+    ("CIH: the True column before position 0 dropped", CIH,
+     "        breaks[:, :, 0] = True\n", "", CIH_REFERENCE),
+    ("CIH: every window starting one slot early", CIH,
+     "state.payload[:, None, : m - 1]", "state.payload[:, None, 1:m]", CIH_REFERENCE),
+    ("CIH: the compare written over level row 0, which fits every slot", CIH,
+     "out=breaks[:, 1:, 1:]", "out=breaks[:, :-1, 1:]", CIH_REFERENCE),
+    ("CIH: a level's window spread over the nodes of the next level", CIH,
+     "np.where(level < np.arange(levels + 1)[:, None], level + 1, 0)",
+     "np.where(level < np.arange(levels + 1)[:, None], level + 2, 0)", CIH_REFERENCE),
     # CIH's choice and insertion step
     ("CIH: a tie goes to the last cell", CIH,
      "np.minimum.reduceat(np.where(ratio == best.repeat(per_row), cell, cells)",
@@ -202,17 +215,12 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
     ("CIH: the splice delta's sign flipped", CIH,
      "delta = added[pick] - replaced[pick]", "delta = replaced[pick] - added[pick]", CIH_FLOOR),
     # CIH's index bases, built once a block and read by a row's position in it
-    ("CIH: every row given one bincount offset", CIH,
-     "bins = row[:, None] * (thresholds.size + 1) + thresholds.size",
-     "bins = row[:, None] * 0 + thresholds.size", CIH_BLOCKS),
     ("CIH: the arc base built with stride - 1", CIH,
      "arc_base = (row * tour.shape[1]).repeat(n_nodes)",
      "arc_base = (row * (tour.shape[1] - 1)).repeat(n_nodes)", CIH_BLOCKS),
     ("CIH: the node base of the wrong row", CIH,
      "node_base = np.tile(nodes * n_nodes, inits.size)",
      "node_base = (nodes * n_nodes).repeat(inits.size)", CIH_BLOCKS),
-    ("CIH: the bins read from the block's last rows after a stall", CIH,
-     "state.bins[:n_rows]", "state.bins[-n_rows:]", CIH_STALLS),
     ("CIH: opens kept for stalled rows", CIH,
      'ROWS = Block.ROWS + ("floor", "opens")', 'ROWS = Block.ROWS + ("floor",)', CIH_STALLS),
     # the engine: blocks and stalls

@@ -1,9 +1,11 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
 from conftest import (
+    at_load_limit,
     block_partial,
     cih_state,
     live_payload,
@@ -207,21 +209,40 @@ def grid_instance(n_pairs, capacity, seed, metric):
     return Instance.from_coords(coords, paired_loads([1.0] * n_pairs), float(capacity), metric)
 
 
-CACHE_CASES = [
-    (seed, metric, q)
-    for seed in range(5)
-    for metric in (MetricMode.EXACT, MetricMode.ROUNDED)
-    for q in (1, 2, 3)
-]
+def three_loads():
+    """Five pairs of loads 1, 2 and 3 under Q = 4: three capacity levels live in one step, and stalls."""
+    coords = np.random.RandomState(0).uniform(0.0, 8.0, size=(11, 2))
+    return Instance.from_coords(coords, paired_loads([1.0, 2.0, 3.0, 1.0, 2.0]), 4.0, MetricMode.ROUNDED)
+
+
+#: beyond unit loads under a tight Q: several capacity levels live in one
+#: step, a load of exactly load_limit, and a Q that leaves every level dead
+LOAD_CASES = {
+    "three-loads": three_loads,
+    "at-load-limit": at_load_limit,
+    "loose": partial(grid_instance, 4, 100, 3, MetricMode.ROUNDED),
+}
+#: the most capacity levels live in one step of each
+MOST_LIVE = {"three-loads": 3, "at-load-limit": 2, "loose": 0}
+CACHE_CASES = {
+    **{f"seed{seed}-{metric.value}-Q{q}": partial(grid_instance, 3 + seed, q, seed, metric)
+       for seed in range(5) for metric in (MetricMode.EXACT, MetricMode.ROUNDED) for q in (1, 2, 3)},
+    **LOAD_CASES,
+}
+SPLIT_CASES = {"grid-Q1": partial(grid_instance, 4, 1, 3, MetricMode.ROUNDED), **LOAD_CASES}
+
+
+def most_live(instance, payload):
+    """How many distinct thresholds ``load_limit - load`` lie below the top of ``payload``."""
+    return np.count_nonzero(np.unique(instance.load_limit - instance.loads) < max(payload))
 
 
 class TestCachedRatios:
-    @pytest.mark.parametrize("seed,metric,q", CACHE_CASES,
-                             ids=[f"seed{s}-{m.value}-Q{q}" for s, m, q in CACHE_CASES])
-    def test_every_step_matches_the_reference(self, seed, metric, q):
+    @pytest.mark.parametrize("case", CACHE_CASES)
+    def test_every_step_matches_the_reference(self, case):
         # a one-row block and the reference builder's cached ratios, step by step
-        inst = grid_instance(3 + seed, q, seed, metric)
-        dead_ends = 0
+        inst = CACHE_CASES[case]()
+        dead_ends = live = 0
         for init in range(inst.node_count):
             block = CihBlock.initial(inst, [init])
             state = CihState.initial(inst, init)
@@ -229,6 +250,7 @@ class TestCachedRatios:
                 assert block_partial(block) == state.partial
                 if not state.remainder:
                     break
+                live = max(live, most_live(inst, live_payload(state)))
                 choice = best_insertion(inst, block)
                 cached = reference_best_insertion(inst, state)
                 reference = reference_choice(inst, state)
@@ -242,8 +264,9 @@ class TestCachedRatios:
                 apply_insertion(block, choice, inst)
                 reference_apply_insertion(state, cached, inst)
             assert reference_choice(inst, state) is None
-        if q == 1:
+        if inst.capacity == 1:
             assert dead_ends > 0  # the Q=1 stall path is covered too
+        assert live == MOST_LIVE.get(case, live)
 
     def test_ratio_buffer_equals_every_ratio(self):
         inst = grid_instance(4, 2, 7, MetricMode.ROUNDED)
@@ -439,16 +462,17 @@ class TestCihBest:
         assert result.dead_ends
         assert (result.steps, result.cells) == (steps, cells)
 
+    @pytest.mark.parametrize("case", SPLIT_CASES)
     @pytest.mark.parametrize("rows", (1, 2, 3))
     @pytest.mark.parametrize("builder", BUILDERS, ids=("CIH", "NNH"))
-    def test_starts_split_into_blocks_give_the_same_result(self, builder, rows):
+    def test_starts_split_into_blocks_give_the_same_result(self, builder, rows, case):
         # blocks of 2 and 3 rows hold a row that stalls while the others go on
-        inst = grid_instance(4, 1, 3, MetricMode.ROUNDED)
+        inst = SPLIT_CASES[case]()
         starts = list(range(inst.node_count))
         whole = construction.lockstep(inst, starts, len(starts), *builder)
         split = construction.lockstep(inst, starts, rows, *builder)
         assert split == whole
-        assert whole[0] and whole[1]  # stalls merge across blocks too
+        assert whole[0] and (whole[1] or case in ("at-load-limit", "loose"))  # stalls merge across blocks too
 
     @pytest.mark.parametrize("builder", BUILDERS, ids=("CIH", "NNH"))
     def test_a_block_holds_at_least_one_start(self, monkeypatch, builder):

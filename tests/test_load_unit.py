@@ -10,7 +10,7 @@ leaves every builder decision and every exact optimum as it is, even where
 import numpy as np
 import pytest
 
-from conftest import CORPUS_DIR, block_partial, cih_block, live_payload, make_random_instance
+from conftest import CORPUS_DIR, at_load_limit, block_partial, cih_block, live_payload, make_random_instance
 from mpdtsp import (
     Instance,
     cih_best,
@@ -90,10 +90,8 @@ def test_cih_window_admits_the_item_that_fills_the_capacity():
 
 
 def test_every_check_admits_a_load_of_exactly_load_limit():
-    # five collinear nodes; the second item weighs load_limit - 1.0, so the
-    # tour that carries both at once runs at exactly load_limit from 2 to 3
-    q = 2.0
-    inst = Instance.from_coords([(float(i), 0.0) for i in range(5)], paired_loads([1.0, (q + 1e-9) - 1.0]), q)
+    # the tour that carries both items at once runs at exactly load_limit from 2 to 3
+    inst = at_load_limit()
     tour = (0, 1, 2, 3, 4, 0)
     assert max(payload_profile(inst, tour)) == inst.load_limit
     assert validate(inst, tour).feasible
